@@ -57,15 +57,15 @@ class DegreeSketch:
         """Apply one op: ``weight`` is ``+1`` (insert) or ``-1`` (delete)."""
         self.freq[index] += weight
 
-    def update_batch(self, indices: NDArray[Any], weight: int) -> None:
-        """Apply a batch of same-kind ops given their domain indices."""
-        if indices.size == 0:
-            return
-        counts = np.bincount(indices, minlength=self.freq.shape[0])
-        if weight == 1:
-            self.freq += counts
-        else:
-            self.freq -= counts
+    def update_batch(
+        self, indices: NDArray[Any], weight: int, multiplicity: NDArray[Any] | None = None
+    ) -> None:
+        """Apply a batch of same-kind ops given their domain indices.
+
+        ``multiplicity`` counts each index that many times (the distinct
+        cells of a :class:`repro.streams.relation.BatchDelta`).
+        """
+        np.add.at(self.freq, indices, weight if multiplicity is None else weight * multiplicity)
 
     def load_counts(self, counts: NDArray[Any]) -> None:
         """Replace the vector with an externally computed frequency vector.
@@ -154,10 +154,9 @@ class DegreeObserver(StreamObserver):
         self.sketch.update(index, op.weight)
 
     def on_ops(self, relation: Any, rows: NDArray[Any], kind: OpKind) -> None:
-        if len(rows) == 0:
-            return
-        indices = self.domain.indices_of(rows[:, self.axis])
-        self.sketch.update_batch(indices, kind.value)
+        delta = relation.batch_delta(rows, kind).marginal([self.axis])
+        indices = self.domain.indices_of(delta.rows[:, 0])
+        self.sketch.update_batch(indices, delta.weight, multiplicity=delta.counts)
 
     def state_dict(self) -> Dict[str, Any]:
         return self.sketch.state_dict()

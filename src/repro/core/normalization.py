@@ -13,6 +13,7 @@ normalized grid (see :mod:`repro.core.basis` for the two grid kinds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Sequence
 
@@ -165,6 +166,27 @@ class Domain:
         if self.size == 1:
             return np.full(idx.shape, 0.5)
         return idx / (self.size - 1.0)
+
+
+def distinct_cells(
+    indices: NDArray[Any], shape: Sequence[int]
+) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+    """Distinct rows of a ``(B, d)`` batch of domain indices over ``shape``.
+
+    Returns ``(cells, first, counts)``: the sorted distinct cells as flat
+    indices into ``shape``, the batch position of each cell's first row,
+    and how many rows hit it.  Flattening first makes this a 1-d unique,
+    far cheaper than ``np.unique(axis=0)`` on the rows themselves.  When
+    ``shape`` has more cells than an int64 can number, the cells are the
+    distinct rows themselves, in the same (lexicographic) order.
+    """
+    indices = np.asarray(indices)
+    if math.prod(shape) > np.iinfo(np.int64).max:
+        rows, first, counts = np.unique(indices, axis=0, return_index=True, return_counts=True)
+        return rows, first, counts
+    flat = np.ravel_multi_index(tuple(indices.T), tuple(shape))
+    cells, first, counts = np.unique(flat, return_index=True, return_counts=True)
+    return cells, first, counts
 
 
 def unify_domains(a: Domain, b: Domain) -> Domain:

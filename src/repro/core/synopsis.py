@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from ..fastpath import phi_block
 from .basis import GridKind
-from .normalization import Domain
+from .normalization import Domain, distinct_cells
 from .triangular import (
     full_indices,
     order_for_budget,
@@ -142,23 +142,28 @@ class CosineSynopsis:
     # maintenance (paper Eqs. 3.4 / 3.5)
     # ------------------------------------------------------------------ #
 
-    def _contributions(self, rows: NDArray[Any]) -> NDArray[Any]:
+    def _contributions(
+        self, rows: NDArray[Any], multiplicity: NDArray[Any] | None
+    ) -> NDArray[Any]:
         """Sum of per-tuple basis products for a batch of raw tuples.
 
         ``rows`` has shape ``(B, ndim)``; returns the length-``K`` vector
-        ``sum_b prod_j phi_{k_j}(x_{b,j})`` accumulated over the batch.
-        Duplicate rows are aggregated first (one basis evaluation per
+        ``sum_b w_b prod_j phi_{k_j}(x_{b,j})``, where ``w_b`` is row ``b``'s
+        multiplicity (1 when none is given).  Without multiplicities,
+        duplicate rows are aggregated first (one basis evaluation per
         distinct tuple), which is where batch updates beat per-tuple ones
         on realistic skewed streams.
         """
-        try:
-            unique, multiplicity = np.unique(rows, axis=0, return_counts=True)
-        except TypeError:  # non-sortable raw values (mixed categorical types)
-            unique, multiplicity = rows, np.ones(rows.shape[0])
+        if multiplicity is None:
+            indices = np.stack(
+                [d.indices_of(rows[:, j]) for j, d in enumerate(self.domains)], axis=1
+            )
+            _, first, multiplicity = distinct_cells(indices, [d.size for d in self.domains])
+            rows = rows[first]
         total = np.zeros(self.indices.shape[0], dtype=float)
-        for start in range(0, unique.shape[0], _CHUNK_ROWS):
-            chunk = unique[start : start + _CHUNK_ROWS]
-            weights = multiplicity[start : start + _CHUNK_ROWS].astype(float)
+        for start in range(0, rows.shape[0], _CHUNK_ROWS):
+            chunk = rows[start : start + _CHUNK_ROWS]
+            weights = np.asarray(multiplicity[start : start + _CHUNK_ROWS], dtype=float)
             if self.ndim == 1:
                 # 1-d fast path: the retained orders are exactly 0..m-1, so
                 # the contribution is a plain matrix-vector product.
@@ -184,27 +189,34 @@ class CosineSynopsis:
         """Process the deletion of one tuple (paper Eq. 3.5)."""
         self.delete_batch(self._as_rows(values))
 
-    def insert_batch(self, rows: NDArray[Any] | Sequence[Any]) -> None:
+    def insert_batch(
+        self, rows: NDArray[Any] | Sequence[Any], multiplicity: NDArray[Any] | None = None
+    ) -> None:
         """Process a batch of arrivals at once (section 3.2, batch update).
 
         The result is identical to inserting each tuple individually; the
-        batch form simply amortizes the basis evaluations.
+        batch form simply amortizes the basis evaluations.  ``multiplicity``
+        counts each row that many times (the distinct rows of a
+        :class:`repro.streams.relation.BatchDelta`).
         """
         rows = self._as_rows(rows)
         if rows.shape[0] == 0:
             return
-        self._sums += self._contributions(rows)
-        self._count += rows.shape[0]
+        self._sums += self._contributions(rows, multiplicity)
+        self._count += _row_count(rows, multiplicity)
 
-    def delete_batch(self, rows: NDArray[Any] | Sequence[Any]) -> None:
-        """Process a batch of deletions at once."""
+    def delete_batch(
+        self, rows: NDArray[Any] | Sequence[Any], multiplicity: NDArray[Any] | None = None
+    ) -> None:
+        """Process a batch of deletions at once (``multiplicity`` as in :meth:`insert_batch`)."""
         rows = self._as_rows(rows)
         if rows.shape[0] == 0:
             return
-        if rows.shape[0] > self._count:
+        count = _row_count(rows, multiplicity)
+        if count > self._count:
             raise ValueError("cannot delete more tuples than the stream holds")
-        self._sums -= self._contributions(rows)
-        self._count -= rows.shape[0]
+        self._sums -= self._contributions(rows, multiplicity)
+        self._count -= count
 
     def _as_rows(self, values: Any) -> NDArray[Any]:
         """Coerce tuple / sequence-of-tuples input into a ``(B, ndim)`` array."""
@@ -255,6 +267,8 @@ class CosineSynopsis:
         total = counts.sum()
         if total < 0:
             raise ValueError("counts must be non-negative in aggregate")
+        if not counts.any():
+            return syn  # contracting zeros needs no basis table
         tensor = counts
         # Contract each value axis with the (order x n_j) basis matrix; after
         # d steps the tensor holds the unnormalized coefficient grid.
@@ -411,6 +425,11 @@ class CosineSynopsis:
         syn._sums = sums
         syn._count = int(payload["count"])
         return syn
+
+
+def _row_count(rows: NDArray[Any], multiplicity: NDArray[Any] | None) -> int:
+    """Tuples a batch stands for: its rows, or the sum of their multiplicities."""
+    return rows.shape[0] if multiplicity is None else int(np.sum(multiplicity))
 
 
 def synopses_for_budget(

@@ -2,10 +2,10 @@
 
 ``repro.fastpath`` is the blessed home for hot-loop arithmetic: the
 Chebyshev-recurrence cosine basis (one transcendental call per batch
-instead of one per table entry), the optional numba-compiled kernels, and
+instead of one per table entry), the optional numba-compiled kernel, and
 the backend switch that picks between them at import time.  The synopsis,
-sketch, and stream layers call :func:`phi_block` / :func:`agms_update_1d`
-and stay free of per-order python loops themselves — the ``repro.analysis``
+sketch, and stream layers call :func:`phi_block` and stay free of
+per-order python loops themselves — the ``repro.analysis``
 REP006 rule enforces that split.
 
 See ``docs/PERFORMANCE.md`` for the recurrence math, backend selection
@@ -14,7 +14,6 @@ rules, and how the CI benchmark gate holds this layer to its >= 5x floor.
 
 from .backend import (
     BACKENDS,
-    agms_update_1d,
     available_backends,
     backend_name,
     describe,
@@ -28,7 +27,6 @@ __all__ = [
     "BACKENDS",
     "RECURRENCE_MIN_COLS",
     "SQRT2",
-    "agms_update_1d",
     "available_backends",
     "backend_name",
     "describe",

@@ -3,7 +3,7 @@
 Exactly one backend is active per process:
 
 ``"numba"``
-    The compiled kernels from :mod:`repro.fastpath._numba`.  Selected at
+    The compiled kernel from :mod:`repro.fastpath._numba`.  Selected at
     import time when numba is importable; never a hard dependency.
 ``"numpy"``
     The vectorized recurrence from :mod:`repro.fastpath.recurrence` — the
@@ -51,7 +51,6 @@ __all__ = [
     "backend_name",
     "set_backend",
     "phi_block",
-    "agms_update_1d",
     "register_backend_gauge",
     "describe",
 ]
@@ -135,27 +134,6 @@ def phi_block(order: int, positions: NDArray[Any], out: NDArray[Any] | None = No
     if _backend == "reference":
         return phi_block_reference(order, positions, out)
     return _phi_block_numba(order, positions, out)  # pragma: no cover - requires numba
-
-
-def agms_update_1d(
-    coeffs: NDArray[Any], indices: NDArray[Any], weight: float, atoms: NDArray[Any]
-) -> bool:
-    """Compiled single-attribute AGMS batch update, if available.
-
-    Accumulates ``weight * sum_b xi_s(indices[b])`` into ``atoms`` in one
-    pass and returns ``True``; returns ``False`` when no compiled backend
-    is active, in which case the caller runs its numpy path.  ``coeffs``
-    is the sign family's ``(S, 4)`` polynomial table.
-    """
-    if _backend != "numba" or _numba.agms_update_kernel is None:
-        return False
-    _numba.agms_update_kernel(  # pragma: no cover - requires numba
-        np.ascontiguousarray(coeffs, dtype=np.uint64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        float(weight),
-        atoms,
-    )
-    return True  # pragma: no cover - requires numba
 
 
 def _sync_gauge(family: MetricFamily) -> None:

@@ -69,12 +69,23 @@ class EquiWidthHistogram:
         self.counts[self.bucket_of(index)] += weight
         self._count += weight
 
-    def update_batch(self, values: Sequence[Any] | NDArray[Any], weight: int = 1) -> None:
-        """Insert or delete a batch of raw values."""
+    def update_batch(
+        self,
+        values: Sequence[Any] | NDArray[Any],
+        weight: int = 1,
+        multiplicity: NDArray[Any] | None = None,
+    ) -> None:
+        """Insert or delete a batch of raw values.
+
+        ``multiplicity`` counts each value that many times (the distinct
+        values of a :class:`repro.streams.relation.BatchDelta`).
+        """
         indices = self.domain.indices_of(values)
         buckets = np.searchsorted(self.boundaries, indices, side="right") - 1
-        np.add.at(self.counts, buckets, float(weight))
-        self._count += weight * len(indices)
+        added = np.bincount(buckets, weights=multiplicity, minlength=self.num_buckets)
+        self.counts += weight * added
+        tuples = len(indices) if multiplicity is None else int(np.sum(multiplicity))
+        self._count += weight * tuples
 
     def state_dict(self) -> dict[str, Any]:
         """Mutable state only (bucket counts + count), for checkpoints."""

@@ -1,11 +1,17 @@
 """Versioned, integrity-checked engine checkpoints.
 
-File format (version 1): one ASCII JSON header line, a newline, then the
+File format (version 2): one ASCII JSON header line, a newline, then the
 pickled payload bytes::
 
-    {"magic": "repro-checkpoint", "version": 1,
+    {"magic": "repro-checkpoint", "version": 2,
      "sha256": "<hex digest of the payload bytes>", "payload_bytes": N}
     <N bytes of pickle>
+
+Version 2 changed the engine payload: synopses shared by several queries
+are stored once, in a top-level ``"observers"`` list, each query refers
+to its observers by position in that list, and ``"quarantined"`` lists
+the positions of observers fault isolation detached.  Version 1 files
+(one state per query attachment) are refused.
 
 The header is what makes a checkpoint *checkable before it is trusted*:
 :func:`read_checkpoint` refuses files whose magic/version do not match,
@@ -60,7 +66,7 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Rotated checkpoint files: ``checkpoint-00000042.ckpt``.
 _STORE_PATTERN = re.compile(r"^checkpoint-(\d{8})\.ckpt$")

@@ -10,7 +10,7 @@ is bumped.
 """
 
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 STATE_MANIFEST = {
     'src/repro/bounds/degree.py::DegreeObserver': [
@@ -44,9 +44,6 @@ STATE_MANIFEST = {
         'boundaries',
         'seed',
         'sketches',
-    ],
-    'src/repro/streams/engine.py::_CosineMarginalObserver': [
-        'synopsis',
     ],
     'src/repro/streams/engine.py::_CosineObserver': [
         'synopsis',

@@ -25,8 +25,7 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.normalization import Domain
-from ..fastpath import agms_update_1d
+from ..core.normalization import Domain, distinct_cells
 from .hashing import SignFamily
 
 
@@ -139,32 +138,38 @@ class AGMSSketch:
         self.atoms += weight * self._batch_signs(rows)[:, 0]
         self._count += weight
 
-    def update_batch(self, rows: NDArray[Any], weight: int = 1, chunk: int = 4096) -> None:
+    def update_batch(
+        self,
+        rows: NDArray[Any],
+        weight: int = 1,
+        multiplicity: NDArray[Any] | None = None,
+        chunk: int = 4096,
+    ) -> None:
         """Process a batch of arrivals/deletions of domain-index tuples.
 
-        Single-attribute batches route through the compiled
-        :func:`repro.fastpath.agms_update_1d` kernel when the numba
-        backend is active (skipping the ``(S, B)`` sign intermediates);
-        otherwise the chunked numpy path below runs.  Both accumulate the
-        same sums, so the choice is invisible to estimates.
+        The atoms move by ``weight * signs(cells) @ counts`` over the
+        batch's distinct cells, so each distinct tuple is hashed once
+        however often it repeats.  ``multiplicity`` gives each row's count
+        when the rows are already distinct (a
+        :class:`repro.streams.relation.BatchDelta`); without it the rows
+        are collapsed here.  Every sum is an integer, so the atoms are
+        identical to one ``update`` per tuple under any batch framing.
+        ``chunk`` bounds the ``(S, chunk)`` sign intermediates.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim == 1:
             rows = rows[:, None]
         if rows.shape[1] != self.ndim:
             raise ValueError(f"rows must have {self.ndim} columns, got {rows.shape[1]}")
-        if self.ndim == 1 and rows.shape[0]:
-            fam = self.families[0]
-            idx = rows[:, 0]
-            if int(idx.min()) < 0 or int(idx.max()) >= fam.domain_size:
-                raise ValueError("index outside the hashed domain")
-            if agms_update_1d(fam.coefficients, idx, float(weight), self.atoms):
-                self._count += weight * rows.shape[0]  # pragma: no cover - requires numba
-                return  # pragma: no cover - requires numba
+        if multiplicity is None:
+            sizes = [f.domain_size for f in self.families]
+            _, first, multiplicity = distinct_cells(rows, sizes)
+            rows = rows[first]
+        counts = np.asarray(multiplicity, dtype=np.int64)
         for start in range(0, rows.shape[0], chunk):
-            part = rows[start : start + chunk]
-            self.atoms += weight * self._batch_signs(part).sum(axis=1)
-        self._count += weight * rows.shape[0]
+            part = slice(start, start + chunk)
+            self.atoms += weight * (self._batch_signs(rows[part]) @ counts[part])
+        self._count += weight * int(counts.sum())
 
     def state_dict(self) -> dict[str, Any]:
         """Mutable state only (atoms + count), for engine checkpoints."""
@@ -199,6 +204,8 @@ class AGMSSketch:
         expected = tuple(f.domain_size for f in sketch.families)
         if counts.shape != expected:
             raise ValueError(f"counts shape {counts.shape} does not match domains {expected}")
+        if not counts.any():
+            return sketch  # contracting zeros needs no sign matrix
         # Contract the value axes against the attributes' (S, n_j) sign
         # matrices one by one, keeping S as a shared leading axis.  Each
         # contraction consumes the current axis 1, which is always the next

@@ -52,19 +52,6 @@ class SignFamily:
         zero_lead = self._coeffs[:, 0] == 0
         self._coeffs[zero_lead, 0] = 1
 
-    @property
-    def coefficients(self) -> NDArray[Any]:
-        """The ``(S, 4)`` uint64 polynomial table, as a read-only view.
-
-        Exposed so the compiled AGMS kernel in :mod:`repro.fastpath` can
-        evaluate the same polynomials without materializing sign matrices;
-        the view is non-writable because mutating coefficients would
-        silently desynchronize sketches built from this family.
-        """
-        view = self._coeffs.view()
-        view.flags.writeable = False
-        return view
-
     def compatible_with(self, other: "SignFamily") -> bool:
         """Whether two families generate identical sign sequences."""
         return (

@@ -6,11 +6,19 @@ streams, with estimates available at any moment from small synopses that
 are updated as every tuple arrives.
 
 The engine owns :class:`~repro.streams.relation.StreamRelation` objects and,
-per registered query, builds one synopsis per participating relation over
-the query's *unified* join domains (section 4.1), attaches them as stream
+per registered query, holds one synopsis per participating relation over
+the query's *unified* join domains (section 4.1), attached as stream
 observers, and exposes ``answer()`` / ``answers()``.  Queries registered
 after data has flowed are *replayed* from the relations' exact counts, so a
 late query starts consistent with history.
+
+The linear synopses (cosine, AGMS, histogram and the degree sketches of
+``bounds=True``) are kept in a refcounted table keyed on everything their
+state depends on: relation, axes, unified domains, kind, budget and
+options, sign-family seeds.  Queries whose specs give the same key hold the
+same observer, so four identical cosine queries cost one synopsis update
+per batch, and each observer reads the batch's shared
+:class:`~repro.streams.relation.BatchDelta`.
 
 Supported estimation methods mirror the paper's experimental cast:
 
@@ -31,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence, TypeVar, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,6 +47,7 @@ from numpy.typing import NDArray
 from ..core.join import estimate_multijoin_size as cosine_multijoin
 from ..obs.accuracy import AccuracyTracker
 from ..obs.telemetry import Telemetry
+from ..core.basis import GridKind
 from ..core.normalization import Domain, embed_counts
 from ..resilience.checkpoint import (
     domain_from_spec,
@@ -65,10 +74,12 @@ from .tuples import OpKind, StreamOp
 
 if TYPE_CHECKING:
     from ..bounds.calculator import JoinBoundCalculator
+    from ..bounds.degree import DegreeSketch
     from ..sketches.partitioned import PartitionedSketch
     from ..wavelets.haar import HaarSynopsis
 
 Slot = tuple[int, int]
+_Observer = TypeVar("_Observer", bound=StreamObserver)
 
 
 def embed_counts_tensor(
@@ -102,9 +113,10 @@ class _QueryState:
         self.method = method
         self.estimate = estimate
         self.space_per_relation = dict(space_per_relation)
-        #: (relation, observer) pairs attached on behalf of this query,
-        #: recorded so unregistering can detach them.
-        self.attachments: list[tuple[StreamRelation, object]] = []
+        #: (relation, observer) pairs this query reads, possibly shared
+        #: with other queries, and the shared-table key of each.
+        self.attachments: list[tuple[StreamRelation, StreamObserver]] = []
+        self.keys: list[Hashable] = []
         #: Registration spec (kind/method/budget/options), recorded so
         #: checkpoints can re-register the query on a restored engine.
         self.spec: dict[str, Any] | None = None
@@ -116,6 +128,15 @@ class _QueryState:
         #: attached :class:`repro.bounds.degree.DegreeObserver` instances,
         #: so it is rebuilt (not serialized) on re-registration.
         self.bound_calc = None
+
+
+class _Share:
+    """One live observer of the shared table and how many queries hold it."""
+
+    def __init__(self, relation: StreamRelation, observer: StreamObserver) -> None:
+        self.relation = relation
+        self.observer = observer
+        self.holders = 0
 
 
 class ContinuousQueryEngine:
@@ -130,7 +151,10 @@ class ContinuousQueryEngine:
         self.relations: dict[str, StreamRelation] = {}
         self._queries: dict[str, _QueryState] = {}
         self._seed = seed
-        self._pending_attachments: list[tuple[StreamRelation, object]] = []
+        #: Live observers by key, each with the number of queries holding it.
+        self._shared: dict[Hashable, _Share] = {}
+        #: Keys taken by the registration in progress.
+        self._pending: list[Hashable] = []
         #: The engine's telemetry hub (metrics registry + span tracer).
         #: Pass ``Telemetry.disabled()`` for a zero-overhead engine, or a
         #: shared hub to aggregate several engines into one registry.
@@ -150,10 +174,52 @@ class ContinuousQueryEngine:
         #: malformed batches raise, as before.
         self.dead_letters: DeadLetterBuffer | None = None
 
+    def _share(
+        self, relation: StreamRelation, key: Hashable, build: Callable[[], _Observer]
+    ) -> _Observer:
+        """The live observer for ``key``, built from history and attached on first use."""
+        share = self._shared.get(key)
+        if share is None:
+            share = self._shared[key] = _Share(relation, build())
+            relation.attach(share.observer)
+        self._pending.append(key)
+        return cast(_Observer, share.observer)
+
     def _attach(self, relation: StreamRelation, observer: StreamObserver) -> None:
-        """Attach an observer and record it for query unregistration."""
-        relation.attach(observer)
-        self._pending_attachments.append((relation, observer))
+        """Attach an observer that no other query shares."""
+        self._share(relation, object(), lambda: observer)
+
+    def _install(
+        self, name: str, spec: dict[str, Any], build: Callable[[], _QueryState]
+    ) -> None:
+        """Register the query ``build`` returns, or roll its new observers back."""
+        self._pending = []
+        try:
+            state = build()
+        except Exception:
+            # a failed registration leaves no orphan observers slowing the
+            # relations down; shares other queries hold stay as they were
+            for key in self._pending:
+                share = self._shared.get(key)
+                if share is not None and share.holders == 0:
+                    share.relation.detach(share.observer)
+                    del self._shared[key]
+            self._pending = []
+            raise
+        keys, self._pending = self._pending, []
+        for key in keys:
+            share = self._shared[key]
+            if share.holders == 0:
+                # time is attributed to the method of the query that built
+                # the observer; degree maintenance is bounds work whatever
+                # the synopsis method, so it reports separately
+                bound = getattr(share.observer, "is_bound_observer", False)
+                share.observer.stats_key = "bounds" if bound else state.method
+            share.holders += 1
+            state.attachments.append((share.relation, share.observer))
+        state.keys = keys
+        state.spec = spec
+        self._queries[name] = state
 
     def stats(self) -> EngineStats:
         """Live ingest/estimation counters (see :class:`EngineStats`).
@@ -309,8 +375,9 @@ class ContinuousQueryEngine:
 
         ``budget`` is the paper's space unit: coefficients / atomic sketches
         per relation (sample size for ``"sample"``, buckets for
-        ``"histogram"``).  Already-streamed history is replayed into the new
-        synopses from the exact relation state.
+        ``"histogram"``).  Already-streamed history is replayed into new
+        synopses from the exact relation state; a synopsis another query
+        already keeps under the same key is shared instead.
         """
         if name in self._queries:
             raise ValueError(f"query {name!r} already registered")
@@ -330,32 +397,17 @@ class ContinuousQueryEngine:
                 raise ValueError(f"query references relation {rel!r} not registered")
         schemas = {r: self.relations[r].attributes for r in query.relations}
         query.validate_against(schemas)
-        self._pending_attachments = []
-        try:
+
+        def build() -> _QueryState:
             state = builders[method](query, method, budget, options)
             if options.get("bounds"):
-                # Attached inside the same pending window so a failure
-                # rolls back the method's observers too, and the degree
-                # observers land in ``state.attachments`` in a fixed
-                # order after the synopsis observers — checkpoint restore
-                # and sharded merges both rely on that ordering.
+                # The degree observers follow the synopsis observers in
+                # ``state.attachments`` — checkpoint restore and sharded
+                # merges both rely on that fixed order.
                 state.bound_calc = self._attach_bounds(query)
-        except Exception:
-            # roll back partial attachments so a failed registration leaves
-            # no orphan observers slowing the relations down
-            for relation, observer in self._pending_attachments:
-                relation.detach(observer)
-            self._pending_attachments = []
-            raise
-        state.attachments = self._pending_attachments
-        self._pending_attachments = []
-        for _, observer in state.attachments:
-            # per-method time attribution; degree maintenance is bounds
-            # work whatever the synopsis method, so it reports separately
-            observer.stats_key = (
-                "bounds" if getattr(observer, "is_bound_observer", False) else method
-            )
-        state.spec = {
+            return state
+
+        spec = {
             "kind": "join",
             "relations": list(query.relations),
             "predicates": [str(p) for p in query.predicates],
@@ -363,15 +415,21 @@ class ContinuousQueryEngine:
             "budget": budget,
             "options": dict(options),
         }
-        self._queries[name] = state
+        self._install(name, spec, build)
 
     def unregister_query(self, name: str) -> None:
-        """Drop a continuous query and detach its synopsis observers."""
+        """Drop a continuous query; detach the observers no other query holds."""
         state = self._queries.pop(name, None)
         if state is None:
             raise KeyError(f"no query named {name!r}")
-        for relation, observer in state.attachments:
-            relation.detach(observer)
+        for key, (relation, observer) in zip(state.keys, state.attachments):
+            share = self._shared.get(key)
+            if share is None or share.observer is not observer:
+                continue  # quarantined, so already detached
+            share.holders -= 1
+            if share.holders == 0:
+                relation.detach(observer)
+                del self._shared[key]
 
     def register_range_query(
         self,
@@ -408,35 +466,30 @@ class ContinuousQueryEngine:
 
         from ..core.range_query import estimate_range_count
 
-        marginal = _marginalize(relation.counts, keep_axes=[axis]).astype(float)
-        synopsis = CosineSynopsis(
-            [domain], budget=budget, grid=options.get("grid", "midpoint")
-        )
-        if marginal.sum() > 0:
-            synopsis = CosineSynopsis.from_counts(
+        def build() -> _QueryState:
+            synopsis = self._cosine(
+                "marginal",
+                relation_name,
+                [axis],
                 [domain],
-                marginal,
-                budget=budget,
+                budget,
                 grid=options.get("grid", "midpoint"),
             )
-        self._pending_attachments = []
-        self._attach(relation, _CosineMarginalObserver(synopsis, axis))
 
-        def estimate() -> float:
-            return estimate_range_count(synopsis, lo_index, hi_index)
+            def estimate() -> float:
+                return estimate_range_count(synopsis, lo_index, hi_index)
 
-        def exact() -> float:
-            live = _marginalize(relation.counts, keep_axes=[axis])
-            return float(live[lo_index : hi_index + 1].sum())
+            def exact() -> float:
+                live = _marginalize(relation.counts, keep_axes=[axis])
+                return float(live[lo_index : hi_index + 1].sum())
 
-        query = JoinQuery((relation_name,))
-        state = _QueryState(query, "cosine_range", estimate, {relation_name: budget})
-        state.exact = exact  # type: ignore[attr-defined]
-        state.attachments = self._pending_attachments
-        self._pending_attachments = []
-        for _, observer in state.attachments:
-            observer.stats_key = "cosine_range"
-        state.spec = {
+            state = _QueryState(
+                JoinQuery((relation_name,)), "cosine_range", estimate, {relation_name: budget}
+            )
+            state.exact = exact  # type: ignore[attr-defined]
+            return state
+
+        spec = {
             "kind": "range",
             "relation": relation_name,
             "attribute": attribute,
@@ -445,7 +498,7 @@ class ContinuousQueryEngine:
             "budget": budget,
             "options": dict(options),
         }
-        self._queries[name] = state
+        self._install(name, spec, build)
 
     def register_band_query(
         self,
@@ -477,58 +530,38 @@ class ContinuousQueryEngine:
         schemas = {r: self.relations[r].attributes for r in join_query.relations}
         join_query.validate_against(schemas)
         unified = self._unified(join_query)
-        ((rel_a, ax_a), (rel_b, ax_b)) = join_query.slot_pairs(schemas)[0]
+        sides = [
+            (join_query.relations[rel_pos], axis)
+            for rel_pos, axis in join_query.slot_pairs(schemas)[0]
+        ]
 
-        self._pending_attachments = []
-        synopses: list[CosineSynopsis] = []
-        for rel_pos, axis in ((rel_a, ax_a), (rel_b, ax_b)):
-            rel_name = join_query.relations[rel_pos]
-            relation = self.relations[rel_name]
-            domain = unified[rel_name][axis]
-            embedded = embed_counts_tensor(
-                relation.counts, relation.domains, unified[rel_name]
+        def marginal(rel_name: str, axis: int) -> NDArray[Any]:
+            return self._history(self.relations[rel_name], [axis], [unified[rel_name][axis]])
+
+        def build() -> _QueryState:
+            synopses = [
+                self._cosine("marginal", rel_name, [axis], [unified[rel_name][axis]], budget)
+                for rel_name, axis in sides
+            ]
+
+            def estimate() -> float:
+                return estimate_band_join_size(synopses[0], synopses[1], width)
+
+            def exact() -> float:
+                a, b = (marginal(rel_name, axis).astype(float) for rel_name, axis in sides)
+                n = a.shape[0]
+                prefix = np.concatenate([[0.0], np.cumsum(b)])
+                hi = np.minimum(np.arange(n) + width + 1, n)
+                lo = np.maximum(np.arange(n) - width, 0)
+                return float(a @ (prefix[hi] - prefix[lo]))
+
+            state = _QueryState(
+                join_query, "cosine_band", estimate, {rel: budget for rel, _ in sides}
             )
-            marginal = _marginalize(embedded, keep_axes=[axis]).astype(float)
-            synopsis = CosineSynopsis.from_counts([domain], marginal, budget=budget)
-            self._attach(relation, _CosineMarginalObserver(synopsis, axis))
-            synopses.append(synopsis)
+            state.exact = exact  # type: ignore[attr-defined]
+            return state
 
-        def estimate() -> float:
-            return estimate_band_join_size(synopses[0], synopses[1], width)
-
-        def exact() -> float:
-            a = _marginalize(
-                embed_counts_tensor(
-                    self.relations[join_query.relations[rel_a]].counts,
-                    self.relations[join_query.relations[rel_a]].domains,
-                    unified[join_query.relations[rel_a]],
-                ),
-                keep_axes=[ax_a],
-            ).astype(float)
-            b = _marginalize(
-                embed_counts_tensor(
-                    self.relations[join_query.relations[rel_b]].counts,
-                    self.relations[join_query.relations[rel_b]].domains,
-                    unified[join_query.relations[rel_b]],
-                ),
-                keep_axes=[ax_b],
-            ).astype(float)
-            n = a.shape[0]
-            prefix = np.concatenate([[0.0], np.cumsum(b)])
-            hi = np.minimum(np.arange(n) + width + 1, n)
-            lo = np.maximum(np.arange(n) - width, 0)
-            return float(a @ (prefix[hi] - prefix[lo]))
-
-        state = _QueryState(
-            join_query, "cosine_band", estimate,
-            {join_query.relations[rel_a]: budget, join_query.relations[rel_b]: budget},
-        )
-        state.exact = exact  # type: ignore[attr-defined]
-        state.attachments = self._pending_attachments
-        self._pending_attachments = []
-        for _, observer in state.attachments:
-            observer.stats_key = "cosine_band"
-        state.spec = {
+        spec = {
             "kind": "band",
             "left": list(left),
             "right": list(right),
@@ -536,7 +569,7 @@ class ContinuousQueryEngine:
             "budget": budget,
             "options": dict(options),
         }
-        self._queries[name] = state
+        self._install(name, spec, build)
 
     def answer(self, name: str) -> float:
         """Current estimate of a registered query.
@@ -615,24 +648,16 @@ class ContinuousQueryEngine:
         template's relations are empty).
         """
         from ..bounds.calculator import JoinBoundCalculator
-        from ..bounds.degree import DegreeObserver, DegreeSketch
 
         unified = self._unified(query)
         schemas = {r: self.relations[r].attributes for r in query.relations}
         joined = self._joined_axes(query)
-        sketches: dict[Slot, DegreeSketch] = {}
+        sketches: dict[Slot, "DegreeSketch"] = {}
         for rel_pos, rel_name in enumerate(query.relations):
-            relation = self.relations[rel_name]
-            axes = sorted(set(joined[rel_name])) or [0]
-            embedded = embed_counts_tensor(
-                relation.counts, relation.domains, unified[rel_name]
-            )
-            for axis in axes:
-                domain = unified[rel_name][axis]
-                sketch = DegreeSketch(domain.size)
-                sketch.load_counts(_marginalize(embedded, keep_axes=[axis]))
-                self._attach(relation, DegreeObserver(sketch, domain, axis))
-                sketches[(rel_pos, axis)] = sketch
+            for axis in sorted(set(joined[rel_name])) or [0]:
+                sketches[(rel_pos, axis)] = self._degree(
+                    rel_name, axis, unified[rel_name][axis]
+                )
         return JoinBoundCalculator(
             len(query.relations), query.slot_pairs(schemas), sketches
         )
@@ -771,11 +796,14 @@ class ContinuousQueryEngine:
             pass
         method = getattr(observer, "stats_key", type(observer).__name__)
         reason = f"{type(exc).__name__}: {exc}"
+        # The quarantined observer leaves the shared table (later
+        # registrations build a fresh one) and degrades every query holding it.
+        self._shared = {
+            key: share for key, share in self._shared.items() if share.observer is not observer
+        }
         for state in self._queries.values():
-            if any(obs is observer for _, obs in state.attachments):
-                if state.degraded is None:
-                    state.degraded = reason
-                break
+            if state.degraded is None and any(obs is observer for _, obs in state.attachments):
+                state.degraded = reason
         registry = self.telemetry.registry
         registry.counter(
             "repro_observer_faults_total",
@@ -815,11 +843,17 @@ class ContinuousQueryEngine:
         observer's mutable state (including sample RNG bit state), so
         :meth:`load_checkpoint` restores an engine whose ``answers()`` —
         and whose behaviour on all *future* ingest — matches the
-        checkpointed one exactly.  Returns the file size in bytes;
+        checkpointed one exactly.  Each observer's state is stored once,
+        under ``"observers"``; a query lists the positions of the
+        observers it holds, and ``"quarantined"`` lists the positions of
+        observers fault isolation detached.  Returns the file size in bytes;
         ``write_options`` are forwarded to
         :func:`repro.resilience.checkpoint.write_checkpoint` (retry
         policy, sleep injection).
         """
+        observers: list[StreamObserver] = []
+        position: dict[int, int] = {}
+        live = {id(share.observer) for share in self._shared.values()}
         queries = []
         for name, state in self._queries.items():
             if state.spec is None:
@@ -827,15 +861,14 @@ class ContinuousQueryEngine:
                     f"query {name!r} has no registration spec and cannot be "
                     "checkpointed"
                 )
+            refs = []
+            for _, observer in state.attachments:
+                if id(observer) not in position:
+                    position[id(observer)] = len(observers)
+                    observers.append(observer)
+                refs.append(position[id(observer)])
             queries.append(
-                {
-                    "name": name,
-                    "spec": state.spec,
-                    "degraded": state.degraded,
-                    "observers": [
-                        observer.state_dict() for _, observer in state.attachments
-                    ],
-                }
+                {"name": name, "spec": state.spec, "degraded": state.degraded, "observers": refs}
             )
         payload = {
             "engine": {
@@ -853,6 +886,10 @@ class ContinuousQueryEngine:
                 }
                 for name, relation in self.relations.items()
             },
+            "observers": [observer.state_dict() for observer in observers],
+            "quarantined": [
+                ref for ref, observer in enumerate(observers) if id(observer) not in live
+            ],
             "queries": queries,
         }
         return write_checkpoint(path, payload, **write_options)
@@ -867,7 +904,10 @@ class ContinuousQueryEngine:
         re-registered from their recorded specs, and each synopsis
         observer's state is then overwritten in place from the checkpoint
         — so estimates, sample coin flips, and partition geometry continue
-        bit-for-bit from where the checkpointed engine stopped.
+        bit-for-bit from where the checkpointed engine stopped.  An
+        observer that was quarantined is detached again and leaves the
+        shared table, so a later registration of its key builds a fresh
+        synopsis from history, as it would have on the original engine.
         """
         payload = read_checkpoint(path)
         try:
@@ -880,19 +920,28 @@ class ContinuousQueryEngine:
                     [domain_from_spec(s) for s in rel_state["domains"]],
                 )
                 relation.load_counts(rel_state["counts"])
+            states = payload["observers"]
+            quarantined = set(payload["quarantined"])
             for entry in payload["queries"]:
                 engine._register_from_spec(entry["name"], entry["spec"])
                 state = engine._queries[entry["name"]]
-                observers = entry["observers"]
-                if len(observers) != len(state.attachments):
+                refs = entry["observers"]
+                if len(refs) != len(state.attachments):
                     raise CheckpointError(
                         f"checkpoint query {entry['name']!r} recorded "
-                        f"{len(observers)} observer states for "
+                        f"{len(refs)} observers for "
                         f"{len(state.attachments)} attachments"
                     )
-                for (_, observer), observer_state in zip(state.attachments, observers):
-                    observer.load_state(observer_state)
                 state.degraded = entry.get("degraded")
+                for key, (relation, observer), ref in zip(state.keys, state.attachments, refs):
+                    observer.load_state(states[ref])
+                    # Every holder of a quarantined observer registered
+                    # before the live observer of its key was built, so
+                    # dropping it here hands later registrations a fresh one.
+                    share = engine._shared.get(key)
+                    if ref in quarantined and share is not None and share.observer is observer:
+                        relation.detach(observer)
+                        del engine._shared[key]
             if engine_meta.get("fault_policy") is not None:
                 engine.enable_fault_isolation(engine_meta["fault_policy"])
             if engine_meta.get("dead_letter_capacity") is not None:
@@ -955,22 +1004,108 @@ class ContinuousQueryEngine:
             axes[query.relations[rel_b]].append(ax_b)
         return {r: sorted(a) for r, a in axes.items()}
 
+    def _history(
+        self, relation: StreamRelation, axes: Sequence[int], domains: Sequence[Domain]
+    ) -> NDArray[Any]:
+        """The relation's live counts on ``axes``, embedded into ``domains``."""
+        marginal = _marginalize(relation.counts, keep_axes=axes)
+        return embed_counts_tensor(marginal, [relation.domains[a] for a in axes], domains)
+
+    def _cosine(
+        self,
+        use: str,
+        rel_name: str,
+        axes: Sequence[int],
+        domains: Sequence[Domain],
+        budget: int,
+        truncation: str = "triangular",
+        grid: GridKind = "midpoint",
+    ) -> CosineSynopsis:
+        """The shared cosine synopsis of ``rel_name`` projected on ``axes``.
+
+        ``use`` is ``"join"`` for a join query's synopsis of a whole
+        relation or ``"marginal"`` for the one-attribute synopsis of a
+        range or band query.  The two never share, even where they hold
+        the same sums, so a fault in one kind leaves the other answering.
+        """
+        relation = self.relations[rel_name]
+
+        def build() -> _CosineObserver:
+            synopsis = CosineSynopsis.from_counts(
+                domains,
+                self._history(relation, axes, domains),
+                budget=budget,
+                truncation=truncation,
+                grid=grid,
+            )
+            return _CosineObserver(synopsis, axes)
+
+        key = ("cosine", use, rel_name, tuple(axes), tuple(domains), budget, truncation, grid)
+        return self._share(relation, key, build).synopsis
+
+    def _sketch(
+        self,
+        rel_name: str,
+        axes: Sequence[int],
+        domains: Sequence[Domain],
+        seeds: Sequence[int],
+        s1: int,
+        s2: int,
+    ) -> AGMSSketch:
+        """The shared AGMS sketch of ``rel_name`` on ``axes``, one sign seed per axis."""
+        relation = self.relations[rel_name]
+
+        def build() -> _SketchObserver:
+            families = [SignFamily(d.size, s1 * s2, seed=seed) for d, seed in zip(domains, seeds)]
+            history = self._history(relation, axes, domains)
+            return _SketchObserver(AGMSSketch.from_counts(families, history, s1, s2), domains, axes)
+
+        key = ("agms", rel_name, tuple(axes), tuple(domains), tuple(seeds), s1, s2)
+        return self._share(relation, key, build).sketch
+
+    def _histogram(
+        self, rel_name: str, axis: int, domain: Domain, budget: int
+    ) -> EquiWidthHistogram:
+        """The shared equi-width histogram of ``rel_name`` on one axis."""
+        relation = self.relations[rel_name]
+
+        def build() -> _HistogramObserver:
+            history = self._history(relation, [axis], [domain])
+            return _HistogramObserver(EquiWidthHistogram.from_counts(domain, history, budget), axis)
+
+        key = ("histogram", rel_name, axis, domain, budget)
+        return self._share(relation, key, build).histogram
+
+    def _degree(self, rel_name: str, axis: int, domain: Domain) -> "DegreeSketch":
+        """The shared exact degree sketch of ``rel_name`` on one axis."""
+        from ..bounds.degree import DegreeObserver, DegreeSketch
+
+        relation = self.relations[rel_name]
+
+        def build() -> DegreeObserver:
+            sketch = DegreeSketch(domain.size)
+            sketch.load_counts(self._history(relation, [axis], [domain]))
+            return DegreeObserver(sketch, domain, axis)
+
+        return self._share(relation, ("degree", rel_name, axis, domain), build).sketch
+
     def _build_cosine(
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
     ) -> _QueryState:
         unified = self._unified(query)
         schemas = {r: self.relations[r].attributes for r in query.relations}
-        grid = options.get("grid", "midpoint")
-        truncation = options.get("truncation", "triangular")
-        synopses: list[CosineSynopsis] = []
-        for rel_name in query.relations:
-            relation = self.relations[rel_name]
-            embedded = embed_counts_tensor(relation.counts, relation.domains, unified[rel_name])
-            synopsis = CosineSynopsis.from_counts(
-                unified[rel_name], embedded, budget=budget, truncation=truncation, grid=grid
+        synopses = [
+            self._cosine(
+                "join",
+                rel_name,
+                range(self.relations[rel_name].ndim),
+                unified[rel_name],
+                budget,
+                truncation=options.get("truncation", "triangular"),
+                grid=options.get("grid", "midpoint"),
             )
-            self._attach(relation, _CosineObserver(synopsis))
-            synopses.append(synopsis)
+            for rel_name in query.relations
+        ]
         slot_pairs = query.slot_pairs(schemas)
 
         def estimate() -> float:
@@ -991,32 +1126,22 @@ class ContinuousQueryEngine:
                     f"sketch methods need every relation joined; {rel_name} is not"
                 )
         s1, s2 = split_budget(budget, options.get("num_medians"))
-        size = s1 * s2
-        # One sign family per predicate, shared by both sides.
-        slot_pairs = query.slot_pairs(schemas)
-        slot_family: dict[Slot, SignFamily] = {}
-        for pred_idx, (slot_a, slot_b) in enumerate(slot_pairs):
-            rel_a = query.relations[slot_a[0]]
-            domain = unified[rel_a][slot_a[1]]
-            family = SignFamily(domain.size, size, seed=self._seed * 7919 + pred_idx)
-            slot_family[slot_a] = family
-            slot_family[slot_b] = family
+        # One sign-family seed per predicate, shared by both sides.
+        slot_seed: dict[Slot, int] = {}
+        for pred_idx, (slot_a, slot_b) in enumerate(query.slot_pairs(schemas)):
+            slot_seed[slot_a] = slot_seed[slot_b] = self._seed * 7919 + pred_idx
 
-        sketches: list[AGMSSketch] = []
-        for rel_pos, rel_name in enumerate(query.relations):
-            relation = self.relations[rel_name]
-            axes = joined[rel_name]
-            families = [slot_family[(rel_pos, ax)] for ax in axes]
-            sketch = AGMSSketch(families, s1, s2)
-            embedded = embed_counts_tensor(relation.counts, relation.domains, unified[rel_name])
-            marginal = _marginalize(embedded, keep_axes=axes)
-            if marginal.sum() > 0:
-                sketch = AGMSSketch.from_counts(families, marginal, s1, s2)
-            self._attach(
-                relation,
-                _SketchObserver(sketch, [unified[rel_name][ax] for ax in axes], axes),
+        sketches = [
+            self._sketch(
+                rel_name,
+                joined[rel_name],
+                [unified[rel_name][ax] for ax in joined[rel_name]],
+                [slot_seed[(rel_pos, ax)] for ax in joined[rel_name]],
+                s1,
+                s2,
             )
-            sketches.append(sketch)
+            for rel_pos, rel_name in enumerate(query.relations)
+        ]
 
         if method == "skimmed_sketch":
 
@@ -1030,7 +1155,7 @@ class ContinuousQueryEngine:
             def estimate() -> float:
                 return sketch_multijoin(sketches)
 
-        space = {r: size for r in query.relations}
+        space = {r: s1 * s2 for r in query.relations}
         return _QueryState(query, method, estimate, space)
 
     def _build_sample(
@@ -1053,15 +1178,16 @@ class ContinuousQueryEngine:
             sample = BernoulliSample(probability, seed=int(rng.integers(1 << 31)))
             counter: Counter[Any] = Counter()
             axes = joined[rel_name]
-            # Replay history distributionally: binomial thinning per cell.
+            # Replay history distributionally: binomial thinning per cell,
+            # drawn in one call (the same draws, in the same order, as one
+            # call per cell).
             marginal = _marginalize(relation.counts, keep_axes=axes)
-            nz = np.argwhere(marginal > 0)
-            for cell in nz:
-                kept = int(rng.binomial(int(marginal[tuple(cell)]), probability))
-                if kept:
-                    key = tuple(int(c) for c in cell)
-                    counter[key if len(key) > 1 else key[0]] += kept
-                    sample.sampled_size += kept
+            held = marginal > 0
+            kept = rng.binomial(marginal[held], probability)
+            for cell, k in zip(np.argwhere(held)[kept > 0], kept[kept > 0]):
+                key = tuple(int(c) for c in cell)
+                counter[key if len(key) > 1 else key[0]] += int(k)
+            sample.sampled_size += int(kept.sum())
             sample.stream_size = relation.count
             self._attach(relation, _SampleObserver(sample, counter, relation, axes))
             samples.append(sample)
@@ -1080,25 +1206,16 @@ class ContinuousQueryEngine:
             raise ValueError("the histogram baseline supports single-join queries only")
         unified = self._unified(query)
         schemas = {r: self.relations[r].attributes for r in query.relations}
-        ((rel_a, ax_a), (rel_b, ax_b)) = query.slot_pairs(schemas)[0]
-        hists: list[EquiWidthHistogram] = []
-        for rel_pos, axis in ((rel_a, ax_a), (rel_b, ax_b)):
-            rel_name = query.relations[rel_pos]
-            relation = self.relations[rel_name]
-            domain = unified[rel_name][axis]
-            hist = EquiWidthHistogram(domain, budget)
-            embedded = embed_counts_tensor(relation.counts, relation.domains, unified[rel_name])
-            marginal = _marginalize(embedded, keep_axes=[axis])
-            hist.counts = np.add.reduceat(marginal.astype(float), hist.boundaries[:-1])
-            hist._count = int(marginal.sum())
-            self._attach(relation, _HistogramObserver(hist, axis))
-            hists.append(hist)
+        sides = [(query.relations[rel_pos], axis) for rel_pos, axis in query.slot_pairs(schemas)[0]]
+        hists = [
+            self._histogram(rel_name, axis, unified[rel_name][axis], budget)
+            for rel_name, axis in sides
+        ]
 
         def estimate() -> float:
             return histogram_join(hists[0], hists[1])
 
-        space = {query.relations[rel_a]: budget, query.relations[rel_b]: budget}
-        return _QueryState(query, method, estimate, space)
+        return _QueryState(query, method, estimate, {rel: budget for rel, _ in sides})
 
     def _build_wavelet(
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
@@ -1189,15 +1306,15 @@ StreamEngine = ContinuousQueryEngine
 # ---------------------------------------------------------------------- #
 
 
-class _CosineMarginalObserver(StreamObserver):
-    """Feeds one attribute's raw values into a 1-d cosine synopsis."""
+class _CosineObserver(StreamObserver):
+    """Feeds tuples, projected on ``axes``, into a cosine synopsis (Eqs. 3.4 / 3.5)."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axis",)
+    _checkpoint_exempt = ("axes",)
 
-    def __init__(self, synopsis: CosineSynopsis, axis: int) -> None:
+    def __init__(self, synopsis: CosineSynopsis, axes: Sequence[int]) -> None:
         self.synopsis = synopsis
-        self.axis = axis
+        self.axes = list(axes)
 
     def state_dict(self) -> dict[str, Any]:
         return self.synopsis.state_dict()
@@ -1206,43 +1323,19 @@ class _CosineMarginalObserver(StreamObserver):
         self.synopsis.load_state(state)
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        value = (op.values[self.axis],)
+        # Per-op slow path; the batched on_ops reads the shared batch delta.
+        values = [op.values[ax] for ax in self.axes]  # repro: noqa[REP006]
         if op.kind is OpKind.INSERT:
-            self.synopsis.insert(value)
+            self.synopsis.insert(values)
         else:
-            self.synopsis.delete(value)
+            self.synopsis.delete(values)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        column = rows[:, self.axis][:, None]
+        delta = relation.batch_delta(rows, kind).marginal(self.axes)
         if kind is OpKind.INSERT:
-            self.synopsis.insert_batch(column)
+            self.synopsis.insert_batch(delta.rows, multiplicity=delta.counts)
         else:
-            self.synopsis.delete_batch(column)
-
-
-class _CosineObserver(StreamObserver):
-    """Feeds raw tuples into a cosine synopsis (Eqs. 3.4 / 3.5)."""
-
-    def __init__(self, synopsis: CosineSynopsis) -> None:
-        self.synopsis = synopsis
-
-    def state_dict(self) -> dict[str, Any]:
-        return self.synopsis.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.synopsis.load_state(state)
-
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        if op.kind is OpKind.INSERT:
-            self.synopsis.insert(op.values)
-        else:
-            self.synopsis.delete(op.values)
-
-    def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        if kind is OpKind.INSERT:
-            self.synopsis.insert_batch(rows)
-        else:
-            self.synopsis.delete_batch(rows)
+            self.synopsis.delete_batch(delta.rows, multiplicity=delta.counts)
 
 
 class _SketchObserver(StreamObserver):
@@ -1270,11 +1363,11 @@ class _SketchObserver(StreamObserver):
         self.sketch.update(indices, weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
+        delta = relation.batch_delta(rows, kind).marginal(self.axes)
         indices = np.stack(
-            [d.indices_of(rows[:, ax]) for d, ax in zip(self.domains, self.axes)],
-            axis=1,
+            [d.indices_of(delta.rows[:, j]) for j, d in enumerate(self.domains)], axis=1
         )
-        self.sketch.update_batch(indices, weight=kind.value)
+        self.sketch.update_batch(indices, weight=delta.weight, multiplicity=delta.counts)
 
 
 class _SampleObserver(StreamObserver):
@@ -1396,7 +1489,10 @@ class _HistogramObserver(StreamObserver):
         self.histogram.update(op.values[self.axis], weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        self.histogram.update_batch(rows[:, self.axis], weight=kind.value)
+        delta = relation.batch_delta(rows, kind).marginal([self.axis])
+        self.histogram.update_batch(
+            delta.rows[:, 0], weight=delta.weight, multiplicity=delta.counts
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -17,6 +17,12 @@ observer once per batch.  Observers that implement ``on_ops(relation, rows,
 kind)`` get the whole batch (and can use their synopsis' vectorized
 kernels); anything exposing only ``on_op`` is fed tuple-by-tuple, so the
 two protocols coexist on one relation.
+
+Synopses that are linear in the frequency vector (cosine sums, AGMS atoms,
+histogram buckets, degree vectors) need only the batch's *delta*: its
+distinct cells and their multiplicities.  :meth:`StreamRelation.batch_delta`
+computes that :class:`BatchDelta` once per batch, the first time an
+observer asks for it, and hands the same object to every later observer.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Any, Iterable, Sequence, TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.normalization import Domain
+from ..core.normalization import Domain, distinct_cells
 from .tuples import OpKind, StreamOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -48,6 +54,10 @@ class StreamObserver:
     method works — but inheriting picks up the batch fallback for free.
     """
 
+    #: Stats attribution key (the owning query's method), set by the
+    #: engine that attaches the observer; the class name when unset.
+    stats_key: str
+
     def on_op(self, relation: "StreamRelation", op: StreamOp) -> None:
         """Called once per stream operation, after exact state is updated."""
         raise NotImplementedError
@@ -65,6 +75,62 @@ class StreamObserver:
 def _stats_key(observer: object) -> str:
     """Stats attribution key: the owning query's method, or the class name."""
     return getattr(observer, "stats_key", type(observer).__name__)
+
+
+class BatchDelta:
+    """One same-kind batch's change to a frequency tensor of shape ``shape``.
+
+    ``cells`` are the batch's distinct cells as sorted flat indices into
+    ``shape``, ``counts`` how many rows hit each, and ``rows`` one raw
+    tuple per cell (its first occurrence in the batch), so synopses over
+    other (unified) domains can map the values themselves.  The tensor
+    changes by ``weight * counts`` at ``cells``.
+    """
+
+    def __init__(
+        self,
+        rows: NDArray[Any],
+        cells: NDArray[Any],
+        counts: NDArray[Any],
+        shape: tuple[int, ...],
+        kind: OpKind,
+    ) -> None:
+        self.rows = rows
+        self.cells = cells
+        self.counts = counts
+        self.shape = shape
+        self.kind = kind
+        self._marginals: dict[tuple[int, ...], BatchDelta] = {}
+
+    @classmethod
+    def of(
+        cls, rows: NDArray[Any], indices: NDArray[Any], shape: tuple[int, ...], kind: OpKind
+    ) -> "BatchDelta":
+        """The delta of ``rows`` whose per-axis domain indices are ``indices``."""
+        cells, first, counts = distinct_cells(indices, shape)
+        return cls(rows[first], cells, counts, shape, kind)
+
+    @property
+    def weight(self) -> int:
+        """``+1`` for an insert batch, ``-1`` for a delete batch."""
+        return self.kind.value
+
+    def marginal(self, axes: Sequence[int]) -> "BatchDelta":
+        """The delta of the projection onto ``axes`` (cached per batch)."""
+        key = tuple(axes)
+        if key == tuple(range(len(self.shape))):
+            return self
+        cached = self._marginals.get(key)
+        if cached is None:
+            full = np.unravel_index(self.cells, self.shape)
+            shape = tuple(self.shape[a] for a in key)
+            flat = np.ravel_multi_index(tuple(full[a] for a in key), shape)
+            cells, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+            counts = np.zeros(cells.shape[0], dtype=np.int64)
+            np.add.at(counts, inverse, self.counts)
+            rows = self.rows[first][:, list(key)]
+            cached = self._marginals[key] = BatchDelta(rows, cells, counts, shape, self.kind)
+        return cached
 
 
 class StreamRelation:
@@ -108,6 +174,10 @@ class StreamRelation:
         #: remaining observers; returning False re-raises.  ``None`` (the
         #: default) preserves raise-through semantics exactly.
         self.fault_handler = None
+        #: The batch being applied (raw rows, indices, kind) and, once an
+        #: observer asked for it, its delta; both ``None`` between batches.
+        self._batch: tuple[NDArray[Any], NDArray[Any], OpKind] | None = None
+        self._delta: BatchDelta | None = None
 
     @property
     def ndim(self) -> int:
@@ -307,32 +377,55 @@ class StreamRelation:
             ):
                 self._apply_rows_inner(arr, kind)
 
+    def batch_delta(self, rows: NDArray[Any], kind: OpKind) -> BatchDelta:
+        """The :class:`BatchDelta` of a same-kind batch of raw ``rows``.
+
+        While a batch is being applied, its delta is computed on the first
+        call and every later observer gets the same object; any other
+        ``rows`` get a fresh delta.
+        """
+        batch = self._batch
+        if batch is None or rows is not batch[0] or kind is not batch[2]:
+            arr = self.rows_array(rows)
+            return BatchDelta.of(arr, self.indices_of_rows(arr), self.counts.shape, kind)
+        if self._delta is None:
+            self._delta = BatchDelta.of(batch[0], batch[1], self.counts.shape, kind)
+        return self._delta
+
     def _apply_rows_inner(self, arr: NDArray[Any], kind: OpKind) -> None:
         idx = self.indices_of_rows(arr)
-        cells = tuple(idx[:, j] for j in range(self.ndim))
+        delta: BatchDelta | None = None
         if kind is OpKind.DELETE:
             # A sequential replay would raise on the first tuple exceeding
             # its live multiplicity; check up front so a rejected batch
             # leaves the exact state untouched.
-            unique, multiplicity = np.unique(idx, axis=0, return_counts=True)
-            held = self.counts[tuple(unique[:, j] for j in range(self.ndim))]
-            short = multiplicity > held
+            delta = BatchDelta.of(arr, idx, self.counts.shape, kind)
+            cells = np.unravel_index(delta.cells, self.counts.shape)
+            short = delta.counts > self.counts[cells]
             if short.any():
-                bad_idx = unique[np.argmax(short)]
-                where = np.argmax(np.all(idx == bad_idx, axis=1))
-                bad = tuple(v.item() for v in arr[where])
+                bad = tuple(v.item() for v in delta.rows[np.argmax(short)])
                 raise ValueError(
                     f"deleting tuple {bad} that {self.name} does not hold"
                 )
-            np.subtract.at(self.counts, cells, 1)
+            self.counts[cells] -= delta.counts
             self._count -= idx.shape[0]
         else:
-            np.add.at(self.counts, cells, 1)
+            np.add.at(self.counts, tuple(idx.T), 1)
             self._count += idx.shape[0]
+        self._batch = (arr, idx, kind)
+        self._delta = delta
+        try:
+            self._notify(arr, kind)
+        finally:
+            self._batch = None
+            self._delta = None
+
+    def _notify(self, arr: NDArray[Any], kind: OpKind) -> None:
+        """Hand one applied batch to every attached observer."""
         stats = self.stats
         tracer = self.tracer
         if stats is not None:
-            stats.record_ops(idx.shape[0], kind, batched=True, relation=self.name)
+            stats.record_ops(arr.shape[0], kind, batched=True, relation=self.name)
         # One sampling decision covers the whole batch: a sampled-out batch
         # with no stats attached skips every per-observer clock read.
         traced = tracer is not None and tracer.take()

@@ -1,5 +1,8 @@
 """Tests for the cosine basis, grids and coefficient computation."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,3 +169,12 @@ class TestParsevalProperty:
         lhs = float(np.dot(c1 / c1.sum(), c2 / c2.sum()))
         rhs = float(np.dot(a, b)) / n
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    # scipy is imported by coefficients_via_scipy_dct on first use only.
+    code = "import sys, repro, repro.streams, repro.sharding; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"

@@ -100,6 +100,25 @@ class TestIncrementalMaintenance:
         closed = CosineSynopsis.from_counts(doms, counts, order=5)
         np.testing.assert_allclose(streamed.coefficients, closed.coefficients, atol=1e-12)
 
+    def test_domains_with_more_cells_than_int64_numbers(self, rng):
+        # four attributes of 10^5 values span 10^20 cells
+        doms = [Domain.of_size(100_000)] * 4
+        distinct = rng.integers(0, 100_000, size=(30, 4))
+        rows = np.concatenate([distinct, distinct[:12]])
+        batched = CosineSynopsis(doms, order=3)
+        batched.insert_batch(rows)
+        batched.delete_batch(distinct[:5])
+        batched.delete(distinct[5])
+        batched.insert(distinct[6])
+        counts = np.ones(30)
+        counts[:12] += 1
+        counts[:6] -= 1
+        counts[6] += 1
+        weighted = CosineSynopsis(doms, order=3)
+        weighted.insert_batch(distinct, multiplicity=counts)
+        np.testing.assert_allclose(batched.coefficients, weighted.coefficients, atol=1e-12)
+        assert batched.count == weighted.count == 37
+
     def test_raw_values_with_offset_domain(self):
         d = Domain.integer_range(100, 109)
         syn = CosineSynopsis(d, order=4)

@@ -16,7 +16,6 @@ import pytest
 from repro.core.basis import basis_matrix
 from repro.fastpath import (
     BACKENDS,
-    agms_update_1d,
     available_backends,
     backend_name,
     describe,
@@ -63,7 +62,6 @@ class TestImportTimeSelection:
         fresh_numba, fresh_backend = _fresh_modules(monkeypatch, env=None)
         assert fresh_numba.HAVE_NUMBA is False
         assert fresh_numba.phi_block_kernel is None
-        assert fresh_numba.agms_update_kernel is None
         assert fresh_backend.backend_name() == "numpy"
         assert "numba" not in fresh_backend.available_backends()
 
@@ -125,12 +123,6 @@ class TestSetBackend:
     def test_explicit_numba_request_raises_without_numba(self):
         with pytest.raises(RuntimeError, match="numba"):
             set_backend("numba")
-
-    def test_agms_update_declined_off_numba(self):
-        coeffs = np.ones((5, 4), dtype=np.uint64)
-        atoms = np.zeros(5)
-        assert agms_update_1d(coeffs, np.array([1, 2]), 1.0, atoms) is False
-        assert np.array_equal(atoms, np.zeros(5))
 
 
 class TestGauge:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.normalization import Domain
 from repro.sharding import ShardedStreamEngine
-from repro.sharding.merge import COORDINATOR_METHODS, MERGEABLE_METHODS
+from repro.sharding.merge import MERGEABLE_METHODS
 from repro.streams import JoinQuery, StreamEngine
 from repro.streams.tuples import OpKind
 
@@ -297,3 +297,54 @@ class TestPartitionChoiceIrrelevance:
             assert by_a.answer(name) == pytest.approx(by_b.answer(name), rel=1e-9)
         by_a.close()
         by_b.close()
+
+
+#: The linear methods: identical queries share one synopsis per engine.
+SHARED_METHODS = sorted(MERGEABLE_METHODS)
+
+
+def register_duplicates(engine):
+    """Every shared method twice under one spec, with bounds, plus two ranges."""
+    for method in SHARED_METHODS:
+        for copy in ("a", "b"):
+            engine.register_query(
+                f"{method}_{copy}", QUERY, method=method, budget=BUDGET, bounds=True
+            )
+    for copy in ("a", "b"):
+        engine.register_range_query(f"range_{copy}", "R", "A", 2, 11, budget=BUDGET)
+    return engine
+
+
+class TestDuplicateQueries:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**16),
+        num_shards=st.integers(1, 6),
+        with_deletes=st.booleans(),
+    )
+    def test_duplicate_queries_match_single_engine(self, data_seed, num_shards, with_deletes):
+        ops = make_stream(data_seed, n_batches=6, with_deletes=with_deletes)
+        single = StreamEngine(seed=0)
+        single.create_relation("R", ["A", "B"], [Domain.of_size(NA), Domain.of_size(NB)])
+        single.create_relation("S", ["B"], [Domain.of_size(NB)])
+        register_duplicates(single)
+        feed(single, ops)
+        with ShardedStreamEngine(num_shards=num_shards, seed=0) as sharded:
+            sharded.create_relation(
+                "R", ["A", "B"], [Domain.of_size(NA), Domain.of_size(NB)], partition_by="B"
+            )
+            sharded.create_relation("S", ["B"], [Domain.of_size(NB)])
+            register_duplicates(sharded)
+            feed(sharded, ops)
+            for name in [*SHARED_METHODS, "range"]:
+                a = answer_or_error(single, f"{name}_a")
+                assert same_value(answer_or_error(single, f"{name}_b"), a), name
+                b = answer_or_error(sharded, f"{name}_a")
+                assert same_value(answer_or_error(sharded, f"{name}_b"), b), name
+                if name in ("cosine", "range") and not isinstance(a, tuple):
+                    assert b == pytest.approx(a, rel=1e-9, abs=1e-6), (name, a, b)
+                else:
+                    assert same_value(a, b), (name, a, b)
+            for method in SHARED_METHODS:
+                bound = single.estimate(f"{method}_a", mode="upper_bound")
+                assert sharded.estimate(f"{method}_b", mode="upper_bound") == bound

@@ -242,6 +242,22 @@ class TestPerShardFaultIsolation:
         assert fleet.answer("q_cosine") == fleet.exact_answer("q_cosine")
         fleet.close()
 
+    def test_restored_shard_rebuilds_a_quarantined_share(self, tmp_path):
+        fleet = build_fleet()
+        fleet.enable_fault_isolation("nan")
+        fleet.register_query("q_twin", QUERY, method="cosine", budget=24)
+        degrade_shard_query(fleet, shard=1)
+        self.feed_all_shards(fleet)
+        self.feed_all_shards(fleet, seed=10)
+        fleet.save_checkpoints(tmp_path)
+        restored = ShardedStreamEngine.restore(tmp_path)
+        for target in (fleet, restored):
+            target.register_query("q_fresh", QUERY, method="cosine", budget=24)
+        assert list(restored.degraded_queries()) == ["q_cosine", "q_twin"]
+        assert restored.answer("q_fresh") == fleet.answer("q_fresh")
+        restored.close()
+        fleet.close()
+
     def test_policy_validated(self):
         fleet = build_fleet()
         with pytest.raises(ValueError, match="unknown degraded-answer policy"):

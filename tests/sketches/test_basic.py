@@ -87,6 +87,20 @@ class TestMaintenance:
         batch = AGMSSketch.from_counts([fa, fb], counts, 15, 3)
         np.testing.assert_array_equal(streamed.atoms, batch.atoms)
 
+    def test_domains_with_more_cells_than_int64_numbers(self, rng):
+        # four attributes of 10^5 values span 10^20 cells
+        fams = [SignFamily(100_000, 9, seed=i) for i in range(4)]
+        distinct = rng.integers(0, 100_000, size=(25, 4))
+        rows = np.concatenate([distinct, distinct[:10], distinct[:3]])
+        batched = AGMSSketch(fams, 3, 3)
+        batched.update_batch(rows, chunk=4)
+        batched.update_batch(distinct[:3], weight=-1)
+        per_row = AGMSSketch(fams, 3, 3)
+        for row in np.concatenate([distinct, distinct[:10]]):
+            per_row.update([int(v) for v in row])
+        np.testing.assert_array_equal(batched.atoms, per_row.atoms)
+        assert batched.count == per_row.count == 35
+
     def test_three_dimensional_from_counts(self, rng):
         fams = [SignFamily(6, 9, seed=i) for i in range(3)]
         counts = rng.integers(0, 4, size=(6, 6, 6)).astype(float)
