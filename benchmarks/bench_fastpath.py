@@ -10,6 +10,10 @@ of that claim:
   the same ``(order, B)`` basis table.  The CI gate enforces a >= 5x
   speedup floor on this ratio: it is self-normalizing, so a slow runner
   cannot fake a regression.
+* **projection** — ``phi_block(order, positions, weights=w)``, the form
+  every coefficient update and batch build runs, vs
+  ``phi_block_reference(order, positions) @ w``, with the projection's
+  tracemalloc peak.  The gate holds it to the same floor.
 * **ingest** — end-to-end single-thread cosine ingest (tuples/s) with the
   active backend vs with the ``reference`` backend, recorded into the CI
   benchmark trajectory (``BENCH_trajectory.json``) so the floor has a
@@ -25,6 +29,7 @@ Runnable standalone for the CI bench gate::
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -52,25 +57,56 @@ def _best_seconds(fn, rounds: int) -> float:
     return best
 
 
-def kernel_table(order: int = ORDER, cols: int = COLS, rounds: int = ROUNDS) -> dict:
-    """Basis-table construction: active backend vs the 1.5.0 reference."""
-    positions = np.linspace(0.0, 1.0, cols)
-    out = np.empty((order, cols))
+def _speedup_table(order: int, cols: int, rounds: int, reference, fast) -> dict:
+    """Best-round seconds of two callables computing the same thing, and their ratio."""
     # Warm both paths once so allocator/cache effects hit neither side.
-    phi_block_reference(order, positions, out=out)
-    phi_block(order, positions, out=out)
-    reference = _best_seconds(lambda: phi_block_reference(order, positions, out=out), rounds)
-    fast = _best_seconds(lambda: phi_block(order, positions, out=out), rounds)
+    reference()
+    fast()
+    reference_s = _best_seconds(reference, rounds)
+    fast_s = _best_seconds(fast, rounds)
     return {
         "order": order,
         "cols": cols,
         "rounds": rounds,
         "backend": backend_name(),
-        "reference_seconds_best": reference,
-        "fastpath_seconds_best": fast,
-        "speedup": reference / fast,
+        "reference_seconds_best": reference_s,
+        "fastpath_seconds_best": fast_s,
+        "speedup": reference_s / fast_s,
         "speedup_floor": SPEEDUP_FLOOR,
     }
+
+
+def kernel_table(order: int = ORDER, cols: int = COLS, rounds: int = ROUNDS) -> dict:
+    """Basis-table construction: active backend vs the 1.5.0 reference."""
+    positions = np.linspace(0.0, 1.0, cols)
+    out = np.empty((order, cols))
+    return _speedup_table(
+        order,
+        cols,
+        rounds,
+        lambda: phi_block_reference(order, positions, out=out),
+        lambda: phi_block(order, positions, out=out),
+    )
+
+
+def kernel_projection(order: int = ORDER, cols: int = COLS, rounds: int = ROUNDS) -> dict:
+    """The projection form on the active backend vs the reference table's product."""
+    positions = np.linspace(0.0, 1.0, cols)
+    weights = np.random.default_rng(0).integers(1, 5, size=cols).astype(float)
+    table = _speedup_table(
+        order,
+        cols,
+        rounds,
+        lambda: phi_block_reference(order, positions) @ weights,
+        lambda: phi_block(order, positions, weights=weights),
+    )
+    tracemalloc.start()
+    try:
+        phi_block(order, positions, weights=weights)
+        table["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return table
 
 
 def _ingest_seconds(tuples: int, batch: int = BATCH) -> float:
@@ -121,23 +157,26 @@ def fastpath_report(
     return {
         "backend": backend_name(),
         "kernel": kernel_table(order=order, cols=cols, rounds=rounds),
+        "projection": kernel_projection(order=order, cols=cols, rounds=rounds),
         "ingest": ingest_table(tuples=tuples, rounds=rounds),
     }
 
 
 def _print_report(report: dict) -> None:
-    kernel, ingest = report["kernel"], report["ingest"]
+    kernel, projection, ingest = report["kernel"], report["projection"], report["ingest"]
     print(f"fastpath backend: {report['backend']}")
-    print(
-        f"  kernel (order={kernel['order']}, B={kernel['cols']},"
-        f" best of {kernel['rounds']}):"
-    )
-    print(f"    reference  {kernel['reference_seconds_best'] * 1e3:>9.3f} ms")
-    print(f"    fastpath   {kernel['fastpath_seconds_best'] * 1e3:>9.3f} ms")
-    print(
-        f"    speedup    {kernel['speedup']:>9.2f}x"
-        f"  (floor {kernel['speedup_floor']:.0f}x)"
-    )
+    for title, table in (("kernel", kernel), ("projection", projection)):
+        print(
+            f"  {title} (order={table['order']}, B={table['cols']},"
+            f" best of {table['rounds']}):"
+        )
+        print(f"    reference  {table['reference_seconds_best'] * 1e3:>9.3f} ms")
+        print(f"    fastpath   {table['fastpath_seconds_best'] * 1e3:>9.3f} ms")
+        print(
+            f"    speedup    {table['speedup']:>9.2f}x"
+            f"  (floor {table['speedup_floor']:.0f}x)"
+        )
+    print(f"    peak       {projection['peak_bytes'] / 2**20:>9.2f} MB (tracemalloc)")
     print(
         f"  cosine ingest (2 x {ingest['tuples_per_relation']:,} tuples,"
         f" budget {ingest['budget']}):"
@@ -155,6 +194,18 @@ def test_kernel_speedup_above_floor(benchmark, capsys):
         print(
             f"  kernel speedup {table['speedup']:.2f}x"
             f" (floor {table['speedup_floor']:.0f}x, backend {table['backend']})"
+        )
+    assert table["speedup"] >= table["speedup_floor"]
+
+
+def test_projection_speedup_above_floor(benchmark, capsys):
+    """The projection form must beat the reference table's product by >= 5x."""
+    table = benchmark.pedantic(lambda: kernel_projection(rounds=3), iterations=1, rounds=1)
+    with capsys.disabled():
+        print()
+        print(
+            f"  projection speedup {table['speedup']:.2f}x"
+            f" (floor {table['speedup_floor']:.0f}x, peak {table['peak_bytes'] / 2**20:.2f} MB)"
         )
     assert table["speedup"] >= table["speedup_floor"]
 
@@ -196,13 +247,15 @@ def main(argv=None) -> int:
         with open(args.json, "w") as handle:
             json.dump(report, handle, indent=1)
         print(f"wrote {args.json}")
-    if report["kernel"]["speedup"] < SPEEDUP_FLOOR:
-        print(
-            f"FAIL: fastpath kernel speedup {report['kernel']['speedup']:.2f}x"
-            f" is below the {SPEEDUP_FLOOR:.0f}x floor in every round"
-        )
-        return 1
-    return 0
+    failed = False
+    for title in ("kernel", "projection"):
+        if report[title]["speedup"] < SPEEDUP_FLOOR:
+            print(
+                f"FAIL: fastpath {title} speedup {report[title]['speedup']:.2f}x"
+                f" is below the {SPEEDUP_FLOOR:.0f}x floor in every round"
+            )
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -6,12 +6,14 @@ its JSON result to this script.  The script
 1. loads the persisted trajectory file (``BENCH_trajectory.json``,
    restored across runs via ``actions/cache`` and re-uploaded as an
    artifact) or bootstraps an empty one,
-2. appends one entry — commit, CI run id, kernel speedup, ingest
-   throughput — so the benchmark history of the branch is a first-class
-   artifact rather than a pass/fail bit, and
-3. fails the build when the fastpath kernel speedup drops below the
-   floor (>= 5x vs the 1.5.0 per-entry reference, measured in the same
-   run so a slow runner cannot fake a regression).
+2. appends one entry — commit, CI run id, kernel speedup, projection
+   speedup and tracemalloc peak, ingest throughput — so the benchmark
+   history of the branch is a first-class artifact rather than a
+   pass/fail bit, and
+3. fails the build when the fastpath kernel speedup, or the speedup of
+   its projection form (the one every cosine update and batch build
+   runs), drops below the floor (>= 5x vs the 1.5.0 per-entry reference,
+   measured in the same run so a slow runner cannot fake a regression).
 
 The optional ``--telemetry-result`` / ``--otel-result`` /
 ``--fleet-result`` / ``--bounds-result`` inputs take the JSON written by
@@ -81,7 +83,7 @@ def make_entry(
     fleet_result: dict | None = None,
     bounds_result: dict | None = None,
 ) -> dict:
-    kernel, ingest = result["kernel"], result["ingest"]
+    kernel, projection, ingest = result["kernel"], result["projection"], result["ingest"]
     entry = {
         "commit": _commit(),
         "run_id": os.environ.get("GITHUB_RUN_ID", ""),
@@ -90,6 +92,8 @@ def make_entry(
         "kernel_speedup": round(kernel["speedup"], 3),
         "kernel_order": kernel["order"],
         "kernel_cols": kernel["cols"],
+        "projection_speedup": round(projection["speedup"], 3),
+        "projection_peak_mb": round(projection["peak_bytes"] / 2**20, 3),
         "fastpath_tps": round(ingest["fastpath_tps_best"]),
         "reference_tps": round(ingest["reference_tps_best"]),
         "ingest_ratio": round(ingest["ingest_ratio"], 3),
@@ -113,15 +117,21 @@ def _overhead_cell(entry: dict, key: str) -> str:
     return f"{value * 100:+6.1f}%" if value is not None else f"{'-':>7}"
 
 
+def _speedup_cell(entry: dict, key: str) -> str:
+    value = entry.get(key)  # entries older than the projection gate lack it
+    return f"{value:>7.2f}x" if value is not None else f"{'-':>8}"
+
+
 def _print_tail(entries: list) -> None:
     print(f"benchmark trajectory ({len(entries)} entries, last {TAIL}):")
     print(
-        f"  {'commit':<13} {'speedup':>8} {'ingest tps':>12} {'ratio':>6}"
+        f"  {'commit':<13} {'speedup':>8} {'project':>8} {'ingest tps':>12} {'ratio':>6}"
         f" {'telem':>7} {'otlp':>7} {'fleet':>7} {'bound':>7}  backend"
     )
     for entry in entries[-TAIL:]:
         print(
             f"  {entry['commit']:<13} {entry['kernel_speedup']:>7.2f}x"
+            f" {_speedup_cell(entry, 'projection_speedup')}"
             f" {entry['fastpath_tps']:>12,} {entry['ingest_ratio']:>5.2f}x"
             f" {_overhead_cell(entry, 'telemetry_overhead')}"
             f" {_overhead_cell(entry, 'otel_overhead')}"
@@ -187,14 +197,20 @@ def main(argv=None) -> int:
             f" the trajectory best ({max(previous):.2f}x) — runner noise or a"
             " creeping regression; the floor below is the hard gate"
         )
-    if entry["kernel_speedup"] < args.floor:
-        print(
-            f"FAIL: fastpath kernel speedup {entry['kernel_speedup']:.2f}x is below"
-            f" the {args.floor:.0f}x floor vs the 1.5.0 reference"
-        )
+    failed = False
+    for title in ("kernel", "projection"):
+        if entry[f"{title}_speedup"] < args.floor:
+            print(
+                f"FAIL: fastpath {title} speedup {entry[f'{title}_speedup']:.2f}x is below"
+                f" the {args.floor:.0f}x floor vs the 1.5.0 reference"
+            )
+            failed = True
+    if failed:
         return 1
     print(
-        f"bench gate OK: {entry['kernel_speedup']:.2f}x >= {args.floor:.0f}x floor,"
+        f"bench gate OK: kernel {entry['kernel_speedup']:.2f}x and projection"
+        f" {entry['projection_speedup']:.2f}x >= {args.floor:.0f}x floor"
+        f" (projection peak {entry['projection_peak_mb']:.2f} MB),"
         f" ingest at {entry['fastpath_tps']:,} tuples/s"
         f" ({entry['ingest_ratio']:.2f}x the reference backend)"
     )

@@ -61,7 +61,7 @@ def estimate_range_count(synopsis: CosineSynopsis, lo_index: int, hi_index: int)
         sums = basis_range_sums(synopsis.order, n, lo_index, hi_index)
     else:
         positions = domain.grid(synopsis.grid)[lo_index : hi_index + 1]
-        sums = phi_block(synopsis.order, positions).sum(axis=1)
+        sums = phi_block(synopsis.order, positions, weights=np.ones(positions.shape[0]))
     return synopsis.count / n * float(np.dot(synopsis.coefficients, sums))
 
 
@@ -141,7 +141,7 @@ def estimate_box_count(
             sums = basis_range_sums(synopsis.order, n, lo, hi)
         else:
             positions = domain.grid(synopsis.grid)[lo : hi + 1]
-            sums = phi_block(synopsis.order, positions).sum(axis=1)
+            sums = phi_block(synopsis.order, positions, weights=np.ones(positions.shape[0]))
         factors.append(sums)
         scale /= n
     per_coefficient = np.ones(synopsis.num_coefficients)

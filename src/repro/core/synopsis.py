@@ -36,10 +36,9 @@ from .triangular import (
     triangular_indices,
 )
 
-#: Batch rows processed per chunk when updating coefficients.  Sized so the
-#: (coefficients x rows) table stays cache-friendly for the recurrence
-#: kernel (a 2048-order chunk is 32 MB; wider chunks measurably degrade
-#: the fast path's speedup) while still amortizing per-chunk overhead.
+#: Batch rows per chunk of a multi-attribute update, which still builds one
+#: (order x rows) table per attribute.  One-attribute updates and batch
+#: builds use the kernel's projection form, which blocks on its own.
 _CHUNK_ROWS = 2048
 
 
@@ -160,17 +159,15 @@ class CosineSynopsis:
             )
             _, first, multiplicity = distinct_cells(indices, [d.size for d in self.domains])
             rows = rows[first]
+        weights = np.asarray(multiplicity, dtype=float)
+        if self.ndim == 1:
+            # 1-d fast path: the retained orders are exactly 0..m-1, so the
+            # contribution is the kernel's projection of the weights.
+            positions = self.domains[0].positions_of(rows[:, 0], self.grid)
+            return phi_block(self.order, positions, weights=weights)
         total = np.zeros(self.indices.shape[0], dtype=float)
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             chunk = rows[start : start + _CHUNK_ROWS]
-            weights = np.asarray(multiplicity[start : start + _CHUNK_ROWS], dtype=float)
-            if self.ndim == 1:
-                # 1-d fast path: the retained orders are exactly 0..m-1, so
-                # the contribution is a plain matrix-vector product.
-                positions = self.domains[0].positions_of(chunk[:, 0], self.grid)
-                table = phi_block(self.order, positions)
-                total += table @ weights
-                continue
             prod: NDArray[Any] | None = None
             for j, domain in enumerate(self.domains):
                 positions = domain.positions_of(chunk[:, j], self.grid)
@@ -178,7 +175,7 @@ class CosineSynopsis:
                 factor = table[self.indices[:, j], :]
                 prod = factor if prod is None else prod * factor
             assert prod is not None
-            total += prod @ weights
+            total += prod @ weights[start : start + _CHUNK_ROWS]
         return total
 
     def insert(self, values: Sequence[Any] | NDArray[Any] | object) -> None:
@@ -270,13 +267,14 @@ class CosineSynopsis:
         if not counts.any():
             return syn  # contracting zeros needs no basis table
         tensor = counts
-        # Contract each value axis with the (order x n_j) basis matrix; after
-        # d steps the tensor holds the unnormalized coefficient grid.
+        # Project each value axis onto the basis (the kernel's projection
+        # form, never the order x n_j table); after d steps the tensor holds
+        # the unnormalized coefficient grid.
         for j, domain in enumerate(syn.domains):
-            table = phi_block(syn.order, domain.grid(grid))
-            tensor = np.tensordot(table, tensor, axes=([1], [j]))
-            # tensordot moved the new axis to the front; rotate it back to j.
-            tensor = np.moveaxis(tensor, 0, j)
+            moved = np.moveaxis(tensor, j, 0)
+            weights = moved.reshape(moved.shape[0], -1)
+            projected = phi_block(syn.order, domain.grid(grid), weights=weights)
+            tensor = np.moveaxis(projected.reshape((syn.order,) + moved.shape[1:]), 0, j)
         syn._sums = tensor[tuple(syn.indices[:, j] for j in range(syn.ndim))].copy()
         syn._count = int(round(total))
         return syn

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _numba
-from .recurrence import phi_block_numpy, phi_block_reference
+from .recurrence import _prepare_weights, phi_block_numpy, phi_block_reference, phi_project_numpy
 
 if TYPE_CHECKING:
     from ..obs.metrics import MetricFamily, MetricsRegistry
@@ -122,13 +122,33 @@ def _phi_block_numba(
     return out
 
 
-def phi_block(order: int, positions: NDArray[Any], out: NDArray[Any] | None = None) -> NDArray[Any]:
+def phi_block(
+    order: int,
+    positions: NDArray[Any],
+    out: NDArray[Any] | None = None,
+    *,
+    weights: NDArray[Any] | None = None,
+) -> NDArray[Any]:
     """Basis table ``P[k, b] = phi_k(positions[b])`` on the active backend.
 
     The drop-in fast replacement for
     ``basis_matrix(np.arange(order), positions)`` — every coefficient
     maintenance path routes through here.
+
+    With ``weights`` of shape ``(B,)`` or ``(B, R)`` it returns the
+    projection ``P @ weights`` instead, of shape ``(order,)`` or
+    ``(order, R)``.  The numpy backend computes it block by block without
+    the table (:func:`repro.fastpath.recurrence.phi_project_numpy`); the
+    ``reference`` and numba backends contract their own tables.  ``out``
+    is the table's buffer and does not apply to the projection.
     """
+    if weights is not None:
+        if out is not None:
+            raise ValueError("out= is the table's buffer; the projection form takes none")
+        if _backend == "numpy":
+            return phi_project_numpy(order, positions, weights)
+        weights = _prepare_weights(positions, weights)
+        return phi_block(order, positions) @ weights
     if _backend == "numpy":
         return phi_block_numpy(order, positions, out)
     if _backend == "reference":

@@ -11,6 +11,7 @@ top of them.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -46,8 +47,13 @@ class BernoulliSample:
         for value in values:
             self.insert(value)
 
-    def insert_batch(self, values: Sequence[Hashable]) -> NDArray[Any]:
+    def insert_batch(self, values: Sequence[Hashable] | NDArray[Any]) -> NDArray[Any]:
         """Offer a batch of tuples; returns the boolean acceptance mask.
+
+        ``values`` is a sequence of hashables or an array: a 1-d array's
+        entries, or a 2-d array's rows as tuples.  Only the kept entries of
+        an array become Python keys, so a small ``p`` pays for the rows it
+        keeps, not all of them.
 
         Draws all coins in one vectorized call.  Because numpy generators
         produce the same double stream whether drawn one at a time or in
@@ -55,15 +61,20 @@ class BernoulliSample:
         :meth:`insert` in order — batch and sequential ingestion agree
         exactly, not just in distribution.
         """
-        values = list(values)
-        if not values:
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        if not len(values):
             return np.zeros(0, dtype=bool)
         mask = self._rng.random(len(values)) < self.probability
         self.stream_size += len(values)
-        for value, keep in zip(values, mask):
-            if keep:
-                self.counts[value] += 1
-        self.sampled_size += int(mask.sum())
+        kept: list[Hashable]
+        if isinstance(values, np.ndarray):
+            rows = values[mask].tolist()
+            kept = [tuple(row) for row in rows] if values.ndim > 1 else rows
+        else:
+            kept = list(compress(values, mask))
+        self.counts.update(kept)
+        self.sampled_size += len(kept)
         return mask
 
     def state_dict(self) -> dict[str, Any]:

@@ -1413,11 +1413,9 @@ class _SampleObserver(StreamObserver):
             self.sample.delete(tuple(rows[0]))  # raises: documented limitation
             return
         idx = relation.indices_of_rows(rows)[:, self.axes]
-        keys = [tuple(int(v) for v in row) for row in idx]
-        mask = self.sample.insert_batch(keys)
-        for key, kept in zip(keys, mask):
-            if kept:
-                self.counter[key if len(key) > 1 else key[0]] += 1
+        kept = idx[self.sample.insert_batch(idx)].tolist()
+        # one attribute keys the counter by its bare value, as in on_op
+        self.counter.update(row[0] if len(row) == 1 else tuple(row) for row in kept)
 
 
 class _PartitionedObserver(StreamObserver):

@@ -352,9 +352,9 @@ class TestRegistrationReplay:
         calls = []
         real = synopsis_module.phi_block
 
-        def counting(order, positions, out=None):
+        def counting(order, positions, out=None, weights=None):
             calls.append((order, len(positions)))
-            return real(order, positions, out)
+            return real(order, positions, out, weights=weights)
 
         monkeypatch.setattr(synopsis_module, "phi_block", counting)
         engine = make_engine()
