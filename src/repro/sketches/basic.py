@@ -114,13 +114,11 @@ class AGMSSketch:
     # maintenance
     # ------------------------------------------------------------------ #
 
-    def _batch_signs(self, rows: NDArray[Any]) -> NDArray[Any]:
-        """Product of per-attribute signs for a batch: ``(S, B)`` ±1 ints."""
-        prod: NDArray[Any] | None = None
-        for j, fam in enumerate(self.families):
-            s = fam.signs(rows[:, j])
-            prod = s.astype(np.int64) if prod is None else prod * s
-        assert prod is not None
+    def _row_signs(self, rows: NDArray[Any]) -> NDArray[Any]:
+        """Product of per-attribute signs for a batch: ``(B, S)`` ±1 int8."""
+        prod = self.families[0].signs(rows[:, 0]).T
+        for j, fam in enumerate(self.families[1:], start=1):
+            prod = prod * fam.signs(rows[:, j]).T
         return prod
 
     def update(self, indices: Sequence[int] | int, weight: int = 1) -> None:
@@ -135,7 +133,7 @@ class AGMSSketch:
         rows = np.asarray(indices, dtype=np.int64)[None, :]
         if rows.shape[1] != self.ndim:
             raise ValueError(f"expected {self.ndim} attribute indices, got {rows.shape[1]}")
-        self.atoms += weight * self._batch_signs(rows)[:, 0]
+        self.atoms += weight * self._row_signs(rows)[0].astype(float)
         self._count += weight
 
     def update_batch(
@@ -143,18 +141,19 @@ class AGMSSketch:
         rows: NDArray[Any],
         weight: int = 1,
         multiplicity: NDArray[Any] | None = None,
-        chunk: int = 4096,
+        chunk: int = 256,
     ) -> None:
         """Process a batch of arrivals/deletions of domain-index tuples.
 
-        The atoms move by ``weight * signs(cells) @ counts`` over the
-        batch's distinct cells, so each distinct tuple is hashed once
-        however often it repeats.  ``multiplicity`` gives each row's count
-        when the rows are already distinct (a
-        :class:`repro.streams.relation.BatchDelta`); without it the rows
-        are collapsed here.  Every sum is an integer, so the atoms are
+        The atoms move by ``weight * counts @ signs(cells)`` over the
+        batch's distinct cells, so each distinct tuple is read once however
+        often it repeats, and a value's signs are hashed once per family.
+        ``multiplicity`` gives each row's count when the rows are already
+        distinct (a :class:`repro.streams.relation.BatchDelta`); without it
+        the rows are collapsed here.  The contraction runs in float64, where
+        every partial sum is an integer below ``2^53``, so the atoms are
         identical to one ``update`` per tuple under any batch framing.
-        ``chunk`` bounds the ``(S, chunk)`` sign intermediates.
+        ``chunk`` bounds the ``(chunk, S)`` sign intermediates.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim == 1:
@@ -166,9 +165,10 @@ class AGMSSketch:
             _, first, multiplicity = distinct_cells(rows, sizes)
             rows = rows[first]
         counts = np.asarray(multiplicity, dtype=np.int64)
+        weights = weight * counts.astype(float)
         for start in range(0, rows.shape[0], chunk):
             part = slice(start, start + chunk)
-            self.atoms += weight * (self._batch_signs(rows[part]) @ counts[part])
+            self.atoms += weights[part] @ self._row_signs(rows[part]).astype(float)
         self._count += weight * int(counts.sum())
 
     def state_dict(self) -> dict[str, Any]:
@@ -207,16 +207,16 @@ class AGMSSketch:
         if not counts.any():
             return sketch  # contracting zeros needs no sign matrix
         # Contract the value axes against the attributes' (S, n_j) sign
-        # matrices one by one, keeping S as a shared leading axis.  Each
-        # contraction consumes the current axis 1, which is always the next
-        # attribute in declaration order.
-        tensor = counts[None, ...]  # (1, n_1, ..., n_d) broadcast over S
-        for fam in sketch.families:
-            signs = fam.sign_matrix().astype(float)  # (S, n_j)
-            if tensor.shape[0] == 1:
-                tensor = np.einsum("j...,sj->s...", tensor[0], signs)
-            else:
-                tensor = np.einsum("sj...,sj->s...", tensor, signs)
+        # matrices one by one, keeping S as a shared leading axis.  The first
+        # contraction is one BLAS matmul over the flattened remaining axes;
+        # each later one consumes axis 1, the next attribute in declaration
+        # order.  Every sum is an integer below 2^53, so the float result is
+        # exact in any summation order.
+        first, *rest = sketch.families
+        flat = first.sign_matrix().astype(float) @ counts.reshape(counts.shape[0], -1)
+        tensor = flat.reshape(flat.shape[:1] + counts.shape[1:])
+        for fam in rest:
+            tensor = np.einsum("sj...,sj->s...", tensor, fam.sign_matrix().astype(float))
         sketch.atoms = tensor.reshape(sketch.num_atomic_sketches).astype(float).copy()
         sketch._count = int(round(counts.sum()))
         return sketch

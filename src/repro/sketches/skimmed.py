@@ -64,13 +64,21 @@ def estimate_frequencies(sketch: AGMSSketch, sign_matrix: NDArray[Any]) -> NDArr
 
     ``E[X_i * xi_i(v)] = f(v)``; the median of group means over the sketch
     grid makes the estimate robust.  ``sign_matrix`` is the family's dense
-    ``(S, n)`` ±1 matrix (pass it in so repeated calls share the work).
+    ``(S, n)`` ±1 matrix, the int8 view :meth:`SignFamily.sign_matrix`
+    returns or any numeric copy of it; ±1 products and integer sums are
+    exact, so every dtype gives the same estimates.
     """
     if sketch.ndim != 1:
         raise ValueError("frequency skimming is defined for single-attribute sketches")
-    per_atom = sketch.atoms[:, None] * sign_matrix  # (S, n)
-    groups = per_atom.reshape(sketch.num_medians, sketch.num_means, -1)
-    return np.median(groups.mean(axis=1), axis=0)
+    per_value = sign_matrix.T * sketch.atoms  # (n, S)
+    groups = per_value.reshape(-1, sketch.num_medians, sketch.num_means)
+    return np.median(groups.mean(axis=2), axis=1)
+
+
+def _project(sign_matrix: NDArray[Any], dense: NDArray[Any]) -> NDArray[Any]:
+    """``sign_matrix @ dense``, summed over the skimmed (nonzero) values only."""
+    held = np.flatnonzero(dense)
+    return sign_matrix[:, held] @ dense[held]
 
 
 def skim_threshold(sketch: AGMSSketch, factor: float = 2.0) -> float:
@@ -102,7 +110,7 @@ def skim_dense_frequencies(
         threshold = skim_threshold(sketch, threshold_factor)
     f_hat = estimate_frequencies(sketch, sign_matrix)
     dense = np.where(f_hat >= threshold, np.maximum(np.rint(f_hat), 0.0), 0.0)
-    residual_atoms = sketch.atoms - sign_matrix.astype(float) @ dense
+    residual_atoms = sketch.atoms - _project(sign_matrix, dense)
     return dense, residual_atoms
 
 
@@ -121,7 +129,7 @@ def estimate_join_size_skimmed(
         raise ValueError("the skimmed sketch handles single-attribute joins")
     if not a.compatible_with(b, 0, 0):
         raise ValueError("sketches do not share a sign family; joins are undefined")
-    signs = a.families[0].sign_matrix().astype(float)
+    signs = a.families[0].sign_matrix()
 
     if a.num_means < MIN_MEANS_FOR_SKIMMING:
         # Too little averaging to trust per-value frequency estimates: the
@@ -148,8 +156,8 @@ def estimate_join_size_skimmed(
 
     # Dense x residual: project the dense vector through the sign families
     # to pair it with the residual sketch (an unbiased inner product).
-    proj_a = signs @ dense_a  # (S,) sketch of the dense-a vector
-    proj_b = signs @ dense_b
+    proj_a = _project(signs, dense_a)  # (S,) sketch of the dense-a vector
+    proj_b = _project(signs, dense_b)
     j_ds = median_of_means(proj_a * residual_b, s1, s2)
     j_sd = median_of_means(residual_a * proj_b, s1, s2)
 
@@ -204,11 +212,11 @@ def estimate_multijoin_size_skimmed(
 
     end_parts = []
     for end in (first, last):
-        signs = end.families[0].sign_matrix().astype(float)
+        signs = end.families[0].sign_matrix()
         dense, residual = skim_dense_frequencies(
             end, signs, threshold_factor=threshold_factor
         )
-        end_parts.append((signs @ dense, residual))
+        end_parts.append((_project(signs, dense), residual))
 
     s1, s2 = first.num_means, first.num_medians
     total = 0.0

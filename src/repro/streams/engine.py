@@ -36,6 +36,7 @@ Supported estimation methods mirror the paper's experimental cast:
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
@@ -155,6 +156,12 @@ class ContinuousQueryEngine:
         self._shared: dict[Hashable, _Share] = {}
         #: Keys taken by the registration in progress.
         self._pending: list[Hashable] = []
+        #: One sign family per ``(domain size, functions, seed)``, so every
+        #: sketch of a family reads one lazily filled sign table; an entry
+        #: lives only while some sketch holds its family.
+        self._families: weakref.WeakValueDictionary[tuple[int, int, int], SignFamily] = (
+            weakref.WeakValueDictionary()
+        )
         #: The engine's telemetry hub (metrics registry + span tracer).
         #: Pass ``Telemetry.disabled()`` for a zero-overhead engine, or a
         #: shared hub to aggregate several engines into one registry.
@@ -1056,12 +1063,20 @@ class ContinuousQueryEngine:
         relation = self.relations[rel_name]
 
         def build() -> _SketchObserver:
-            families = [SignFamily(d.size, s1 * s2, seed=seed) for d, seed in zip(domains, seeds)]
+            families = [self._family(d.size, s1 * s2, seed) for d, seed in zip(domains, seeds)]
             history = self._history(relation, axes, domains)
             return _SketchObserver(AGMSSketch.from_counts(families, history, s1, s2), domains, axes)
 
         key = ("agms", rel_name, tuple(axes), tuple(domains), tuple(seeds), s1, s2)
         return self._share(relation, key, build).sketch
+
+    def _family(self, domain_size: int, num_functions: int, seed: int) -> SignFamily:
+        """The engine's sign family for ``(domain_size, num_functions, seed)``."""
+        key = (domain_size, num_functions, seed)
+        family = self._families.get(key)
+        if family is None:
+            family = self._families[key] = SignFamily(domain_size, num_functions, seed)
+        return family
 
     def _histogram(
         self, rel_name: str, axis: int, domain: Domain, budget: int

@@ -59,8 +59,13 @@ class TestSignProperties:
             fam.signs(np.array([-1]))
 
     def test_sign_matrix_chunking_consistent(self):
+        # A table filled piecemeal by scattered signs() calls, then completed
+        # by sign_matrix(), holds exactly a fresh family's matrix.
         fam = SignFamily(1000, 6, seed=9)
-        np.testing.assert_array_equal(fam.sign_matrix(chunk=64), fam.sign_matrix(chunk=10_000))
+        order = np.random.default_rng(0).permutation(1000)
+        for chunk in np.array_split(order[:700], 9):
+            fam.signs(chunk)
+        np.testing.assert_array_equal(fam.sign_matrix(), SignFamily(1000, 6, seed=9).sign_matrix())
 
     def test_signs_roughly_balanced(self):
         # Each function's mean sign over a large domain should be near 0.
