@@ -2,25 +2,18 @@
 
 ``repro.fastpath`` is the blessed home for hot-loop arithmetic: the
 Chebyshev-recurrence cosine basis (one transcendental call per batch
-instead of one per table entry) and its blocked projection form, the
-optional numba-compiled kernel, and the backend switch that picks between
-them at import time.  The synopsis, sketch, and stream layers call
-:func:`phi_block` and stay free of per-order python loops themselves —
-the ``repro.analysis`` REP006 rule enforces that split.
+instead of one per table entry) and its blocked projection form, plus the
+``set_backend("reference")`` switch that runs the per-entry seed kernel
+instead, for parity tests and the benchmark's in-run baseline.  The
+synopsis, sketch, and stream layers call :func:`phi_block` and stay free
+of per-order python loops themselves — the ``repro.analysis`` REP006 rule
+enforces that split.
 
-See ``docs/PERFORMANCE.md`` for the recurrence math, backend selection
-rules, and how the CI benchmark gate holds this layer to its >= 5x floor.
+See ``docs/PERFORMANCE.md`` for the recurrence math, the reference
+switch, and how the CI benchmark gate holds this layer to its >= 5x floor.
 """
 
-from .backend import (
-    BACKENDS,
-    available_backends,
-    backend_name,
-    describe,
-    phi_block,
-    register_backend_gauge,
-    set_backend,
-)
+from .backend import backend_name, phi_block, set_backend
 from .recurrence import (
     PROJECT_COLS,
     PROJECT_ROWS,
@@ -31,17 +24,13 @@ from .recurrence import (
 )
 
 __all__ = [
-    "BACKENDS",
     "PROJECT_COLS",
     "PROJECT_ROWS",
     "RECURRENCE_MIN_COLS",
     "SQRT2",
-    "available_backends",
     "backend_name",
-    "describe",
     "phi_block",
     "phi_block_numpy",
     "phi_block_reference",
-    "register_backend_gauge",
     "set_backend",
 ]

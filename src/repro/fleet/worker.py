@@ -10,22 +10,21 @@ the supervisor launches (a top-level function, so it survives the
 3. accept exactly one connection — the supervisor's — and serve
    length-prefixed command frames until shutdown.
 
-Commands are ``(method, args, kwargs)`` against the shard's
-:class:`~repro.sharding.worker.ShardWorker`, answered with
-``("ok", result)`` or ``("err", message)`` — the same envelope the
-in-process :class:`~repro.sharding.executor.ProcessExecutor` pipes use,
-so worker semantics are identical across transports.  A ``None`` frame
-is the graceful-shutdown request; transport failure on the single
-supervisor connection ends the process (an orphaned worker must not
-outlive its supervisor).
+The frames feed :func:`~repro.sharding.worker.serve_commands`, the
+command loop the :class:`~repro.sharding.executor.ProcessExecutor` pipe
+workers run too, so worker semantics are identical across transports.
+A ``None`` frame is the graceful-shutdown request; transport failure on
+the single supervisor connection ends the process (an orphaned worker
+must not outlive its supervisor).
 """
 
 from __future__ import annotations
 
 import socket
+from functools import partial
 from typing import Any
 
-from ..sharding.worker import ShardWorker
+from ..sharding.worker import ShardWorker, serve_commands
 from .protocol import recv_frame, send_frame
 
 __all__ = ["shard_server_main"]
@@ -48,34 +47,6 @@ def shard_server_main(
     conn, _peer = listener.accept()
     listener.close()
     try:
-        _serve_connection(conn, worker)
+        serve_commands(worker, partial(recv_frame, conn), partial(send_frame, conn))
     finally:
         conn.close()
-
-
-def _serve_connection(conn: socket.socket, worker: ShardWorker) -> None:
-    while True:
-        try:
-            message = recv_frame(conn)
-        except (EOFError, OSError):
-            # Supervisor gone (crash or abandon): nothing left to serve.
-            return
-        if message is None:
-            # Graceful shutdown: ack so the supervisor can join() without
-            # racing the process teardown, then exit.
-            try:
-                send_frame(conn, ("ok", None))
-            except OSError:  # pragma: no cover - peer raced the close
-                pass
-            return
-        method, args, kwargs = message
-        try:
-            result = getattr(worker, method)(*args, **kwargs)
-        except Exception as exc:
-            reply = ("err", f"{type(exc).__name__}: {exc}")
-        else:
-            reply = ("ok", result)
-        try:
-            send_frame(conn, reply)
-        except OSError:
-            return

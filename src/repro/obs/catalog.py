@@ -51,12 +51,6 @@ METRIC_CATALOG = {
         "shard_suffix": False,
         "help": 'Snapshot lines dropped after exhausting write retries.',
     },
-    'repro_fastpath_backend': {
-        "kind": 'gauge',
-        "labels": ('backend',),
-        "shard_suffix": False,
-        "help": 'Active repro.fastpath kernel backend (1 on the selected label).',
-    },
     'repro_fleet_heartbeat_misses_total': {
         "kind": 'counter',
         "labels": ('shard',),
@@ -128,12 +122,6 @@ METRIC_CATALOG = {
         "labels": ('method',),
         "shard_suffix": True,
         "help": 'Seconds spent inside observer updates, per stats key.',
-    },
-    'repro_otel_backend': {
-        "kind": 'gauge',
-        "labels": ('backend',),
-        "shard_suffix": False,
-        "help": 'Active repro.obs.otel export backend (1 on the selected label).',
     },
     'repro_otel_export_drops_total': {
         "kind": 'counter',

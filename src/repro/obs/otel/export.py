@@ -41,7 +41,6 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 from ...resilience.retry import RetryPolicy, retry_io
 from ..metrics import Counter, MetricFamily, MetricsRegistry
 from ..tracing import SpanEvent
-from . import backend as otel_backend
 from .encode import default_resource, encode_metrics, encode_span_groups
 
 __all__ = [
@@ -223,9 +222,7 @@ class OtelPushLoop:
     a single group for one engine); draining means each span is exported
     exactly once.  ``metrics`` is a registry or a zero-argument callable
     returning one (a fleet merges per-shard registries on demand).
-    ``resource`` attributes are stamped on everything exported, and the
-    active :mod:`~repro.obs.otel.backend` is mirrored into the registry's
-    ``repro_otel_backend`` gauge.
+    ``resource`` attributes are stamped on everything exported.
 
     Three driving styles: :meth:`push_now` on demand, :meth:`maybe_push`
     unconditionally from a loop (rate-limited to ``every_s``), or
@@ -263,10 +260,8 @@ class OtelPushLoop:
         self_registry = registry
         if self_registry is None and isinstance(metrics, MetricsRegistry):
             self_registry = metrics
-        if self_registry is not None:
-            if isinstance(self.exporter, _AccountedExporter):
-                self.exporter.bind_registry(self_registry)
-            otel_backend.register_backend_gauge(self_registry)
+        if self_registry is not None and isinstance(self.exporter, _AccountedExporter):
+            self.exporter.bind_registry(self_registry)
 
     def _registry_now(self) -> MetricsRegistry | None:
         if callable(self._metrics):
@@ -291,8 +286,6 @@ class OtelPushLoop:
                 ]
                 span_count = sum(len(events) for _, events in groups)
                 if span_count:
-                    for extra, events in groups:
-                        otel_backend.replay_spans_via_sdk(events, {**self._resource, **extra})
                     payload = encode_span_groups(groups, base_resource=self._resource)
                     if self.exporter.export("traces", payload):
                         payloads += 1

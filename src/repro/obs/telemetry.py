@@ -15,7 +15,6 @@ holds the enabled path to < 10% overhead over this disabled baseline.
 
 from __future__ import annotations
 
-from ..fastpath import register_backend_gauge
 from .metrics import MetricsRegistry
 from .tracing import DEFAULT_TRACE_CAPACITY, Tracer
 
@@ -30,10 +29,6 @@ class Telemetry:
     existing ``registry`` to aggregate several engines into one export
     surface.  ``trace_sample_every=N`` records ~1 in ``N`` hot-path spans
     (see :class:`~repro.obs.tracing.Tracer`); ``None`` records all.
-
-    An enabled hub also registers the ``repro_fastpath_backend`` gauge so
-    every metrics surface reports which kernel backend
-    (numba / numpy / reference) this process selected at import time.
     """
 
     def __init__(
@@ -51,8 +46,6 @@ class Telemetry:
             if (enabled and tracing)
             else None
         )
-        if enabled:
-            register_backend_gauge(self.registry)
 
     @classmethod
     def disabled(cls) -> "Telemetry":

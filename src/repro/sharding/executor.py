@@ -29,7 +29,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Sequence, cast
 
-from .worker import ShardWorker
+from .worker import ShardWorker, serve_commands
 
 #: One shard's ``(args, kwargs)`` pair in a :meth:`ShardExecutor.scatter`.
 CallSpec = tuple[tuple[Any, ...], dict[str, Any]]
@@ -168,7 +168,7 @@ class ThreadExecutor(ShardExecutor):
 def _process_worker_loop(
     conn: Any, shard_index: int, seed: int, telemetry: bool, inherited: tuple[Any, ...] = ()
 ) -> None:
-    """Worker-process entry point: apply piped commands until EOF/None.
+    """Worker-process entry point: :func:`serve_commands` over the pipe.
 
     ``inherited`` carries the parent-side connections of *earlier* shards
     under the ``fork`` start method: the fork inherited those open file
@@ -181,21 +181,7 @@ def _process_worker_loop(
             other.close()
         except OSError:  # pragma: no cover - already closed is fine
             pass
-    worker = ShardWorker(shard_index, seed, telemetry)
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if message is None:
-            break
-        method, args, kwargs = message
-        try:
-            result = getattr(worker, method)(*args, **kwargs)
-        except Exception as exc:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        else:
-            conn.send(("ok", result))
+    serve_commands(ShardWorker(shard_index, seed, telemetry), conn.recv, conn.send)
     conn.close()
 
 

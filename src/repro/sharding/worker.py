@@ -5,9 +5,10 @@ A :class:`ShardWorker` owns one
 operations a :class:`~repro.sharding.engine.ShardedStreamEngine` needs,
 as plain methods taking and returning picklable values.  Executors call
 these methods either directly (serial / thread executors, in-process) or
-through a pipe protocol (process executor, see
-:mod:`repro.sharding.executor`) — the worker itself cannot tell the
-difference, which is what keeps all three executors answer-identical.
+through :func:`serve_commands`, the one command loop behind both
+out-of-process transports (the process executor's pipe and the fleet's
+socket) — the worker itself cannot tell the difference, which is what
+keeps every executor answer-identical.
 
 Each worker's engine carries its own
 :class:`~repro.obs.metrics.MetricsRegistry` with the shard index as a
@@ -27,7 +28,7 @@ buffered spans back as picklable values for the fleet's OTLP export.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, cast
+from typing import Any, Callable, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,7 +41,7 @@ from ..resilience.errors import CheckpointError
 from ..streams.engine import StreamEngine
 from ..streams.tuples import OpKind
 
-__all__ = ["ShardWorker"]
+__all__ = ["ShardWorker", "serve_commands"]
 
 
 class ShardWorker:
@@ -150,3 +151,37 @@ class ShardWorker:
             latest, telemetry=hub, shard=str(self.shard_index)
         )
         return str(latest)
+
+
+def serve_commands(
+    worker: ShardWorker, recv: Callable[[], Any], send: Callable[[Any], None]
+) -> None:
+    """Apply ``(method, args, kwargs)`` commands from ``recv`` until shutdown.
+
+    Each command's reply goes out through ``send`` as ``("ok", result)``
+    or ``("err", "Type: message")``.  ``EOFError`` or ``OSError`` from
+    ``recv`` means the coordinator is gone and ends the loop, as does a
+    failed reply.  A ``None`` command is the graceful shutdown: it is
+    acked with ``("ok", None)`` so the coordinator can join without
+    racing the teardown, and a failed ack is ignored.
+    """
+    while True:
+        try:
+            message = recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            try:
+                send(("ok", None))
+            except OSError:  # the coordinator closed without reading the ack
+                pass
+            return
+        method, args, kwargs = message
+        try:
+            reply = ("ok", getattr(worker, method)(*args, **kwargs))
+        except Exception as exc:
+            reply = ("err", f"{type(exc).__name__}: {exc}")
+        try:
+            send(reply)
+        except OSError:
+            return

@@ -177,7 +177,6 @@ class TestPushLoop:
         loop = OtelPushLoop(OtlpJsonFileExporter(tmp_path / "otel.jsonl"), metrics=registry)
         loop.push_now()
         snapshot = registry.snapshot()
-        assert snapshot["repro_otel_backend"]["values"]["stdlib"] == 1
         assert snapshot["repro_otel_exports_total"]["values"]["metrics"] == 1
 
     def test_callable_source_never_binds_self_metrics_implicitly(self, tmp_path):

@@ -142,3 +142,45 @@ class TestProcessExecutorRobustness:
         ex.close()
         assert time.monotonic() - started < 10
         assert ex._procs == [] and ex._conns == []
+
+
+def _command_errors(ex):
+    """The ShardError texts of a failing and of an unknown command on shard 1."""
+    texts = []
+    for command in (("unregister_query", "nope"), ("no_such_command",)):
+        with pytest.raises(ShardError) as info:
+            ex.call(1, *command)
+        texts.append(str(info.value))
+    return texts
+
+
+def _worker_procs(ex):
+    """The worker processes behind a process or socket executor."""
+    if isinstance(ex, ProcessExecutor):
+        return list(ex._procs)
+    return [shard._proc for shard in ex.supervisor._procs]
+
+
+class TestOneCommandLoop:
+    """In-process, pipe and socket workers answer commands the same way."""
+
+    @pytest.mark.parametrize("name", ["thread", "process", "socket"])
+    def test_errors_read_as_on_the_serial_executor(self, name):
+        with resolve_executor("serial") as serial, resolve_executor(name) as other:
+            serial.start(2, seed=0, telemetry=False)
+            other.start(2, seed=0, telemetry=False)
+            expected = _command_errors(serial)
+            assert expected[0] == "shard 1: KeyError: \"no query named 'nope'\""
+            assert _command_errors(other) == expected
+
+    @pytest.mark.parametrize("name", ["process", "socket"])
+    def test_close_shuts_workers_down_gracefully(self, name):
+        ex = resolve_executor(name)
+        ex.start(2, seed=0, telemetry=False)
+        procs = _worker_procs(ex)
+        try:
+            _command_errors(ex)  # a failed command leaves the loop serving
+            assert ex.broadcast("ping") == [0, 1]
+        finally:
+            ex.close()
+        assert [proc.exitcode for proc in procs] == [0, 0]  # not terminated
