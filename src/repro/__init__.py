@@ -51,7 +51,7 @@ from .streams import (
     relative_error,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "CosineSynopsis",

@@ -35,6 +35,13 @@ from ..streams.tuples import OpKind, StreamOp
 
 __all__ = ["DegreeObserver", "DegreeSketch"]
 
+#: Relative margin that rounds a computed Lp norm up past its float error.
+#: The power sum carries at most (log2(cells) + 2) ulps of error, and
+#: ``total ** (1/p)`` adds about ln(total) ulps more through the rounded
+#: exponent 1/p: under 800 ulps (2**-43) for any sum a float can hold,
+#: so 2**-40 covers them with room to spare.
+_ROUNDING_SLACK = 2.0**-40
+
 
 class DegreeSketch:
     """Exact frequency (degree) vector over one attribute's unified domain.
@@ -101,20 +108,23 @@ class DegreeSketch:
     @property
     def l2(self) -> float:
         """L2 norm of the degree sequence (sqrt of the self-join size)."""
-        vec = self.freq.astype(np.float64)
-        return float(math.sqrt(float(np.dot(vec, vec))))
+        return self.lp(2)
 
     def lp(self, p: float) -> float:
-        """General Lp norm, ``p >= 1``; ``p = inf`` gives the max degree."""
+        """General Lp norm, ``p >= 1``; ``p = inf`` gives the max degree.
+
+        Never below the true norm, since join bounds multiply these: the
+        float result is rounded up past its error.  An empty sketch has
+        norm exactly 0.
+        """
         if p < 1:
             raise ValueError(f"Lp norms require p >= 1, got {p}")
         if math.isinf(p):
             return float(self.max_degree)
         if p == 1:
             return float(self.l1)
-        vec = self.freq.astype(np.float64)
-        total = float(np.power(vec, p).sum())
-        return float(total ** (1.0 / p))
+        total = float(np.power(self.freq.astype(np.float64), p).sum())
+        return float(total ** (1.0 / p)) * (1.0 + _ROUNDING_SLACK)
 
     # -- state ---------------------------------------------------------
 

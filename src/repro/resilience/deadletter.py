@@ -25,7 +25,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.metrics import MetricsRegistry
     from ..streams.relation import StreamRelation
+    from ..streams.tuples import OpKind
 
 __all__ = ["DeadLetter", "DeadLetterBuffer", "ReplayReport", "validate_rows"]
 
@@ -108,6 +110,33 @@ class DeadLetterBuffer:
             self.dropped += 1
         self._ring.append(letter)
         self.total += 1
+
+    def divert(
+        self,
+        relation: "StreamRelation",
+        rows: Sequence[Any] | NDArray[Any],
+        kind: "OpKind",
+        registry: "MetricsRegistry",
+    ) -> NDArray[Any]:
+        """Validate a batch bound for ``relation``; keep its bad rows here.
+
+        Returns the clean rows in input order (see :func:`validate_rows`).
+        Each rejected row becomes a :class:`DeadLetter` and counts once in
+        ``registry``'s ``repro_ingest_dead_letters_total``, per relation
+        and reason.
+        """
+        clean, rejects = validate_rows(relation, rows)
+        if rejects:
+            counter = registry.counter(
+                "repro_ingest_dead_letters_total",
+                "Rows rejected into the dead-letter buffer.",
+                labelnames=("relation", "reason"),
+            )
+            op_kind = kind.name.lower()
+            for row, reason in rejects:
+                self.add(DeadLetter(relation.name, row, op_kind, reason))
+                counter.labels(relation.name, reason).inc()
+        return clean
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -6,18 +6,20 @@ partitions every relation's rows across ``num_shards`` independent
 engines (each with its own telemetry registry and checkpoint directory)
 behind a :class:`~repro.sharding.executor.ShardExecutor`.
 
-Answering works per method family (see :mod:`repro.sharding.merge`):
+Every read is answered by a coordinator-side
+:class:`~repro.streams.engine.StreamEngine`, so estimation modes, the
+bound report, clamp metrics and the fault policy are the single engine's
+own (see :mod:`repro.sharding.merge` for which methods go where):
 
-* mergeable methods collect each shard's observer ``state_dict()``,
-  sum them into a *template* engine's synopses (registered over the same
-  specs and seed, so sign families and geometry match), and run the
-  template's unchanged estimate closure — one code path for equi-joins,
-  multi-joins, range and band queries alike;
+* mergeable methods fetch each shard's observer states once, sum them,
+  load the sums into a *template* engine registered over the same specs
+  and seed (so sign families and geometry match), and read the template —
+  one code path for equi-joins, multi-joins, range and band queries;
 * coordinator methods (``sample``, ``partitioned_sketch``, ``wavelet``)
-  answer from a coordinator-resident replica that observed the full
-  stream in arrival order, bit-identical to the unsharded engine;
-* exact answers reduce the shards' exact tensors (cell-disjoint by
-  construction) into the template and reuse its ground-truth path.
+  read a coordinator-resident replica that observed the full stream in
+  arrival order, bit-identical to the unsharded engine;
+* ground truth reduces the shards' exact tensors (cell-disjoint by
+  construction) and lends them to the template's relations for one read.
 
 Per-shard checkpoints write one rotated
 :class:`~repro.resilience.checkpoint.CheckpointStore` per shard plus a
@@ -37,10 +39,10 @@ same trace, parented under the coordinator span that caused them.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence, cast
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,23 +55,19 @@ from ..resilience.checkpoint import (
     domain_from_spec,
     domain_to_spec,
 )
-from ..resilience.deadletter import (
-    DeadLetter,
-    DeadLetterBuffer,
-    ReplayReport,
-    validate_rows,
-)
+from ..resilience.deadletter import DeadLetterBuffer, ReplayReport
 from ..resilience.errors import CheckpointError, DegradedQueryError
-from ..streams.engine import StreamEngine
+from ..streams.engine import StreamEngine, band_spec, join_spec, range_spec
 from ..streams.queries import JoinQuery
 from ..streams.tuples import OpKind
 from .executor import ShardError, ShardExecutor, resolve_executor
-from .merge import COORDINATOR_METHODS, MERGEABLE_METHODS, merge_observer_states
+from .merge import COORDINATOR_METHODS, merge_observer_states
 from .partition import split_rows
 
 __all__ = ["PartialAnswer", "ShardedStreamEngine"]
 
 _MANIFEST_NAME = "fleet-manifest.json"
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -154,20 +152,30 @@ class ShardedStreamEngine:
         self._executor.start(num_shards, seed, telemetry)
         self._relations: dict[str, _RelationMeta] = {}
         self._queries: dict[str, _QueryMeta] = {}
-        #: Template engine: empty relations + mergeable query registrations,
-        #: used to host merged synopsis state and reuse estimate closures.
-        self._merge_engine = StreamEngine(seed=seed, telemetry=Telemetry.disabled())
-        #: Full-stream replica for order-dependent methods; ``None`` until
-        #: the first ``sample`` / ``partitioned_sketch`` query registers.
-        self._coordinator: StreamEngine | None = None
         self._fault_policy: str | None = None
         #: Fleet-level dead-letter buffer (``None`` until
         #: :meth:`enable_dead_lettering`): malformed rows are quarantined
         #: *before* partitioning, so every shard only ever sees clean rows.
         self.dead_letters: DeadLetterBuffer | None = None
-        #: Coordinator-side metrics (dead-letter accounting) merged into
-        #: :meth:`fleet_metrics` alongside the shard registries.
+        #: Coordinator-side metrics (dead letters, and the answers of the
+        #: template and the replica) merged into :meth:`fleet_metrics`
+        #: alongside the shard registries.
         self._local_registry = MetricsRegistry()
+        #: Template engine: schema-only relations + mergeable query
+        #: registrations; merged shard states load into it and it answers.
+        self._merge_engine = StreamEngine(
+            seed=seed, telemetry=self._coordinator_telemetry(), shard="coordinator"
+        )
+        #: Full-stream replica for order-dependent methods; ``None`` until
+        #: the first ``sample`` / ``partitioned_sketch`` query registers.
+        self._coordinator: StreamEngine | None = None
+
+    def _coordinator_telemetry(self) -> Telemetry:
+        """The hub of the template and the replica: the fleet's local
+        registry, no tracing (the fleet's own spans cover their reads)."""
+        if not self._telemetry_enabled:
+            return Telemetry.disabled()
+        return Telemetry(tracing=False, registry=self._local_registry)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -253,19 +261,7 @@ class ShardedStreamEngine:
         meta = self._relations[relation_name]
         relation = self._merge_engine.relations[relation_name]
         if self.dead_letters is not None:
-            rows, rejects = validate_rows(relation, rows)
-            if rejects:
-                counter = self._local_registry.counter(
-                    "repro_ingest_dead_letters_total",
-                    "Rows rejected into the dead-letter buffer.",
-                    labelnames=("relation", "reason"),
-                )
-                op_kind = kind.name.lower()
-                for row, reason in rejects:
-                    self.dead_letters.add(
-                        DeadLetter(relation_name, row, op_kind, reason)
-                    )
-                    counter.labels(relation_name, reason).inc()
+            rows = self.dead_letters.divert(relation, rows, kind, self._local_registry)
         arr = relation.rows_array(rows)
         if arr.shape[0] == 0:
             return
@@ -315,128 +311,72 @@ class ShardedStreamEngine:
         replica, which is created — seeded with the merged exact tensors —
         on first use.
         """
-        if method in COORDINATOR_METHODS:
-            coordinator = True
-        elif method in MERGEABLE_METHODS:
-            coordinator = False
-        else:
-            raise ValueError(
-                f"unknown method {method!r}; choose from "
-                f"{sorted(MERGEABLE_METHODS | COORDINATOR_METHODS)}"
-            )
-        spec = {
-            "kind": "join",
-            "relations": list(query.relations),
-            "predicates": [str(p) for p in query.predicates],
-            "method": method,
-            "budget": budget,
-            "options": dict(options),
-        }
-        self._register_spec(name, spec, coordinator)
+        self.register_query_spec(name, join_spec(query, method, budget, options))
 
     def register_range_query(
         self, name: str, relation_name: str, attribute: str, low: Any, high: Any,
         budget: int = 200, **options: Any,
     ) -> None:
         """Register a range-COUNT query (cosine marginal; always mergeable)."""
-        spec = {
-            "kind": "range",
-            "relation": relation_name,
-            "attribute": attribute,
-            "low": low,
-            "high": high,
-            "budget": budget,
-            "options": dict(options),
-        }
-        self._register_spec(name, spec, coordinator=False)
+        spec = range_spec(relation_name, attribute, low, high, budget, options)
+        self.register_query_spec(name, spec)
 
     def register_band_query(
         self, name: str, left: tuple[str, str], right: tuple[str, str],
         width: int, budget: int = 200, **options: Any,
     ) -> None:
         """Register a band-join COUNT query (cosine marginals; mergeable)."""
-        spec = {
-            "kind": "band",
-            "left": list(left),
-            "right": list(right),
-            "width": width,
-            "budget": budget,
-            "options": dict(options),
-        }
-        self._register_spec(name, spec, coordinator=False)
+        self.register_query_spec(name, band_spec(left, right, width, budget, options))
 
     def register_query_spec(self, name: str, spec: dict[str, Any]) -> None:
         """Register a query from its serialized spec (the wire/manifest form).
 
         Accepts the same ``{"kind": "join" | "range" | "band", ...}``
         dictionaries the fleet manifest and the serve daemon's newline-JSON
-        protocol carry, deriving the coordinator/mergeable placement from
-        the method exactly as :meth:`register_query` does.
+        protocol carry.  A join whose method is order dependent
+        (:data:`~repro.sharding.merge.COORDINATOR_METHODS`) registers on
+        the replica; any other spec registers on the template, which
+        validates it before any shard sees it, then on every shard.
         """
-        kind = spec.get("kind")
-        if kind == "join":
-            method = str(spec.get("method", "cosine"))
-            if method in COORDINATOR_METHODS:
-                coordinator = True
-            elif method in MERGEABLE_METHODS:
-                coordinator = False
-            else:
-                raise ValueError(
-                    f"unknown method {method!r}; choose from "
-                    f"{sorted(MERGEABLE_METHODS | COORDINATOR_METHODS)}"
-                )
-        elif kind in ("range", "band"):
-            coordinator = False
-        else:
-            raise ValueError(
-                f"unknown query kind {kind!r}; choose from 'join', 'range', 'band'"
-            )
-        self._register_spec(name, dict(spec), coordinator)
-
-    def _register_spec(self, name: str, spec: dict[str, Any], coordinator: bool) -> None:
         if name in self._queries:
             raise ValueError(f"query {name!r} already registered")
+        spec = dict(spec)
+        coordinator = (
+            spec.get("kind") == "join" and spec.get("method") in COORDINATOR_METHODS
+        )
         if coordinator:
-            self._ensure_coordinator()
-            assert self._coordinator is not None
-            self._coordinator._register_from_spec(name, spec)
+            self._replica().register_query_spec(name, spec)
         else:
-            # The template registration validates the spec before any shard
-            # sees it, and builds the observers merged state is loaded into.
-            self._merge_engine._register_from_spec(name, spec)
+            self._merge_engine.register_query_spec(name, spec)
             self._executor.broadcast("register_query", name, spec)
         self._queries[name] = _QueryMeta(name, spec, coordinator)
 
-    def _ensure_coordinator(self) -> None:
-        if self._coordinator is not None:
-            return
-        coordinator = StreamEngine(
-            seed=self._seed,
-            telemetry=(
-                Telemetry(tracing=False)
-                if self._telemetry_enabled
-                else Telemetry.disabled()
-            ),
-            shard="coordinator",
-        )
-        for meta in self._relations.values():
-            relation = coordinator.create_relation(
-                meta.name, meta.attributes, meta.domains
+    def _replica(self) -> StreamEngine:
+        """The full-stream replica, created from the merged tensors on first use."""
+        if self._coordinator is None:
+            coordinator = StreamEngine(
+                seed=self._seed,
+                telemetry=self._coordinator_telemetry(),
+                shard="coordinator",
             )
-            merged = self.merged_counts(meta.name) if self.num_shards else None
-            if merged is not None and merged.sum() > 0:
-                relation.load_counts(merged)
-        if self._fault_policy is not None:
-            coordinator.enable_fault_isolation(self._fault_policy)
-        self._coordinator = coordinator
+            for meta in self._relations.values():
+                relation = coordinator.create_relation(
+                    meta.name, meta.attributes, meta.domains
+                )
+                merged = self.merged_counts(meta.name)
+                if merged.sum() > 0:
+                    relation.load_counts(merged)
+            if self._fault_policy is not None:
+                coordinator.enable_fault_isolation(self._fault_policy)
+            self._coordinator = coordinator
+        return self._coordinator
 
     def unregister_query(self, name: str) -> None:
         meta = self._queries.pop(name, None)
         if meta is None:
             raise KeyError(f"no query named {name!r}")
         if meta.coordinator:
-            assert self._coordinator is not None
-            self._coordinator.unregister_query(name)
+            self._replica().unregister_query(name)
         else:
             self._merge_engine.unregister_query(name)
             self._executor.broadcast("unregister_query", name)
@@ -448,19 +388,19 @@ class ShardedStreamEngine:
     # answers
     # ------------------------------------------------------------------ #
 
-    def answer(self, name: str) -> float:
-        """Current fleet estimate of a registered query.
+    def _read(self, name: str, read: Callable[[StreamEngine], _T]) -> _T:
+        """Apply ``read`` to the engine answering ``name``, its state current.
 
-        Coordinator-method queries answer from the replica; mergeable
-        queries merge per-shard synopsis state into the template and run
-        its estimate closure.  A query degraded on *any* shard follows the
-        :meth:`enable_fault_isolation` policy (raise / NaN / exact),
-        leaving every other query untouched.
+        The replica is always current.  For a mergeable query, every
+        shard's observer states are fetched once, summed and loaded into
+        the template; a query degraded on any shard is loaded degraded
+        instead, with that shard's reason, so the template's fault
+        policy decides the read; only ``"exact"`` fetches the merged
+        ground truth of the query's relations.
         """
         meta = self._queries[name]
         if meta.coordinator:
-            assert self._coordinator is not None
-            return float(self._coordinator.answer(name))
+            return read(self._replica())
         method = str(meta.spec.get("method", meta.spec.get("kind", "")))
         span = (
             self.tracer.propagated_span("estimate", query=name, method=method)
@@ -469,29 +409,56 @@ class ShardedStreamEngine:
         )
         with span as traceparent:
             replies = self._executor.broadcast("query_observers", name, traceparent)
-            return self._merge_answer(name, replies)
+            degraded = [(shard, reason) for shard, (reason, _) in enumerate(replies) if reason]
+            if not degraded:
+                self._load_merged_states(name, [states for _, states in replies])
+                return read(self._merge_engine)
+            shard, reason = degraded[0]
+            self._merge_engine.load_query_states(
+                name, [], degraded=f"shard {shard}: {reason}"
+            )
+            exact = self._fault_policy == "exact"
+            with self._merged_truth(name) if exact else nullcontext():
+                return read(self._merge_engine)
 
-    def _merge_answer(self, name: str, replies: list[Any]) -> float:
-        degraded = {
-            shard: reason for shard, (reason, _) in enumerate(replies) if reason
-        }
-        if degraded:
-            shard, reason = next(iter(degraded.items()))
-            policy = self._fault_policy or "raise"
-            if policy == "raise":
-                raise DegradedQueryError(name, f"shard {shard}: {reason}")
-            if policy == "nan":
-                return float("nan")
-            return self.exact_answer(name)
-        state = self._merge_engine._queries[name]
-        self._load_merged_states(state, replies)
-        return float(state.estimate())
+    def _load_merged_states(self, name: str, shard_states: list[list[Any]]) -> None:
+        """Sum each observer's per-shard states into the template's query."""
+        merged = [merge_observer_states(list(states)) for states in zip(*shard_states)]
+        self._merge_engine.load_query_states(name, merged)
 
-    def _load_merged_states(self, state: Any, replies: list[Any]) -> None:
-        """Sum per-shard observer states into the template's observers."""
-        per_observer = zip(*[states for _, states in replies])
-        for (_, observer), states in zip(state.attachments, per_observer):
-            observer.load_state(merge_observer_states(list(states)))
+    @contextmanager
+    def _merged_truth(self, name: str) -> Iterator[None]:
+        """Lend the template the merged exact tensors of ``name``'s relations.
+
+        The template never ingests, so its relations hold zeros; they get
+        them back after the read, leaving no merged tensor in memory and
+        no stale truth for a later registration to replay.
+        """
+        relations = self._merge_engine.relations
+        spec = self._queries[name].spec
+        if spec["kind"] == "join":
+            names = list(spec["relations"])
+        elif spec["kind"] == "range":
+            names = [spec["relation"]]
+        else:
+            names = [spec["left"][0], spec["right"][0]]
+        empty = {rel: relations[rel].counts for rel in names}
+        try:
+            for rel in empty:
+                relations[rel].counts = self.merged_counts(rel)
+            yield
+        finally:
+            for rel, counts in empty.items():
+                relations[rel].counts = counts
+
+    def answer(self, name: str) -> float:
+        """Current fleet estimate of a registered query.
+
+        A query degraded on *any* shard follows the
+        :meth:`enable_fault_isolation` policy (raise / NaN / exact),
+        leaving every other query untouched.
+        """
+        return float(self._read(name, lambda engine: engine.answer(name)))
 
     def answers(self) -> dict[str, float]:
         return {name: self.answer(name) for name in self._queries}
@@ -515,8 +482,7 @@ class ShardedStreamEngine:
         """
         meta = self._queries[name]
         if meta.coordinator:
-            assert self._coordinator is not None
-            value = float(self._coordinator.answer(name))
+            value = self.answer(name)
             return PartialAnswer(value, value, self.num_shards, self.num_shards)
         method = str(meta.spec.get("method", meta.spec.get("kind", "")))
         span = (
@@ -527,7 +493,7 @@ class ShardedStreamEngine:
             else nullcontext(None)
         )
         with span as traceparent:
-            survivors: dict[int, Any] = {}
+            survivors: list[Any] = []
             missing: list[int] = []
             for shard in range(self.num_shards):
                 try:
@@ -542,14 +508,11 @@ class ShardedStreamEngine:
                     # shard: its synopsis state is unusable, same as lost.
                     missing.append(shard)
                 else:
-                    survivors[shard] = states
+                    survivors.append(states)
             if not survivors:
                 raise DegradedQueryError(name, "no surviving shards")
-            state = self._merge_engine._queries[name]
-            per_observer = zip(*survivors.values())
-            for (_, observer), states in zip(state.attachments, per_observer):
-                observer.load_state(merge_observer_states(list(states)))
-            raw = float(state.estimate())
+            self._load_merged_states(name, survivors)
+            raw = float(self._merge_engine.answer(name))
         scale = self.num_shards / len(survivors)
         return PartialAnswer(
             raw * scale, raw, len(survivors), self.num_shards, tuple(missing)
@@ -558,132 +521,44 @@ class ShardedStreamEngine:
     def estimate(self, name: str, mode: str = "answer") -> float:
         """Answer one query in a chosen estimation mode (fleet surface).
 
-        Mirrors :meth:`repro.streams.engine.StreamEngine.estimate`:
-        ``"answer"`` is the merged point estimate, ``"upper_bound"`` the
-        guaranteed degree-sequence bound, ``"clamped"`` their minimum.
-        The bound modes require ``bounds=True`` at registration.
+        The modes, their errors and the fault policy are those of
+        :meth:`repro.streams.engine.StreamEngine.estimate`, run on the
+        merged state.
         """
-        if mode == "answer":
-            return self.answer(name)
-        if mode not in ("upper_bound", "clamped"):
-            raise ValueError(
-                f"unknown estimation mode {mode!r}; "
-                "choose from 'answer', 'upper_bound', 'clamped'"
-            )
-        if mode == "upper_bound":
-            return self._merged_upper_bound(name)
-        report = self.bound_report(name)
-        if report is None:
-            raise ValueError(
-                f"query {name!r} was not registered with bounds=True; "
-                f"mode {mode!r} needs degree statistics"
-            )
-        return float(report["clamped"])
-
-    def _merged_upper_bound(self, name: str) -> float:
-        """The fleet bound alone: no point estimate is computed, so it
-        works even where the method's estimator cannot answer yet."""
-        meta = self._queries[name]
-        if meta.coordinator:
-            assert self._coordinator is not None
-            return float(self._coordinator.estimate(name, mode="upper_bound"))
-        state = self._merge_engine._queries[name]
-        if state.bound_calc is None:
-            raise ValueError(
-                f"query {name!r} was not registered with bounds=True; "
-                "mode 'upper_bound' needs degree statistics"
-            )
-        replies = self._executor.broadcast("query_observers", name, None)
-        if any(reason for reason, _ in replies):
-            return float("nan")
-        self._load_merged_states(state, replies)
-        return float(state.bound_calc.upper_bound())
+        return float(self._read(name, lambda engine: engine.estimate(name, mode)))
 
     def bound_report(self, name: str) -> dict[str, Any] | None:
         """Bound metadata for one query, or ``None`` when bounds are off.
 
-        Coordinator-method queries delegate to the full-stream replica.
-        Mergeable queries sum per-shard degree vectors (exact ``int64``
-        sums, see :mod:`repro.sharding.merge`) into the template engine,
-        so the fleet bound is *identical* to a single unsharded engine's
-        — the parity the sharded soundness tests pin down.  A query
-        degraded on any shard answers per the fault policy and reports a
-        NaN bound (its degree state on that shard is unusable).
+        :meth:`repro.streams.engine.StreamEngine.bound_report` run on the
+        merged state.  Degree statistics are exact ``int64`` vectors that
+        sum across shards (see :mod:`repro.sharding.merge`), so the fleet
+        bound is *identical* to a single unsharded engine's.  Whether
+        bounds are on is read from the spec, so a bound-less query costs
+        no state fetch.
         """
-        meta = self._queries[name]
-        if meta.coordinator:
-            assert self._coordinator is not None
-            return cast("dict[str, Any] | None", self._coordinator.bound_report(name))
-        state = self._merge_engine._queries[name]
-        if state.bound_calc is None:
+        if not self._queries[name].spec.get("options", {}).get("bounds"):
             return None
-        replies = self._executor.broadcast("query_observers", name, None)
-        estimate = self._merge_answer(name, replies)
-        if any(reason for reason, _ in replies):
-            return {
-                "estimate": estimate,
-                "upper_bound": float("nan"),
-                "clamped": estimate,
-                "clamp_fired": False,
-            }
-        # _merge_answer loaded every observer's merged state — including
-        # the degree sketches the template's calculator reads.
-        bound = float(state.bound_calc.upper_bound())
-        clamped = estimate if estimate <= bound else bound
-        fired = bool(estimate > bound)
-        if fired:
-            self._local_registry.counter(
-                "repro_bound_clamps_total",
-                "Answers clamped because the point estimate exceeded the "
-                "guaranteed upper bound, per query.",
-                labelnames=("query",),
-            ).labels(name).inc()
-        tightness = 1.0 if bound <= 0 else min(1.0, max(clamped, 0.0) / bound)
-        self._local_registry.gauge(
-            "repro_bound_tightness_ratio",
-            "Clamped estimate as a fraction of its guaranteed upper bound, "
-            "per query (1.0 = estimate at or above the bound).",
-            labelnames=("query",),
-        ).labels(name).set(tightness)
-        return {
-            "estimate": estimate,
-            "upper_bound": bound,
-            "clamped": clamped,
-            "clamp_fired": fired,
-        }
+        return self._read(name, lambda engine: engine.bound_report(name))
 
     def exact_answer(self, name: str) -> float:
         """Ground-truth answer from the merged exact tensors."""
-        meta = self._queries[name]
-        if meta.coordinator:
-            assert self._coordinator is not None
-            return float(self._coordinator.exact_answer(name))
-        template = self._merge_engine
-        saved: dict[str, tuple[Any, Any]] = {}
-        for rel_name, relation in template.relations.items():
-            saved[rel_name] = (relation.counts, relation._count)
-            merged = self.merged_counts(rel_name)
-            relation.counts = merged
-            relation._count = int(merged.sum())
-        try:
-            return float(template.exact_answer(name))
-        finally:
-            for rel_name, (counts, count) in saved.items():
-                relation = template.relations[rel_name]
-                relation.counts = counts
-                relation._count = count
+        if self._queries[name].coordinator:
+            return float(self._replica().exact_answer(name))
+        with self._merged_truth(name):
+            return float(self._merge_engine.exact_answer(name))
 
     # ------------------------------------------------------------------ #
     # fault isolation
     # ------------------------------------------------------------------ #
 
     def enable_fault_isolation(self, policy: str = "raise") -> None:
-        """Quarantine throwing observers shard-locally (fleet-wide policy)."""
-        if policy not in ("raise", "nan", "exact"):
-            raise ValueError(
-                f"unknown degraded-answer policy {policy!r}; "
-                "choose from 'raise', 'nan', 'exact'"
-            )
+        """Quarantine throwing observers shard-locally (fleet-wide policy).
+
+        The template takes (and validates) the policy too, so a query
+        degraded on any shard reads as a degraded query of one engine.
+        """
+        self._merge_engine.enable_fault_isolation(policy)
         self._fault_policy = policy
         self._executor.broadcast("enable_fault_isolation", policy)
         if self._coordinator is not None:
@@ -731,7 +606,7 @@ class ShardedStreamEngine:
     # ------------------------------------------------------------------ #
 
     def fleet_metrics(self) -> MetricsRegistry:
-        """All shard registries (plus the coordinator's) merged into one.
+        """All shard registries (plus the coordinator side's) merged into one.
 
         Unlabelled counters sum into fleet totals; ``shard``-labelled
         families keep one child per shard, the layout fleet dashboards
@@ -740,8 +615,6 @@ class ShardedStreamEngine:
         merged = MetricsRegistry()
         for registry in self._executor.broadcast("registry"):
             merged.merge(registry)
-        if self._coordinator is not None:
-            merged.merge(self._coordinator.telemetry.registry)
         merged.merge(self._local_registry)
         supervisor_registry = getattr(self._executor, "metrics_registry", None)
         if isinstance(supervisor_registry, MetricsRegistry):
@@ -885,20 +758,16 @@ class ShardedStreamEngine:
             if latest is None:
                 raise CheckpointError(f"no coordinator checkpoints in {directory}")
             engine._coordinator = StreamEngine.load_checkpoint(
-                latest,
-                telemetry=(
-                    Telemetry(tracing=False) if telemetry else Telemetry.disabled()
-                ),
-                shard="coordinator",
+                latest, telemetry=engine._coordinator_telemetry(), shard="coordinator"
             )
         for entry in manifest["queries"]:
             if not entry["coordinator"]:
-                engine._merge_engine._register_from_spec(entry["name"], entry["spec"])
+                engine._merge_engine.register_query_spec(entry["name"], entry["spec"])
             engine._queries[entry["name"]] = _QueryMeta(
                 entry["name"], entry["spec"], entry["coordinator"]
             )
         if manifest.get("fault_policy") is not None:
-            engine._fault_policy = manifest["fault_policy"]
+            engine.enable_fault_isolation(manifest["fault_policy"])
         if manifest.get("dead_letter_capacity") is not None:
             # The buffer's *contents* are not checkpointed (letters are a
             # quarantine, not state); only the guard itself is restored.

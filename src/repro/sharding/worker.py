@@ -81,7 +81,7 @@ class ShardWorker:
         )
 
     def register_query(self, name: str, spec: dict[str, Any]) -> None:
-        self.engine._register_from_spec(name, spec)
+        self.engine.register_query_spec(name, spec)
 
     def unregister_query(self, name: str) -> None:
         self.engine.unregister_query(name)
@@ -99,11 +99,10 @@ class ShardWorker:
         """This shard's (degraded_reason, per-observer state dicts) for a query."""
         self._adopt(traceparent)
         tracer = self.engine.telemetry.tracer
-        state = self.engine._queries[name]
         if tracer is not None:
             with tracer.span("estimate", query=name, phase="collect_state"):
-                return state.degraded, [obs.state_dict() for _, obs in state.attachments]
-        return state.degraded, [obs.state_dict() for _, obs in state.attachments]
+                return self.engine.query_states(name)
+        return self.engine.query_states(name)
 
     def drain_spans(self) -> list[SpanEvent]:
         """Hand over (and clear) this shard's buffered spans, oldest-first."""

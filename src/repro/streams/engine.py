@@ -56,7 +56,7 @@ from ..resilience.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from ..resilience.deadletter import DeadLetter, DeadLetterBuffer, validate_rows
+from ..resilience.deadletter import DeadLetterBuffer
 from ..resilience.errors import CheckpointError, DegradedQueryError
 from ..core.synopsis import CosineSynopsis
 from ..histograms.equiwidth import EquiWidthHistogram
@@ -98,6 +98,51 @@ def embed_counts_tensor(
         embedded = np.stack([embed_counts(col, orig, uni) for col in flat.T], axis=1)
         out = np.moveaxis(embedded.reshape((uni.size,) + moved.shape[1:]), 0, axis)
     return out
+
+
+def join_spec(
+    query: JoinQuery, method: str, budget: int, options: Mapping[str, Any]
+) -> dict[str, Any]:
+    """The serialized registration of a join query (checkpoint and wire form)."""
+    return {
+        "kind": "join",
+        "relations": list(query.relations),
+        "predicates": [str(p) for p in query.predicates],
+        "method": method,
+        "budget": budget,
+        "options": dict(options),
+    }
+
+
+def range_spec(
+    relation: str, attribute: str, low: Any, high: Any, budget: int,
+    options: Mapping[str, Any],
+) -> dict[str, Any]:
+    """The serialized registration of a range-COUNT query."""
+    return {
+        "kind": "range",
+        "relation": relation,
+        "attribute": attribute,
+        "low": low,
+        "high": high,
+        "budget": budget,
+        "options": dict(options),
+    }
+
+
+def band_spec(
+    left: Sequence[str], right: Sequence[str], width: int, budget: int,
+    options: Mapping[str, Any],
+) -> dict[str, Any]:
+    """The serialized registration of a band-join COUNT query."""
+    return {
+        "kind": "band",
+        "left": list(left),
+        "right": list(right),
+        "width": width,
+        "budget": budget,
+        "options": dict(options),
+    }
 
 
 class _QueryState:
@@ -338,19 +383,7 @@ class ContinuousQueryEngine:
         """
         relation = self.relations[relation_name]
         if self.dead_letters is not None:
-            rows, rejects = validate_rows(relation, rows)
-            if rejects:
-                counter = self.telemetry.registry.counter(
-                    "repro_ingest_dead_letters_total",
-                    "Rows rejected into the dead-letter buffer.",
-                    labelnames=("relation", "reason"),
-                )
-                op_kind = kind.name.lower()
-                for row, reason in rejects:
-                    self.dead_letters.add(
-                        DeadLetter(relation_name, row, op_kind, reason)
-                    )
-                    counter.labels(relation_name, reason).inc()
+            rows = self.dead_letters.divert(relation, rows, kind, self.telemetry.registry)
         if len(rows) == 0:
             return
         if kind is OpKind.INSERT:
@@ -414,15 +447,7 @@ class ContinuousQueryEngine:
                 state.bound_calc = self._attach_bounds(query)
             return state
 
-        spec = {
-            "kind": "join",
-            "relations": list(query.relations),
-            "predicates": [str(p) for p in query.predicates],
-            "method": method,
-            "budget": budget,
-            "options": dict(options),
-        }
-        self._install(name, spec, build)
+        self._install(name, join_spec(query, method, budget, options), build)
 
     def unregister_query(self, name: str) -> None:
         """Drop a continuous query; detach the observers no other query holds."""
@@ -496,15 +521,7 @@ class ContinuousQueryEngine:
             state.exact = exact  # type: ignore[attr-defined]
             return state
 
-        spec = {
-            "kind": "range",
-            "relation": relation_name,
-            "attribute": attribute,
-            "low": low,
-            "high": high,
-            "budget": budget,
-            "options": dict(options),
-        }
+        spec = range_spec(relation_name, attribute, low, high, budget, options)
         self._install(name, spec, build)
 
     def register_band_query(
@@ -568,15 +585,47 @@ class ContinuousQueryEngine:
             state.exact = exact  # type: ignore[attr-defined]
             return state
 
-        spec = {
-            "kind": "band",
-            "left": list(left),
-            "right": list(right),
-            "width": width,
-            "budget": budget,
-            "options": dict(options),
-        }
-        self._install(name, spec, build)
+        self._install(name, band_spec(left, right, width, budget, options), build)
+
+    def register_query_spec(self, name: str, spec: Mapping[str, Any]) -> None:
+        """Register a query from its serialized spec.
+
+        Takes the ``{"kind": "join" | "range" | "band", ...}`` dictionaries
+        that :func:`join_spec`, :func:`range_spec` and :func:`band_spec`
+        build: the form checkpoints, fleet manifests and the serve
+        daemon's protocol carry.
+        """
+        kind = spec.get("kind")
+        options = dict(spec.get("options", {}))
+        if kind == "join":
+            query = JoinQuery.parse(spec["relations"], spec["predicates"])
+            self.register_query(
+                name, query, method=spec["method"], budget=spec["budget"], **options
+            )
+        elif kind == "range":
+            self.register_range_query(
+                name,
+                spec["relation"],
+                spec["attribute"],
+                spec["low"],
+                spec["high"],
+                budget=spec["budget"],
+                **options,
+            )
+        elif kind == "band":
+            self.register_band_query(
+                name,
+                tuple(spec["left"]),
+                tuple(spec["right"]),
+                spec["width"],
+                budget=spec["budget"],
+                **options,
+            )
+        else:
+            raise ValueError(
+                f"query {name!r} has unknown kind {kind!r}; "
+                "choose from 'join', 'range', 'band'"
+            )
 
     def answer(self, name: str) -> float:
         """Current estimate of a registered query.
@@ -634,6 +683,47 @@ class ContinuousQueryEngine:
             for r in query.relations
         ]
         return exact_multijoin_size(tensors, query.slot_pairs(schemas))
+
+    def query_states(self, name: str) -> tuple[str | None, list[dict[str, Any]]]:
+        """A query's degradation reason and the state of each observer it reads.
+
+        The states come in the query's attachment order, which every
+        engine registering the same spec shares, so another engine's
+        :meth:`load_query_states` takes them as they are (a fleet sums
+        its shards' lists first).
+        """
+        state = self._queries[name]
+        return state.degraded, [observer.state_dict() for _, observer in state.attachments]
+
+    def load_query_states(
+        self, name: str, states: Sequence[dict[str, Any]], degraded: str | None = None
+    ) -> None:
+        """Overwrite a query's observer states with ones :meth:`query_states` gave.
+
+        A ``degraded`` reason marks the query degraded instead, so its
+        reads follow the :meth:`enable_fault_isolation` policy; loading
+        states clears the mark, unless this engine quarantined one of the
+        query's observers (a ``ValueError``: that observer no longer sees
+        the stream).  This is how a sharded fleet's template engine
+        answers: from merged shard states, through the same modes, bound
+        report and fault policy as any engine.
+        """
+        state = self._queries[name]
+        if degraded is None and len(states) != len(state.attachments):
+            raise ValueError(
+                f"query {name!r} reads {len(state.attachments)} observers, "
+                f"got {len(states)} states"
+            )
+        if degraded is None and state.degraded is not None:
+            live = {id(share.observer) for share in self._shared.values()}
+            if any(id(observer) not in live for _, observer in state.attachments):
+                raise ValueError(
+                    f"query {name!r} reads a quarantined observer; "
+                    "re-register it instead of loading states"
+                )
+        state.degraded = degraded
+        for (_, observer), observer_state in zip(state.attachments, states):
+            observer.load_state(observer_state)
 
     def space_report(self) -> dict[str, dict[str, int]]:
         """Per-query, per-relation synopsis space (paper units)."""
@@ -930,7 +1020,10 @@ class ContinuousQueryEngine:
             states = payload["observers"]
             quarantined = set(payload["quarantined"])
             for entry in payload["queries"]:
-                engine._register_from_spec(entry["name"], entry["spec"])
+                try:
+                    engine.register_query_spec(entry["name"], entry["spec"])
+                except ValueError as exc:
+                    raise CheckpointError(f"checkpoint {path}: {exc}") from exc
                 state = engine._queries[entry["name"]]
                 refs = entry["observers"]
                 if len(refs) != len(state.attachments):
@@ -958,39 +1051,6 @@ class ContinuousQueryEngine:
                 f"checkpoint {path} is missing field {exc.args[0]!r}"
             ) from exc
         return engine
-
-    def _register_from_spec(self, name: str, spec: dict[str, Any]) -> None:
-        """Re-register a checkpointed query from its recorded spec."""
-        kind = spec.get("kind")
-        options = dict(spec.get("options", {}))
-        if kind == "join":
-            query = JoinQuery.parse(spec["relations"], spec["predicates"])
-            self.register_query(
-                name, query, method=spec["method"], budget=spec["budget"], **options
-            )
-        elif kind == "range":
-            self.register_range_query(
-                name,
-                spec["relation"],
-                spec["attribute"],
-                spec["low"],
-                spec["high"],
-                budget=spec["budget"],
-                **options,
-            )
-        elif kind == "band":
-            self.register_band_query(
-                name,
-                tuple(spec["left"]),
-                tuple(spec["right"]),
-                spec["width"],
-                budget=spec["budget"],
-                **options,
-            )
-        else:
-            raise CheckpointError(
-                f"checkpoint query {name!r} has unknown kind {kind!r}"
-            )
 
     # ------------------------------------------------------------------ #
     # method builders

@@ -30,6 +30,17 @@ def two_way(r_counts, s_counts):
     )
 
 
+class TestSingleValueWorstCase:
+    def test_bound_covers_every_single_value_pair(self):
+        # the paper's section 4.3.2 worst case: R holds n1 copies of one
+        # value and S holds n2, so the join holds exactly n1 * n2 tuples;
+        # every Hölder candidate is exact here, and none may round below
+        for n1 in range(1, 40):
+            for n2 in range(1, 40):
+                bound = two_way([0, n1, 0], [0, n2, 0]).upper_bound()
+                assert bound >= n1 * n2, (n1, n2, bound)
+
+
 class TestTwoWayBounds:
     def test_bound_dominates_the_exact_join_size(self):
         r, s = [3, 1, 0, 2], [1, 4, 2, 0]

@@ -8,6 +8,7 @@ checkpoints) leans on these two facts.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,12 @@ from repro.bounds.degree import DegreeObserver, DegreeSketch
 from repro.core.normalization import Domain
 from repro.streams.relation import StreamRelation
 from repro.streams.tuples import OpKind, StreamOp
+
+
+def sketch_of(counts):
+    sketch = DegreeSketch(len(counts))
+    sketch.load_counts(np.array(counts, dtype=np.int64))
+    return sketch
 
 
 class TestDegreeSketch:
@@ -75,6 +82,16 @@ class TestDegreeSketch:
             sketch.load_counts(np.zeros(4))
         with pytest.raises(ValueError, match="p >= 1"):
             sketch.lp(0.5)
+
+    def test_lp_never_rounds_below_the_true_norm(self):
+        # every norm rounds up, also where the float power sum drops the
+        # small terms (2**40 cubed swallows 3 cubed)
+        assert sketch_of([5, 0]).lp(2) >= 5.0
+        assert sketch_of([0, 7]).lp(3) >= 7.0
+        assert sketch_of([5, 0]).lp(1.5) >= 5.0
+        for counts, p in (([4, 2, 1], 2), ([4, 2, 1], 3), ([2**40, 3], 3)):
+            total = sum(c**p for c in counts)
+            assert Fraction(sketch_of(counts).lp(p)) ** p >= total, (counts, p)
 
     def test_empty_sketch_norms_are_zero(self):
         sketch = DegreeSketch(8)

@@ -131,15 +131,15 @@ def feed(engine, ops):
         engine.ingest_batch(rel, rows, kind)
 
 
-def assert_sound(engine, methods, slack=1e-6):
+def assert_sound(engine, methods):
     """The bound contract for every registered method, at one probe point."""
     for method in methods:
         name = f"q_{method}"
         exact = engine.exact_answer(name)
         report = engine.bound_report(name)
         bound = report["upper_bound"]
-        assert exact <= bound * (1 + 1e-9) + slack, (method, exact, bound)
-        assert report["clamped"] <= bound * (1 + 1e-9) + slack, (method, report)
+        assert exact <= bound, (method, exact, bound)
+        assert report["clamped"] <= bound, (method, report)
         expected = min(report["estimate"], bound)
         assert report["clamped"] == expected, (method, report)
         assert report["clamp_fired"] == (report["estimate"] > bound), (

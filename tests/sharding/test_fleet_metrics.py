@@ -77,3 +77,29 @@ class TestFleetMetrics:
             stats = fleet.shard_stats()
         assert len(stats) == 3
         assert sum(s["tuples_ingested"] for s in stats) == 400
+
+
+class TestFleetAnswerMetrics:
+    """Fleet answers record what one engine's answers record, no more."""
+
+    def test_disabled_telemetry_records_no_bound_metrics(self):
+        with ShardedStreamEngine(num_shards=2, seed=0, telemetry=False) as fleet:
+            domain = Domain.of_size(32)
+            fleet.create_relation("R1", ["A"], [domain])
+            fleet.create_relation("R2", ["A"], [domain])
+            fleet.register_query("q", QUERY, method="basic_sketch", budget=16, bounds=True)
+            feed(fleet)
+            assert fleet.bound_report("q") is not None
+            assert fleet.fleet_metrics().get("repro_bound_tightness_ratio") is None
+
+    def test_mergeable_answers_are_counted_like_coordinator_answers(self):
+        with build_fleet() as fleet:
+            fleet.register_query("agms", QUERY, method="basic_sketch", budget=16)
+            fleet.register_query("samp", QUERY, method="sample", budget=16)
+            feed(fleet)
+            fleet.answer("agms")
+            fleet.answer("samp")
+            snap = fleet.fleet_metrics().snapshot()
+        served = snap["repro_query_estimates_total"]["values"]
+        assert served == {"agms,coordinator": 1, "samp,coordinator": 1}
+        assert snap["repro_estimate_latency_seconds"]["count"] == 2
