@@ -15,7 +15,6 @@ note the hidden space consumed by the skimmed sketch").
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
 
@@ -262,26 +261,13 @@ class PreparedSample:
         if budget in self._cache:
             return self._cache[budget]
         rng = np.random.default_rng(self.seed + budget)
-        samples: list[BernoulliSample] = []
-        counters: list[Counter[Any]] = []
-        for tensor in self.relations:
-            total = int(tensor.sum())
-            probability = min(1.0, budget / max(total, 1))
-            sample = BernoulliSample(probability, seed=int(rng.integers(1 << 31)))
-            counter: Counter[Any] = Counter()
-            flat = tensor.ravel()
-            nz = np.flatnonzero(flat)
-            kept = rng.binomial(flat[nz].astype(np.int64), probability)
-            for cell, k in zip(nz, kept):
-                if k:
-                    idx = np.unravel_index(cell, tensor.shape)
-                    key = tuple(int(i) for i in idx)
-                    counter[key if len(key) > 1 else key[0]] += int(k)
-            sample.stream_size = total
-            sample.sampled_size = int(kept.sum())
-            samples.append(sample)
-            counters.append(counter)
-        result = estimate_chain_join_size_samples(samples, counters)
+        samples = [
+            BernoulliSample.from_counts(
+                tensor, min(1.0, budget / max(int(tensor.sum()), 1)), rng
+            )
+            for tensor in self.relations
+        ]
+        result = estimate_chain_join_size_samples(samples)
         self._cache[budget] = result
         return result
 

@@ -1,17 +1,20 @@
 """Versioned, integrity-checked engine checkpoints.
 
-File format (version 2): one ASCII JSON header line, a newline, then the
+File format (version 3): one ASCII JSON header line, a newline, then the
 pickled payload bytes::
 
-    {"magic": "repro-checkpoint", "version": 2,
+    {"magic": "repro-checkpoint", "version": 3,
      "sha256": "<hex digest of the payload bytes>", "payload_bytes": N}
     <N bytes of pickle>
 
 Version 2 changed the engine payload: synopses shared by several queries
 are stored once, in a top-level ``"observers"`` list, each query refers
 to its observers by position in that list, and ``"quarantined"`` lists
-the positions of observers fault isolation detached.  Version 1 files
-(one state per query attachment) are refused.
+the positions of observers fault isolation detached.  Version 3 stores a
+Bernoulli sample as two arrays over its query's unified index grid —
+sorted flat cell ids and their counts, each in the narrowest integer
+dtype that holds it — instead of two Python dicts.  Version 1 files (one
+state per query attachment) and version 2 files are refused.
 
 The header is what makes a checkpoint *checkable before it is trusted*:
 :func:`read_checkpoint` refuses files whose magic/version do not match,
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Rotated checkpoint files: ``checkpoint-00000042.ckpt``.
 _STORE_PATTERN = re.compile(r"^checkpoint-(\d{8})\.ckpt$")

@@ -10,7 +10,7 @@ is bumped.
 """
 
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 STATE_MANIFEST = {
     'src/repro/bounds/degree.py::DegreeObserver': [
@@ -29,6 +29,7 @@ STATE_MANIFEST = {
     ],
     'src/repro/sampling/reservoir.py::BernoulliSample': [
         '_rng',
+        'cells',
         'counts',
         'probability',
         'sampled_size',
@@ -55,7 +56,6 @@ STATE_MANIFEST = {
         'sketch',
     ],
     'src/repro/streams/engine.py::_SampleObserver': [
-        'counter',
         'sample',
     ],
     'src/repro/streams/engine.py::_SketchObserver': [

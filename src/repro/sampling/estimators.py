@@ -14,6 +14,7 @@ per-value variance decomposition of the cross-product statistic.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -42,24 +43,28 @@ def _sample_cross_count(a: Counter[Any], b: Counter[Any]) -> float:
 
 
 def estimate_join_size_bernoulli(a: BernoulliSample, b: BernoulliSample) -> SampleJoinEstimate:
-    """Unbiased join size estimate from two independent Bernoulli samples."""
+    """Unbiased join size estimate from two independent Bernoulli samples.
+
+    Both samples must sit on the same one-dimensional grid: the join
+    attribute's unified domain.
+    """
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"samples on grids {a.shape} and {b.shape} do not join on one attribute")
     scale = 1.0 / (a.probability * b.probability)
-    cross = _sample_cross_count(a.counts, b.counts)
-    estimate = cross * scale
+    _, ia, ib = np.intersect1d(a.cells, b.cells, assume_unique=True, return_indices=True)
+    dtype = _exact_dtype([a, b])
+    ca, cb = a.counts[ia], b.counts[ib]
+    estimate = int(ca.astype(dtype) @ cb.astype(dtype)) * scale
     # Var[s1(v) s2(v)] for independent binomial thinnings, summed over the
     # sampled support, gives a plug-in variance for the scaled statistic.
-    var = 0.0
-    for v, ca in a.counts.items():
-        cb = b.counts.get(v, 0)
-        if cb == 0:
-            continue
-        # plug-in frequencies
-        fa, fb = ca / a.probability, cb / b.probability
-        var += (
+    fa, fb = ca / a.probability, cb / b.probability
+    var = float(
+        np.sum(
             fa * fb * (1 - a.probability) * (1 - b.probability)
             + fa * fb**2 * a.probability * (1 - a.probability)
             + fb * fa**2 * b.probability * (1 - b.probability)
-        ) / (a.probability * b.probability)
+        )
+    ) / (a.probability * b.probability)
     return SampleJoinEstimate(estimate=estimate, std_error=float(np.sqrt(max(var, 0.0))))
 
 
@@ -77,42 +82,48 @@ def estimate_join_size_reservoir(a: ReservoirSample, b: ReservoirSample) -> Samp
     return SampleJoinEstimate(estimate=estimate, std_error=std_error)
 
 
-def estimate_chain_join_size_samples(
-    samples: Sequence[BernoulliSample],
-    sample_tuples: Sequence[Counter[Any]],
-) -> float:
+def estimate_chain_join_size_samples(samples: Sequence[BernoulliSample]) -> float:
     """Chain multi-join estimate from per-relation Bernoulli samples.
 
-    ``sample_tuples[i]`` maps sampled tuples (as value tuples; inner
-    relations have two attributes) to multiplicities.  The estimate is the
-    exact chain join of the samples scaled by ``1 / prod_i p_i``.
+    Sample ``i`` sits on relation ``i``'s grid of unified join-domain
+    indices: one axis at either end of the chain, and (left join value,
+    right join value) for an inner relation.  The estimate is the exact
+    chain join of the samples scaled by ``1 / prod_i p_i``.
     """
-    if len(samples) != len(sample_tuples):
-        raise ValueError("one tuple counter per sample is required")
     if len(samples) < 2:
         raise ValueError("a chain join needs at least two relations")
+    first, *inner, last = samples
+    if first.ndim != 1 or last.ndim != 1 or any(s.ndim != 2 for s in inner):
+        raise ValueError(
+            "inner relations of a chain must have two attributes, and its ends one"
+        )
+    for left, right in zip(samples, samples[1:]):
+        if left.shape[-1] != right.shape[0]:
+            raise ValueError(
+                f"chain link grids differ in length ({left.shape[-1]} vs {right.shape[0]})"
+            )
 
     # Dynamic-programming pass over the chain: partial[v] is the number of
     # sample-tuple combinations ending with join value v.
-    partial: Counter[Any] = Counter()
-    for value, count in sample_tuples[0].items():
-        key = value[-1] if isinstance(value, tuple) else value
-        partial[key] += count
-    for tuples in sample_tuples[1:-1]:
-        nxt: Counter[Any] = Counter()
-        for value, count in tuples.items():
-            if not isinstance(value, tuple) or len(value) != 2:
-                raise ValueError("inner relations of a chain must have two attributes")
-            left, right = value
-            if left in partial:
-                nxt[right] += partial[left] * count
+    dtype = _exact_dtype(samples)
+    partial = np.zeros(first.shape[0], dtype=dtype)
+    partial[first.cells] = first.counts.astype(dtype)
+    for sample in inner:
+        left, right = np.unravel_index(sample.cells, sample.shape)
+        nxt = np.zeros(sample.shape[1], dtype=dtype)
+        np.add.at(nxt, right, partial[left] * sample.counts)
         partial = nxt
-    total = 0
-    for value, count in sample_tuples[-1].items():
-        key = value[0] if isinstance(value, tuple) else value
-        total += partial.get(key, 0) * count
+    total = partial[last.cells] @ last.counts
 
     scale = 1.0
     for sample in samples:
         scale /= sample.probability
-    return total * scale
+    return int(total) * scale
+
+
+def _exact_dtype(samples: Sequence[BernoulliSample]) -> Any:
+    """int64 when it holds every cross count of ``samples``, else Python ints.
+
+    A partial cross count never exceeds the product of the sample sizes.
+    """
+    return np.int64 if math.prod(s.sampled_size for s in samples) < 2**63 else object

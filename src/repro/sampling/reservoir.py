@@ -11,71 +11,105 @@ top of them.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 
 class BernoulliSample:
     """Keep each arriving tuple independently with probability ``p``.
 
-    The sample is stored as a value -> multiplicity counter, so its memory
-    is bounded by the number of *distinct* sampled values.  Inclusion
-    probabilities are exact and independent, which is what makes the
-    cross-product join estimator unbiased.
+    Tuples are cells of a fixed index grid ``shape``, one index per
+    attribute.  The sample stores its distinct kept cells as sorted flat
+    (C-order) ids in ``cells`` and their multiplicities in ``counts``, both
+    int64 — 16 bytes per distinct sampled cell.  Inclusion probabilities
+    are exact and independent, which is what makes the cross-product join
+    estimator unbiased.
     """
 
-    def __init__(self, probability: float, seed: int | None = None) -> None:
+    # Structural: the grid comes from the query spec, not from checkpoints.
+    _checkpoint_exempt = ("shape",)
+
+    def __init__(
+        self, probability: float, shape: Sequence[int], seed: int | None = None
+    ) -> None:
         if not 0.0 < probability <= 1.0:
             raise ValueError(f"sampling probability must be in (0, 1], got {probability}")
         self.probability = probability
+        self.shape = tuple(int(n) for n in shape)
         self._rng = np.random.default_rng(seed)
-        self.counts: Counter[Any] = Counter()
+        self.cells: NDArray[Any] = np.zeros(0, dtype=np.int64)
+        self.counts: NDArray[Any] = np.zeros(0, dtype=np.int64)
         self.sampled_size = 0
         self.stream_size = 0
 
-    def insert(self, value: Hashable) -> None:
-        """Offer one arriving tuple to the sample."""
-        self.stream_size += 1
-        if self._rng.random() < self.probability:
-            self.counts[value] += 1
-            self.sampled_size += 1
+    @classmethod
+    def from_counts(
+        cls, counts: NDArray[Any], probability: float, rng: np.random.Generator
+    ) -> "BernoulliSample":
+        """The sample of a count tensor whose tuples were each offered once.
 
-    def insert_many(self, values: Iterable[Hashable]) -> None:
-        for value in values:
-            self.insert(value)
+        Draws the sample's own seed from ``rng``, then thins every nonzero
+        cell binomially — distributionally identical to one coin per tuple —
+        in one call, in C order.  The grid is ``counts.shape``.
+        """
+        counts = np.asarray(counts)
+        sample = cls(probability, counts.shape, seed=int(rng.integers(1 << 31)))
+        flat = counts.ravel()
+        cells = np.flatnonzero(flat)
+        kept = rng.binomial(flat[cells].astype(np.int64, copy=False), probability)
+        held = kept > 0
+        sample.cells, sample.counts = cells[held], kept[held]
+        sample.sampled_size = int(kept.sum())
+        sample.stream_size = int(flat.sum())
+        return sample
 
-    def insert_batch(self, values: Sequence[Hashable] | NDArray[Any]) -> NDArray[Any]:
-        """Offer a batch of tuples; returns the boolean acceptance mask.
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
 
-        ``values`` is a sequence of hashables or an array: a 1-d array's
-        entries, or a 2-d array's rows as tuples.  Only the kept entries of
-        an array become Python keys, so a small ``p`` pays for the rows it
-        keeps, not all of them.
+    def insert(self, cell: int | Sequence[int]) -> None:
+        """Offer one arriving tuple, given by its grid index (one per axis)."""
+        self.insert_batch(np.reshape(cell, (1, -1)))
 
+    def insert_many(self, cells: Iterable[int | Sequence[int]]) -> None:
+        for cell in cells:
+            self.insert(cell)
+
+    def insert_batch(self, cells: ArrayLike) -> NDArray[Any]:
+        """Offer a batch of tuples by grid index; returns the acceptance mask.
+
+        ``cells`` is a ``(B, ndim)`` index array, or ``(B,)`` on a 1-d grid.
         Draws all coins in one vectorized call.  Because numpy generators
         produce the same double stream whether drawn one at a time or in
-        blocks, the kept set is *bit-identical* to offering each value via
+        blocks, the kept set is *bit-identical* to offering each cell via
         :meth:`insert` in order — batch and sequential ingestion agree
-        exactly, not just in distribution.
+        exactly, not just in distribution.  Only the kept cells are
+        flattened and merged into the sorted arrays.
         """
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        if not len(values):
+        cells = np.asarray(cells, dtype=np.int64)
+        if not len(cells):
             return np.zeros(0, dtype=bool)
-        mask = self._rng.random(len(values)) < self.probability
-        self.stream_size += len(values)
-        kept: list[Hashable]
-        if isinstance(values, np.ndarray):
-            rows = values[mask].tolist()
-            kept = [tuple(row) for row in rows] if values.ndim > 1 else rows
-        else:
-            kept = list(compress(values, mask))
-        self.counts.update(kept)
-        self.sampled_size += len(kept)
+        mask = self._rng.random(len(cells)) < self.probability
+        self.stream_size += len(cells)
+        kept = cells[mask].reshape(-1, self.ndim)
+        if len(kept):
+            # ravel_multi_index raises on a cell off the grid.
+            flat = np.ravel_multi_index(tuple(kept.T), self.shape)
+            self._add(*np.unique(flat, return_counts=True))
+            self.sampled_size += len(kept)
         return mask
+
+    def _add(self, cells: NDArray[Any], counts: NDArray[Any]) -> None:
+        """Merge distinct sorted flat ``cells`` with multiplicities ``counts``."""
+        at = np.searchsorted(self.cells, cells)
+        held = at < np.searchsorted(self.cells, cells, side="right")
+        self.counts[at[held]] += counts[held]
+        fresh = ~held
+        if fresh.any():
+            self.cells = np.insert(self.cells, at[fresh], cells[fresh])
+            self.counts = np.insert(self.counts, at[fresh], counts[fresh])
 
     def state_dict(self) -> dict[str, Any]:
         """Full mutable state, including the generator's bit state.
@@ -83,26 +117,24 @@ class BernoulliSample:
         Capturing ``bit_generator.state`` is what makes recovery exact:
         a restored sample flips the *same* coins for post-restore
         arrivals as the uncrashed original would have, so checkpointed
-        and continuous runs stay bit-identical.
+        and continuous runs stay bit-identical.  ``cells`` and ``counts``
+        are stored in the narrowest integer dtype that holds them.
         """
         return {
             "probability": self.probability,
             "rng_state": self._rng.bit_generator.state,
-            "counts": dict(self.counts),
+            "cells": _narrowest(self.cells),
+            "counts": _narrowest(self.counts),
             "sampled_size": self.sampled_size,
             "stream_size": self.stream_size,
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`, in place.
-
-        Mutates ``self.counts`` rather than replacing it, because the
-        engine's estimate closures share the Counter object.
-        """
+        """Restore state captured by :meth:`state_dict`, in place."""
         self.probability = float(state["probability"])
         self._rng.bit_generator.state = state["rng_state"]
-        self.counts.clear()
-        self.counts.update(state["counts"])
+        self.cells = np.asarray(state["cells"]).astype(np.int64)
+        self.counts = np.asarray(state["counts"]).astype(np.int64)
         self.sampled_size = int(state["sampled_size"])
         self.stream_size = int(state["stream_size"])
 
@@ -156,3 +188,8 @@ class ReservoirSample:
     def value_counts(self) -> Counter[Any]:
         """Multiplicities of the sampled values."""
         return Counter(self.items)
+
+
+def _narrowest(values: NDArray[Any]) -> NDArray[Any]:
+    """Non-negative ``values`` in the narrowest integer dtype that holds them."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)))

@@ -37,7 +37,6 @@ Supported estimation methods mirror the paper's experimental cast:
 from __future__ import annotations
 
 import weakref
-from collections import Counter
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence, TypeVar, cast
@@ -1236,12 +1235,11 @@ class ContinuousQueryEngine:
     def _build_sample(
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
     ) -> _QueryState:
-        _require_chain(query, self.relations)
-        joined = self._joined_axes(query)
+        chain_axes = _chain_axes(query, self.relations)
+        unified = self._unified(query)
         rng = np.random.default_rng(options.get("seed", self._seed))
         samples: list[BernoulliSample] = []
-        tuple_counts: list[Counter[Any]] = []
-        for rel_name in query.relations:
+        for rel_name, axes in zip(query.relations, chain_axes):
             relation = self.relations[rel_name]
             # Budget = expected sample size; derive the Bernoulli rate from
             # the relation's current size.  For queries registered before
@@ -1250,26 +1248,15 @@ class ContinuousQueryEngine:
             probability = options.get(
                 "probability", min(1.0, budget / max(relation.count, budget))
             )
-            sample = BernoulliSample(probability, seed=int(rng.integers(1 << 31)))
-            counter: Counter[Any] = Counter()
-            axes = joined[rel_name]
-            # Replay history distributionally: binomial thinning per cell,
-            # drawn in one call (the same draws, in the same order, as one
-            # call per cell).
-            marginal = _marginalize(relation.counts, keep_axes=axes)
-            held = marginal > 0
-            kept = rng.binomial(marginal[held], probability)
-            for cell, k in zip(np.argwhere(held)[kept > 0], kept[kept > 0]):
-                key = tuple(int(c) for c in cell)
-                counter[key if len(key) > 1 else key[0]] += int(k)
-            sample.sampled_size += int(kept.sum())
-            sample.stream_size = relation.count
-            self._attach(relation, _SampleObserver(sample, counter, relation, axes))
+            domains = [unified[rel_name][ax] for ax in axes]
+            # Replay history distributionally: binomial thinning per cell.
+            history = self._history(relation, axes, domains)
+            sample = BernoulliSample.from_counts(history, probability, rng)
+            self._attach(relation, _SampleObserver(sample, domains, axes))
             samples.append(sample)
-            tuple_counts.append(counter)
 
         def estimate() -> float:
-            return estimate_chain_join_size_samples(samples, tuple_counts)
+            return estimate_chain_join_size_samples(samples)
 
         space = {r: budget for r in query.relations}
         return _QueryState(query, method, estimate, space)
@@ -1446,51 +1433,40 @@ class _SketchObserver(StreamObserver):
 
 
 class _SampleObserver(StreamObserver):
-    """Feeds joined-attribute index tuples into a Bernoulli sample."""
+    """Feeds joined-attribute unified indices, in chain order, into a Bernoulli sample."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axes",)
+    _checkpoint_exempt = ("axes", "domains")
 
     def __init__(
-        self,
-        sample: BernoulliSample,
-        counter: Counter[Any],
-        relation: StreamRelation,
-        axes: Sequence[int],
+        self, sample: BernoulliSample, domains: Sequence[Domain], axes: Sequence[int]
     ) -> None:
         self.sample = sample
-        self.counter = counter
+        self.domains = list(domains)
         self.axes = list(axes)
 
     def state_dict(self) -> dict[str, Any]:
-        return {"sample": self.sample.state_dict(), "counter": dict(self.counter)}
+        return self.sample.state_dict()
 
     def load_state(self, state: dict[str, Any]) -> None:
-        # The estimate closure shares this Counter object; mutate in place.
-        self.sample.load_state(state["sample"])
-        self.counter.clear()
-        self.counter.update(state["counter"])
+        self.sample.load_state(state)
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         if op.kind is OpKind.DELETE:
             self.sample.delete(op.values)  # raises: documented sampling limitation
             return
-        idx = relation.indices_of(op.values)
-        # Sample keys must be hashable tuples; unavoidable on the per-op path.
-        key = tuple(idx[ax] for ax in self.axes)  # repro: noqa[REP006]
-        before = self.sample.sampled_size
-        self.sample.insert(key)
-        if self.sample.sampled_size > before:
-            self.counter[key if len(key) > 1 else key[0]] += 1
+        # Per-op slow path; the batched on_ops maps whole columns.
+        cell = [  # repro: noqa[REP006]
+            d.index_of(op.values[ax]) for d, ax in zip(self.domains, self.axes)
+        ]
+        self.sample.insert(cell)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         if kind is OpKind.DELETE:
             self.sample.delete(tuple(rows[0]))  # raises: documented limitation
             return
-        idx = relation.indices_of_rows(rows)[:, self.axes]
-        kept = idx[self.sample.insert_batch(idx)].tolist()
-        # one attribute keys the counter by its bare value, as in on_op
-        self.counter.update(row[0] if len(row) == 1 else tuple(row) for row in kept)
+        columns = [d.indices_of(rows[:, ax]) for d, ax in zip(self.domains, self.axes)]
+        self.sample.insert_batch(np.stack(columns, axis=1))
 
 
 class _PartitionedObserver(StreamObserver):
@@ -1574,19 +1550,35 @@ class _HistogramObserver(StreamObserver):
 
 
 def _marginalize(tensor: NDArray[Any], keep_axes: Sequence[int]) -> NDArray[Any]:
-    """Sum out all axes except ``keep_axes`` (order preserved)."""
+    """Sum out all axes except ``keep_axes``; the result's axes follow ``keep_axes``."""
     tensor = np.asarray(tensor)
     drop = tuple(ax for ax in range(tensor.ndim) if ax not in set(keep_axes))
-    return tensor.sum(axis=drop) if drop else tensor
+    kept = sorted(keep_axes)
+    marginal = tensor.sum(axis=drop) if drop else tensor
+    return np.transpose(marginal, [kept.index(ax) for ax in keep_axes])
 
 
-def _require_chain(query: JoinQuery, relations: Mapping[str, StreamRelation]) -> None:
-    """The sampling estimator's DP requires the paper's chain shape."""
+def _chain_axes(
+    query: JoinQuery, relations: Mapping[str, StreamRelation]
+) -> list[list[int]]:
+    """Each relation's joined axes in chain order: the grid of its sample.
+
+    The sampling estimator's DP requires the paper's chain shape: predicate
+    ``i`` joins relation ``i`` to relation ``i + 1``, in FROM order.
+    Relation ``i``'s axes are the one joined to relation ``i - 1``, then
+    the one joined to relation ``i + 1``.
+    """
     schemas = {r: relations[r].attributes for r in query.relations}
     pairs = query.slot_pairs(schemas)
-    for i, (slot_a, slot_b) in enumerate(pairs):
-        if slot_a[0] != i or slot_b[0] != i + 1:
-            raise ValueError(
-                "the sampling method supports chain queries (relation i joined "
-                "to relation i+1, in FROM order) only"
-            )
+    if len(pairs) != len(query.relations) - 1 or any(
+        (rel_a, rel_b) != (i, i + 1) for i, ((rel_a, _), (rel_b, _)) in enumerate(pairs)
+    ):
+        raise ValueError(
+            "the sampling method supports chain queries (relation i joined "
+            "to relation i+1, in FROM order) only"
+        )
+    axes: list[list[int]] = [[] for _ in query.relations]
+    for i, ((_, ax_a), (_, ax_b)) in enumerate(pairs):
+        axes[i].append(ax_a)
+        axes[i + 1].append(ax_b)
+    return axes

@@ -120,6 +120,24 @@ class TestSamplingMethod:
         prepared = SamplingMethod().prepare(rels, doms, 500, rng)
         assert np.isfinite(prepared.estimate(500))
 
+    @pytest.mark.parametrize(
+        "seed, shape, expected",
+        [
+            (0, "single", [0.0, 8210.08, 10006.035, 10496.58728]),
+            (0, "chain", [0.0, 10581.225408, 8246.460000000001, 7699.987999999999]),
+            (1, "single", [9894.0, 6332.160000000001, 11551.245, 9727.780800000002]),
+            (1, "chain", [0.0, 7995.89376, 11213.45, 10044.632000000001]),
+            (2, "single", [36216.16, 4708.100799999999, 8510.7976, 8221.06832]),
+            (2, "chain", [36982.159999999996, 12278.07712, 11295.240000000002, 10707.792]),
+        ],
+    )
+    def test_estimates_are_pinned_for_fixed_seeds(self, seed, shape, expected):
+        # Values of the per-cell thinning loop this method used to run.
+        rng = np.random.default_rng(seed)
+        rels, doms = (single_join_data if shape == "single" else chain_data)(rng)
+        prepared = SamplingMethod().prepare(rels, doms, 500, rng)
+        assert [prepared.estimate(b) for b in (10, 50, 200, 500)] == expected
+
 
 class TestHistogramMethod:
     def test_single_join_only(self, rng):

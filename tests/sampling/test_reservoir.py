@@ -1,45 +1,99 @@
 """Tests for Bernoulli and reservoir stream samples."""
 
+import numpy as np
 import pytest
 
 from repro.sampling.reservoir import BernoulliSample, ReservoirSample
+
+
+def sample_items(sample):
+    """The sample as ``{grid index: multiplicity}``."""
+    cells = np.unravel_index(sample.cells, sample.shape)
+    keys = cells[0].tolist() if sample.ndim == 1 else list(zip(*(c.tolist() for c in cells)))
+    return dict(zip(keys, sample.counts.tolist()))
 
 
 class TestBernoulli:
     def test_invalid_probability_rejected(self):
         for p in (0.0, -0.1, 1.1):
             with pytest.raises(ValueError):
-                BernoulliSample(p)
+                BernoulliSample(p, (4,))
 
     def test_p_one_keeps_everything(self):
-        s = BernoulliSample(1.0, seed=1)
+        s = BernoulliSample(1.0, (100,), seed=1)
         s.insert_many(range(100))
         assert s.sampled_size == 100
         assert s.stream_size == 100
-        assert sum(s.counts.values()) == 100
+        assert int(s.counts.sum()) == 100
 
     def test_sample_size_concentrates_around_p_n(self):
-        s = BernoulliSample(0.3, seed=2)
+        s = BernoulliSample(0.3, (20_000,), seed=2)
         s.insert_many(range(20_000))
         assert s.sampled_size == pytest.approx(6000, rel=0.1)
 
     def test_counts_track_multiplicity(self):
-        s = BernoulliSample(1.0, seed=3)
+        s = BernoulliSample(1.0, (10,), seed=3)
         s.insert_many([7, 7, 7, 9])
-        assert s.counts[7] == 3 and s.counts[9] == 1
+        assert sample_items(s) == {7: 3, 9: 1}
+
+    def test_cells_stay_sorted_and_distinct(self):
+        s = BernoulliSample(1.0, (5, 4), seed=3)
+        s.insert_many([(4, 0), (0, 3), (2, 2), (0, 3)])
+        s.insert_batch(np.array([[2, 2], [1, 1], [4, 3]]))
+        assert s.cells.tolist() == sorted(set(s.cells.tolist()))
+        assert sample_items(s) == {(0, 3): 2, (1, 1): 1, (2, 2): 2, (4, 0): 1, (4, 3): 1}
+        assert s.cells.dtype == s.counts.dtype == np.int64
+
+    def test_cells_off_the_grid_are_rejected(self):
+        s = BernoulliSample(1.0, (5,), seed=3)
+        with pytest.raises(ValueError):
+            s.insert_batch(np.array([1, 5]))
+        with pytest.raises(ValueError):
+            s.insert(-1)
 
     def test_deterministic_given_seed(self):
-        a = BernoulliSample(0.5, seed=4)
-        b = BernoulliSample(0.5, seed=4)
+        a = BernoulliSample(0.5, (100,), seed=4)
+        b = BernoulliSample(0.5, (100,), seed=4)
         a.insert_many(range(100))
         b.insert_many(range(100))
-        assert a.counts == b.counts
+        assert sample_items(a) == sample_items(b)
 
     def test_deletion_unsupported(self):
-        s = BernoulliSample(0.5, seed=5)
+        s = BernoulliSample(0.5, (4,), seed=5)
         s.insert(1)
         with pytest.raises(NotImplementedError, match="deletions"):
             s.delete(1)
+
+
+class TestFromCounts:
+    def test_thins_the_same_cells_in_c_order(self):
+        counts = np.array([[0, 5, 0], [2, 0, 7]])
+        sample = BernoulliSample.from_counts(counts, 0.5, np.random.default_rng(9))
+        reference = np.random.default_rng(9)
+        seed = int(reference.integers(1 << 31))
+        kept = reference.binomial(np.array([5, 2, 7]), 0.5)
+        assert sample.state_dict()["rng_state"] == np.random.default_rng(seed).bit_generator.state
+        assert sample_items(sample) == {
+            cell: int(k) for cell, k in zip([(0, 1), (1, 0), (1, 2)], kept) if k
+        }
+        assert sample.sampled_size == int(kept.sum())
+        assert sample.stream_size == 14
+        assert sample.shape == (2, 3)
+
+    def test_state_round_trip_narrows_and_widens(self):
+        sample = BernoulliSample.from_counts(
+            np.arange(300) % 7, 0.5, np.random.default_rng(1)
+        )
+        state = sample.state_dict()
+        assert state["cells"].dtype == np.uint16 and state["counts"].dtype == np.uint8
+        restored = BernoulliSample(0.5, (300,))
+        restored.load_state(state)
+        assert restored.cells.dtype == restored.counts.dtype == np.int64
+        assert np.array_equal(restored.cells, sample.cells)
+        assert np.array_equal(restored.counts, sample.counts)
+        cells = np.arange(300)
+        assert np.array_equal(restored.insert_batch(cells), sample.insert_batch(cells))
+        assert sample_items(restored) == sample_items(sample)
 
 
 class TestReservoir:

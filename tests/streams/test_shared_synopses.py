@@ -403,7 +403,10 @@ class TestRegistrationReplay:
 
         observers = [obs for _, obs in engine._queries["s"].attachments]
         for (seed, counter, size), observer in zip(expected, observers):
-            state = observer.state_dict()
-            assert state["counter"] == dict(counter)
-            assert state["sample"]["sampled_size"] == size
-            assert state["sample"]["rng_state"] == np.random.default_rng(seed).bit_generator.state
+            sample = observer.sample
+            cells = zip(*(c.tolist() for c in np.unravel_index(sample.cells, sample.shape)))
+            kept = {c if len(c) > 1 else c[0]: n for c, n in zip(cells, sample.counts.tolist())}
+            assert kept == dict(counter)
+            assert sample.sampled_size == size
+            rng_state = np.random.default_rng(seed).bit_generator.state
+            assert sample.state_dict()["rng_state"] == rng_state
