@@ -1,10 +1,10 @@
 """Per-rule configuration: shipped defaults + ``pyproject.toml`` overrides.
 
-Every rule reads one mapping keyed by its kebab-case name.  The shipped
-defaults below describe *this* repository (which paths must stay
-deterministic, where the metric catalog and checkpoint-state manifest
-live); a ``[tool.repro-analysis]`` table in ``pyproject.toml`` can
-override any of it per project::
+A rule with options reads one mapping keyed by its kebab-case name.  The
+shipped defaults below describe *this* repository (which paths must
+stay deterministic, where the metric catalog and checkpoint-state
+manifest live); a ``[tool.repro-analysis]`` table in ``pyproject.toml``
+can override any of it per project::
 
     [tool.repro-analysis]
     select = ["REP001", "REP004"]          # run only these rules
@@ -33,19 +33,17 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "ignore": [],
     "baseline": "analysis-baseline.json",
     "metric-catalog": {
-        # Metric names that must agree with the generated catalog.
-        "prefix": "repro_",
         # Generated catalog module, relative to the project root.
         "catalog": "src/repro/obs/catalog.py",
+        # Full metric-name literals that are legitimately not catalogued
+        # (e.g. negative fixtures in docs).
+        "allow": [],
     },
     "checkpoint-coverage": {
         # Generated state-shape manifest, relative to the project root.
         "manifest": "src/repro/resilience/state_manifest.py",
         # Module whose FORMAT_VERSION must be bumped on state-shape change.
         "format-source": "src/repro/resilience/checkpoint.py",
-        # Class attribute naming __init__ state that is deliberately not
-        # serialized (structural parameters rebuilt from the query spec).
-        "exempt-attribute": "_checkpoint_exempt",
     },
     "shard-safety": {
         # Library paths that must stay deterministic: no wall-clock time,
@@ -61,45 +59,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "src/repro/wavelets",
         ],
     },
-    "numeric-hygiene": {},
-    "observer-protocol": {
-        # Base classes whose subclasses must honour the observer protocol.
-        "base-classes": ["StreamObserver"],
-        # Methods that must never mutate observer/engine state.
-        "read-only-methods": ["answer", "estimate", "state_dict"],
-    },
-    "executor-protocol": {
-        # Base classes whose subclasses must honour the executor protocol.
-        "base-classes": ["ShardExecutor"],
-        # Methods every executor must implement itself (the base raises
-        # NotImplementedError; broadcast/close have usable defaults).
-        "required-methods": ["start", "call", "scatter"],
-        # Protocol parameter names (after self) an override must keep, so
-        # keyword call sites stay valid for every executor.
-        "signatures": {
-            "start": ["num_shards", "seed", "telemetry"],
-            "call": ["shard", "method", "*args", "**kwargs"],
-            "broadcast": ["method", "*args", "**kwargs"],
-            "scatter": ["method", "per_shard"],
-            "close": [],
-        },
-        # Executor dispatch (.call/.scatter/.broadcast on an executor
-        # receiver) is only legitimate inside these layers; elsewhere it
-        # bypasses journaling, partitioning, and degradation policy.
-        "allowed-paths": ["src/repro/sharding", "src/repro/fleet"],
-        "dispatch-methods": ["call", "scatter", "broadcast"],
-    },
     "concurrency-discipline": {
-        # Entry points the graph cannot discover statically: the HTTP
-        # handler class is instantiated by socketserver per request, on
-        # the metrics-server thread.
-        "thread-roots": ["repro.obs.server._Handler"],
-        # Telemetry objects every engine thread calls into concurrently;
-        # all their methods count as concurrent entry points.
-        "hot-path-classes": [
-            "repro.obs.metrics.MetricsRegistry",
-            "repro.obs.tracing.Tracer",
-        ],
         # Modules where a lock-order inversion is reported (the repo's
         # multi-lock modules); inversions entirely outside are ignored.
         "lock-order-modules": [
@@ -108,25 +68,13 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "src/repro/obs/server.py",
         ],
     },
-    "metric-drift": {
-        "prefix": "repro_",
-        "catalog": "src/repro/obs/catalog.py",
-        # Full metric-name literals that are legitimately not catalogued
-        # (e.g. negative fixtures in docs).
-        "allow": [],
-    },
-    "checkpoint-completeness": {
-        "exempt-attribute": "_checkpoint_exempt",
-    },
     "async-safety": {
         # Coroutine bodies under these prefixes must not block the loop.
         "paths": ["src/repro"],
-        "extra-blocking": [],
     },
     "hot-path": {
-        # Per-tuple hot-path methods: flag allocation-heavy idioms inside.
-        "functions": ["on_op", "process", "_process_inner"],
-        # Only methods defined under these path prefixes are checked.
+        # Per-tuple hot-path methods defined under these path prefixes
+        # are checked for allocation-heavy idioms.
         "paths": ["src/repro/streams"],
         # Batch coefficient-maintenance code: basis tables must come from
         # the repro.fastpath seam (Chebyshev recurrence / compiled
@@ -138,8 +86,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "src/repro/sketches",
             "src/repro/streams",
         ],
-        # Calls that reintroduce a bypass of the seam in those paths.
-        "kernel-calls": ["basis_matrix", "np.cos", "numpy.cos", "phi"],
         # The blessed kernel implementations themselves, exempt.
         "kernel-seam": ["src/repro/fastpath"],
     },

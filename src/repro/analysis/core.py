@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "Finding",
+    "RETIRED_CODES",
     "RelatedLocation",
     "SourceFile",
     "SourceTree",
@@ -30,6 +31,16 @@ __all__ = [
 #: Inline suppression: ``# repro: noqa`` (all rules) or
 #: ``# repro: noqa[REP001]`` / ``# repro: noqa[REP001,REP004]``.
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s-]+)\])?")
+
+#: Retired rule codes and names -> the code of the rule that absorbed them.
+#: ``# repro: noqa[...]`` comments and ``select`` / ``ignore`` read it, so
+#: a suppression or selection written for the old rule still applies.
+RETIRED_CODES: dict[str, str] = {
+    "REP009": "REP001",
+    "metric-drift": "REP001",
+    "REP010": "REP002",
+    "checkpoint-completeness": "REP002",
+}
 
 
 @dataclass(frozen=True)
@@ -126,9 +137,8 @@ def _scan_noqa(lines: Sequence[str]) -> dict[int, frozenset[str] | None]:
         if raw is None:
             out[lineno] = None  # blanket suppression
         else:
-            out[lineno] = frozenset(
-                code.strip().upper() for code in raw.split(",") if code.strip()
-            )
+            codes = (code.strip().upper() for code in raw.split(",") if code.strip())
+            out[lineno] = frozenset(RETIRED_CODES.get(code, code) for code in codes)
     return out
 
 

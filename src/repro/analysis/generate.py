@@ -17,16 +17,19 @@ is free; only same-class shape drift demands a bump.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Any, Mapping
 
 from .core import SourceTree
+from .graph import ProjectGraph
 from .rules.checkpoints import (
+    CheckpointCoverageRule,
     load_format_version,
     load_manifest,
-    scan_checkpoint_classes,
+    manifest_entries,
 )
-from .rules.metrics import scan_metric_sites
+from .rules.metrics import MetricCatalogRule, scan_metric_sites
 
 __all__ = ["GenerationError", "update_metric_catalog", "update_state_manifest"]
 
@@ -37,6 +40,10 @@ Generated by ``python -m repro.analysis {flag}`` — do not edit by hand.
 '''
 
 
+#: Longest generated line, matching the lint gate.
+_MAX_COLUMNS = 100
+
+
 class GenerationError(RuntimeError):
     """Regeneration refused or impossible; message explains why."""
 
@@ -45,10 +52,9 @@ def update_metric_catalog(
     root: Path, tree: SourceTree, config: Mapping[str, Any]
 ) -> Path:
     """Rewrite the metric catalog from the current registration sites."""
-    options = _rule_options(config, "metric-catalog")
-    prefix = str(options.get("prefix", "repro_"))
+    options = MetricCatalogRule().options(config)
     catalog_rel = str(options.get("catalog", "src/repro/obs/catalog.py"))
-    sites = scan_metric_sites(tree, prefix)
+    sites = scan_metric_sites(tree)
 
     catalog: dict[str, dict[str, Any]] = {}
     for site in sites:
@@ -98,7 +104,7 @@ def update_metric_catalog(
         lines.append(f"        \"kind\": {entry['kind']!r},")
         lines.append(f"        \"labels\": {_tuple_literal(entry['labels'])},")
         lines.append(f"        \"shard_suffix\": {entry['shard_suffix']!r},")
-        lines.append(f"        \"help\": {entry['help']!r},")
+        lines.extend(_help_lines(entry["help"]))
         lines.append("    },")
     lines.append("}")
     path = root / catalog_rel
@@ -110,10 +116,9 @@ def update_state_manifest(
     root: Path, tree: SourceTree, config: Mapping[str, Any]
 ) -> Path:
     """Rewrite the checkpoint state-shape manifest, enforcing version bumps."""
-    options = _rule_options(config, "checkpoint-coverage")
+    options = CheckpointCoverageRule().options(config)
     manifest_rel = str(options.get("manifest", "src/repro/resilience/state_manifest.py"))
     format_rel = str(options.get("format-source", "src/repro/resilience/checkpoint.py"))
-    exempt_attr = str(options.get("exempt-attribute", "_checkpoint_exempt"))
 
     current_version = load_format_version(root / format_rel)
     if current_version is None:
@@ -121,8 +126,9 @@ def update_state_manifest(
             f"cannot read FORMAT_VERSION from {format_rel}; the manifest "
             "records the checkpoint format it was generated at"
         )
-    classes = scan_checkpoint_classes(tree, exempt_attr)
-    entries = {cls.key: cls.state_shape for cls in classes}
+    entries = {
+        key: shape for key, (_, shape) in manifest_entries(ProjectGraph.for_tree(tree)).items()
+    }
 
     existing = load_manifest(root / manifest_rel)
     if existing is not None:
@@ -169,9 +175,19 @@ def update_state_manifest(
     return path
 
 
-def _rule_options(config: Mapping[str, Any], name: str) -> Mapping[str, Any]:
-    section = config.get(name, {})
-    return section if isinstance(section, Mapping) else {}
+def _help_lines(text: str) -> list[str]:
+    """The ``"help"`` entry, as implicitly concatenated pieces when too long."""
+    line = f"        \"help\": {text!r},"
+    if len(line) <= _MAX_COLUMNS:
+        return [line]
+    indent = " " * 12
+    pieces: list[str] = []
+    for word in re.findall(r"\s*\S+\s*", text):
+        if pieces and len(indent + repr(pieces[-1] + word)) <= _MAX_COLUMNS:
+            pieces[-1] += word
+        else:
+            pieces.append(word)
+    return ['        "help": (', *(indent + repr(piece) for piece in pieces), "        ),"]
 
 
 def _tuple_literal(labels: tuple[str, ...]) -> str:

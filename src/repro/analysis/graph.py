@@ -1,10 +1,10 @@
 """The whole-program layer: one AST pass, queryable cross-module indexes.
 
 Per-file rules see one :class:`~repro.analysis.core.SourceFile` at a
-time; the invariants added in this package's second generation (lock
-discipline on executor call paths, checkpoint completeness across an
-inheritance chain, metric names referenced far from their registration)
-are properties of the *program*, not of any file.  :class:`ProjectGraph`
+time; invariants such as lock discipline on executor call paths,
+checkpoint coverage across an inheritance chain and protocol
+conformance of indirect subclasses are properties of the *program*, not
+of any file.  :class:`ProjectGraph`
 digests a parsed :class:`~repro.analysis.core.SourceTree` into:
 
 * a **module index** — project-relative paths mapped to dotted module
@@ -27,15 +27,16 @@ digests a parsed :class:`~repro.analysis.core.SourceTree` into:
   produce *no* edge, so closures computed over the graph under-approximate
   reachability instead of drowning rules in false positives.
 
-The graph is built once per analysis run and cached on the tree, so ten
-cross-module rules cost one traversal.
+The graph is built once per analysis run and cached on the tree, so
+every rule that asks about classes or call paths shares one traversal.
+Only module-level classes are indexed.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .core import SourceFile, SourceTree
 from .rules.base import attr_chain, call_name, string_tuple
@@ -108,8 +109,6 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     #: attr -> first value expression assigned to ``self.attr`` anywhere.
     attr_values: dict[str, ast.expr] = field(default_factory=dict)
-    #: attr -> every ``self.attr`` (or ``self.attr[...]``) store site.
-    attr_stores: dict[str, list[ast.AST]] = field(default_factory=dict)
     #: Attributes assigned in ``__init__`` specifically.
     init_attrs: dict[str, ast.AST] = field(default_factory=dict)
     #: Literal class-level string tuples (``_checkpoint_exempt`` etc.).
@@ -147,8 +146,6 @@ class ProjectGraph:
         self.modules: dict[str, ModuleInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: callee qualname -> caller FunctionInfos (reverse call edges).
-        self._callers: dict[str, list[FunctionInfo]] = {}
         #: caller qualname -> resolved callee qualnames (forward edges).
         self._callees: dict[str, list[tuple[ast.Call, str]]] = {}
 
@@ -241,7 +238,6 @@ class ProjectGraph:
                             info.class_tuples[target.id] = resolved[0]
         for method in info.methods.values():
             for store_node, attr in _self_stores(method.node):
-                info.attr_stores.setdefault(attr, []).append(store_node)
                 if isinstance(store_node, ast.Attribute):
                     value = _store_value(method.node, store_node)
                     # Prefer the store that constructs something: the
@@ -297,7 +293,6 @@ class ProjectGraph:
             if target is None:
                 continue
             edges.append((node, target))
-            self._callers.setdefault(target, []).append(info)
         self._callees[info.qualname] = edges
 
     # ------------------------------------------------------------------ #
@@ -455,10 +450,6 @@ class ProjectGraph:
     def callees(self, fn: FunctionInfo) -> list[tuple[ast.Call, str]]:
         """Resolved ``(call node, target qualname)`` edges out of ``fn``."""
         return self._callees.get(fn.qualname, [])
-
-    def callers_of(self, qualname: str) -> list[FunctionInfo]:
-        """Functions holding a resolved call edge to ``qualname``."""
-        return list(self._callers.get(qualname, []))
 
     def function(self, qualname: str) -> FunctionInfo | None:
         """Look up a function/method; a class qualname maps to ``__init__``."""

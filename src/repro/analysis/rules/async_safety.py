@@ -60,11 +60,7 @@ class AsyncSafetyRule(Rule):
     )
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
-        options = self.options(config)
-        paths = tuple(str(p) for p in options.get("paths", ()))
-        blocking = _BLOCKING_CALLS | {
-            str(name) for name in options.get("extra-blocking", ())
-        }
+        paths = tuple(str(p) for p in self.options(config).get("paths", ()))
         graph = ProjectGraph.for_tree(tree)
         findings: list[Finding] = []
         for fn in graph.functions.values():
@@ -73,7 +69,7 @@ class AsyncSafetyRule(Rule):
             for node in walk_own(fn.node, include_nested=False):
                 if not isinstance(node, ast.Call):
                     continue
-                finding = self._check_call(graph, fn, node, blocking)
+                finding = self._check_call(graph, fn, node)
                 if finding is not None:
                     findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.col))
@@ -84,10 +80,9 @@ class AsyncSafetyRule(Rule):
         graph: ProjectGraph,
         fn: FunctionInfo,
         node: ast.Call,
-        blocking: set[str],
     ) -> Finding | None:
         resolved = graph.resolve_call(fn, node) or call_name(node)
-        if resolved in blocking:
+        if resolved in _BLOCKING_CALLS:
             return self.finding(
                 fn.source,
                 node,
@@ -122,7 +117,7 @@ class AsyncSafetyRule(Rule):
         # sync wrapper around time.sleep is just as stalled.
         callee = graph.function(resolved) if resolved else None
         if callee is not None and not callee.is_async:
-            site = self._direct_blocking_site(graph, callee, blocking)
+            site = self._direct_blocking_site(graph, callee)
             if site is not None:
                 return self.finding(
                     fn.source,
@@ -169,12 +164,12 @@ class AsyncSafetyRule(Rule):
 
     @staticmethod
     def _direct_blocking_site(
-        graph: ProjectGraph, callee: FunctionInfo, blocking: set[str]
+        graph: ProjectGraph, callee: FunctionInfo
     ) -> tuple[ast.Call, str] | None:
         for node in walk_own(callee.node, include_nested=False):
             if not isinstance(node, ast.Call):
                 continue
             resolved = graph.resolve_call(callee, node) or call_name(node)
-            if resolved in blocking:
+            if resolved in _BLOCKING_CALLS:
                 return node, resolved
         return None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Any, ClassVar, Iterator, Mapping
+from typing import Any, ClassVar, Mapping
 
 from ..core import Finding, RelatedLocation, SourceFile, SourceTree
 
@@ -11,11 +11,8 @@ __all__ = [
     "Rule",
     "attr_chain",
     "call_name",
-    "iter_classes",
-    "iter_methods",
     "is_self_attribute",
     "path_in",
-    "self_attribute_stores",
     "string_tuple",
 ]
 
@@ -48,20 +45,6 @@ class Rule:
         return f"{type(self).__name__}({self.code})"
 
 
-def iter_classes(source: SourceFile) -> Iterator[ast.ClassDef]:
-    """Every class definition in a file (any nesting depth)."""
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
-def iter_methods(cls: ast.ClassDef) -> Iterator[ast.FunctionDef]:
-    """Direct (non-nested) methods of a class, async ones excluded."""
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node
-
-
 def attr_chain(node: ast.AST) -> str:
     """Dotted name of an attribute chain (``np.random.default_rng``), or ``""``."""
     parts: list[str] = []
@@ -88,17 +71,6 @@ def is_self_attribute(node: ast.AST) -> bool:
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
     )
-
-
-def self_attribute_stores(func: ast.FunctionDef) -> Iterator[ast.Attribute]:
-    """``self.<attr>`` targets assigned anywhere in a function body."""
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Store)
-            and is_self_attribute(node)
-        ):
-            yield node
 
 
 def path_in(rel_path: str, prefixes: "tuple[str, ...]") -> bool:

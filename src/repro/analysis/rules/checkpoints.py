@@ -4,89 +4,77 @@
 ``state_dict()`` / ``load_state()`` pair.  A field added to ``__init__``
 but forgotten in ``state_dict`` silently survives a crash with its
 constructor default — estimates drift instead of failing loudly.  This
-rule finds every checkpoint-protocol class, diffs its ``__init__``
-attribute stores against the attributes ``state_dict`` actually touches,
-and requires the difference to be listed in a ``_checkpoint_exempt``
-class tuple (the opt-out for structural state rebuilt from the spec).
+rule walks the :class:`~repro.analysis.graph.ProjectGraph` class index
+and checks every class whose project MRO defines both protocol methods,
+whether it defines them itself or inherits them (``DegreeObserver`` and
+``FlakyObserver`` inherit across package boundaries).  Each attribute
+assigned in the class's *own* ``__init__`` must be read by some
+``state_dict`` in the MRO (a ``return self.inner.state_dict()``
+delegation counts — the delegate attribute is read) or be listed in a
+``_checkpoint_exempt`` tuple anywhere in the MRO (the opt-out for
+structural state rebuilt from the spec).  A finding on an inherited
+protocol carries a related location pointing at the ``state_dict`` that
+misses the attribute.  The graph indexes module-level classes only, so
+a nested class is not checked.
 
-The serialized *shape* of every class is additionally pinned in a
-generated manifest (:mod:`repro.resilience.state_manifest`).  Changing a
-class's state shape without regenerating the manifest — and bumping
-``FORMAT_VERSION`` in ``checkpoint.py``, which the regenerator enforces —
-is a finding, because old checkpoints would be restored into a layout
-they were never written for.
+The serialized *shape* of every class that defines both methods itself
+is additionally pinned in a generated manifest
+(:mod:`repro.resilience.state_manifest`).  Changing a class's state
+shape without regenerating the manifest — and bumping ``FORMAT_VERSION``
+in ``checkpoint.py``, which the regenerator enforces — is a finding,
+because old checkpoints would be restored into a layout they were never
+written for.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from ..core import Finding, SourceFile, SourceTree
-from .base import Rule, is_self_attribute, iter_methods, string_tuple
+from ..core import Finding, RelatedLocation, SourceTree
+from ..graph import ClassInfo, FunctionInfo, ProjectGraph
+from .base import Rule, is_self_attribute
 
 __all__ = [
-    "CheckpointClass",
     "CheckpointCoverageRule",
+    "EXEMPT_ATTRIBUTE",
     "load_format_version",
     "load_manifest",
-    "scan_checkpoint_classes",
+    "manifest_entries",
 ]
 
-_PROTOCOL_METHODS = {"state_dict", "load_state"}
+#: Class attribute naming ``__init__`` state that is deliberately not
+#: serialized (structural parameters rebuilt from the query spec).
+EXEMPT_ATTRIBUTE = "_checkpoint_exempt"
+_PROTOCOL = ("state_dict", "load_state")
 #: Dunder-adjacent attributes never expected in a checkpoint payload.
 _ALWAYS_EXEMPT = {"_lock"}
 
 
-@dataclass(frozen=True)
-class CheckpointClass:
-    """A class implementing the checkpoint protocol, pre-digested."""
-
-    source: SourceFile
-    node: ast.ClassDef
-    name: str
-    init_stores: dict[str, ast.Attribute]  # attr -> first store site in __init__
-    serialized: frozenset[str]  # self.<attr> reads anywhere in state_dict
-    exempt: tuple[str, ...]
-    exempt_node: ast.AST | None
-
-    @property
-    def key(self) -> str:
-        return f"{self.source.rel_path}::{self.name}"
-
-    @property
-    def state_shape(self) -> list[str]:
-        return sorted(self.serialized)
+def _self_reads(method: FunctionInfo) -> set[str]:
+    """Every ``self.<attr>`` a method touches."""
+    return {
+        node.attr
+        for node in ast.walk(method.node)
+        if isinstance(node, ast.Attribute) and is_self_attribute(node)
+    }
 
 
-def scan_checkpoint_classes(tree: SourceTree, exempt_attr: str) -> list[CheckpointClass]:
-    classes: list[CheckpointClass] = []
-    for source in tree:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {m.name: m for m in iter_methods(node)}
-            if not _PROTOCOL_METHODS <= set(methods):
-                continue
-            init_stores: dict[str, ast.Attribute] = {}
-            init = methods.get("__init__")
-            if init is not None:
-                for store in _attribute_stores(init):
-                    init_stores.setdefault(store.attr, store)
-            serialized = frozenset(
-                attr.attr
-                for attr in ast.walk(methods["state_dict"])
-                if is_self_attribute(attr)
-            )
-            exempt, exempt_node = _exempt_tuple(node, exempt_attr)
-            classes.append(
-                CheckpointClass(
-                    source, node, node.name, init_stores, serialized, exempt, exempt_node
-                )
-            )
-    return classes
+def manifest_entries(graph: ProjectGraph) -> dict[str, tuple[ClassInfo, list[str]]]:
+    """``<file>::<Class>`` -> (class, serialized attributes) for the manifest.
+
+    The manifest pins classes that define both protocol methods
+    themselves; their shape is what their own ``state_dict`` reads.
+    """
+    return {
+        f"{cls.source.rel_path}::{cls.name}": (
+            cls,
+            sorted(_self_reads(cls.methods["state_dict"])),
+        )
+        for cls in graph.classes.values()
+        if all(method in cls.methods for method in _PROTOCOL)
+    }
 
 
 def load_manifest(path: Path) -> tuple[int | None, dict[str, list[str]]] | None:
@@ -136,74 +124,92 @@ class CheckpointCoverageRule(Rule):
     code = "REP002"
     name = "checkpoint-coverage"
     description = (
-        "checkpoint-protocol classes must serialize or explicitly exempt "
-        "every __init__ attribute, and state-shape changes must bump the "
-        "checkpoint FORMAT_VERSION via the generated manifest"
+        "checkpoint-protocol classes, defined or inherited, must serialize "
+        "or explicitly exempt every __init__ attribute, and state-shape "
+        "changes must bump the checkpoint FORMAT_VERSION via the generated "
+        "manifest"
     )
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
         options = self.options(config)
-        exempt_attr = str(options.get("exempt-attribute", "_checkpoint_exempt"))
         manifest_rel = str(options.get("manifest", "src/repro/resilience/state_manifest.py"))
         format_rel = str(options.get("format-source", "src/repro/resilience/checkpoint.py"))
-        classes = scan_checkpoint_classes(tree, exempt_attr)
+        graph = ProjectGraph.for_tree(tree)
         findings: list[Finding] = []
-        hint = "regenerate with `python -m repro.analysis --update-state-manifest`"
-
-        for cls in classes:
-            exempt = set(cls.exempt) | _ALWAYS_EXEMPT
-            for attr in sorted(set(cls.init_stores) - cls.serialized - exempt):
-                findings.append(
-                    self.finding(
-                        cls.source,
-                        cls.init_stores[attr],
-                        f"{cls.name}.{attr} is assigned in __init__ but never "
-                        "serialized by state_dict; serialize it or list it in "
-                        f"{exempt_attr} with a comment saying why it is "
-                        "rebuilt structurally",
-                    )
-                )
-            anchor = cls.exempt_node or cls.node
-            for attr in sorted(set(cls.exempt) & cls.serialized):
-                findings.append(
-                    self.finding(
-                        cls.source,
-                        anchor,
-                        f"{cls.name}.{attr} is listed in {exempt_attr} but is "
-                        "serialized by state_dict; drop the stale exemption",
-                    )
-                )
-            for attr in sorted(set(cls.exempt) - set(cls.init_stores)):
-                findings.append(
-                    self.finding(
-                        cls.source,
-                        anchor,
-                        f"{cls.name}.{attr} is listed in {exempt_attr} but is "
-                        "never assigned in __init__; drop the stale exemption",
-                    )
-                )
-
+        for cls in graph.classes.values():
+            state_owner = graph.method_owner(cls, "state_dict")
+            if state_owner is not None and graph.method_owner(cls, "load_state") is not None:
+                findings.extend(self._coverage_findings(graph, cls, state_owner))
         findings.extend(
-            self._manifest_findings(tree, classes, manifest_rel, format_rel, hint)
+            self._manifest_findings(tree, manifest_entries(graph), manifest_rel, format_rel)
         )
         return findings
+
+    def _coverage_findings(
+        self, graph: ProjectGraph, cls: ClassInfo, state_owner: ClassInfo
+    ) -> Iterator[Finding]:
+        serialized: set[str] = set()
+        for owner in graph.mro(cls):
+            if "state_dict" in owner.methods:
+                serialized |= _self_reads(owner.methods["state_dict"])
+        exempt = set(graph.class_tuple(cls, EXEMPT_ATTRIBUTE)) | _ALWAYS_EXEMPT
+        for attr in sorted(set(cls.init_attrs) - serialized - exempt):
+            if state_owner is cls:
+                yield self.finding(
+                    cls.source,
+                    cls.init_attrs[attr],
+                    f"{cls.name}.{attr} is assigned in __init__ but never "
+                    "serialized by state_dict; serialize it or list it in "
+                    f"{EXEMPT_ATTRIBUTE} with a comment saying why it is "
+                    "rebuilt structurally",
+                )
+                continue
+            yield self.finding(
+                cls.source,
+                cls.init_attrs[attr],
+                f"{cls.name}.{attr} is assigned in __init__ but the "
+                f"checkpoint protocol inherited from {state_owner.qualname} "
+                "never serializes it; a restore would silently reset it — "
+                f"serialize it, override state_dict, or list it in {EXEMPT_ATTRIBUTE}",
+                related=(
+                    RelatedLocation(
+                        state_owner.source.rel_path,
+                        int(state_owner.methods["state_dict"].node.lineno),
+                        f"inherited state_dict defined here omits {attr!r}",
+                    ),
+                ),
+            )
+        own_exempt = set(cls.class_tuples.get(EXEMPT_ATTRIBUTE, ()))
+        anchor = _exempt_statement(cls)
+        for attr in sorted(own_exempt & serialized):
+            yield self.finding(
+                cls.source,
+                anchor,
+                f"{cls.name}.{attr} is listed in {EXEMPT_ATTRIBUTE} but is "
+                "serialized by state_dict; drop the stale exemption",
+            )
+        for attr in sorted(own_exempt - set(cls.init_attrs)):
+            yield self.finding(
+                cls.source,
+                anchor,
+                f"{cls.name}.{attr} is listed in {EXEMPT_ATTRIBUTE} but is "
+                "never assigned in __init__; drop the stale exemption",
+            )
 
     def _manifest_findings(
         self,
         tree: SourceTree,
-        classes: list[CheckpointClass],
+        entries: dict[str, tuple[ClassInfo, list[str]]],
         manifest_rel: str,
         format_rel: str,
-        hint: str,
     ) -> Iterator[Finding]:
+        hint = "regenerate with `python -m repro.analysis --update-state-manifest`"
         loaded = load_manifest(tree.root / manifest_rel)
         if loaded is None:
-            if classes:
-                cls = classes[0]
+            if entries:
+                cls, _ = next(iter(entries.values()))
                 yield self.finding(
-                    cls.source,
-                    cls.node,
-                    f"no state manifest at {manifest_rel}; {hint}",
+                    cls.source, cls.node, f"no state manifest at {manifest_rel}; {hint}"
                 )
             return
         manifest_version, manifest = loaded
@@ -222,8 +228,8 @@ class CheckpointCoverageRule(Rule):
                 f"{manifest_version} but {format_rel} now declares "
                 f"{current_version}; {hint}",
             )
-        for cls in classes:
-            recorded = manifest.get(cls.key)
+        for key, (cls, shape) in entries.items():
+            recorded = manifest.get(key)
             if recorded is None:
                 yield self.finding(
                     cls.source,
@@ -231,17 +237,16 @@ class CheckpointCoverageRule(Rule):
                     f"{cls.name} implements the checkpoint protocol but has "
                     f"no entry in {manifest_rel}; {hint}",
                 )
-            elif recorded != cls.state_shape:
+            elif recorded != shape:
                 yield self.finding(
                     cls.source,
                     cls.node,
                     f"{cls.name} state shape changed (manifest records "
-                    f"{recorded}, code serializes {cls.state_shape}); bump "
+                    f"{recorded}, code serializes {shape}); bump "
                     f"FORMAT_VERSION in {format_rel} and {hint}",
                 )
-        live = {cls.key for cls in classes}
         if anchor is not None:
-            for key in sorted(set(manifest) - live):
+            for key in sorted(set(manifest) - set(entries)):
                 yield self.finding(
                     anchor,
                     anchor.tree,
@@ -250,30 +255,10 @@ class CheckpointCoverageRule(Rule):
                 )
 
 
-def _attribute_stores(func: ast.FunctionDef) -> Iterator[ast.Attribute]:
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Store)
-            and is_self_attribute(node)
-        ):
-            yield node
-
-
-def _exempt_tuple(cls: ast.ClassDef, exempt_attr: str) -> tuple[tuple[str, ...], ast.AST | None]:
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == exempt_attr for t in targets):
-            continue
-        resolved = string_tuple(value)
-        if resolved is None:
-            return (), stmt
-        return resolved[0], stmt
-    return (), None
+def _exempt_statement(cls: ClassInfo) -> ast.AST:
+    """The class-body statement assigning the exemption tuple, else the class."""
+    for stmt in cls.node.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == EXEMPT_ATTRIBUTE for t in targets):
+            return stmt
+    return cls.node

@@ -58,6 +58,13 @@ _POOL_FACTORIES = {
     "concurrent.futures.ThreadPoolExecutor",
     "ThreadPoolExecutor",
 }
+#: Entry points the graph cannot discover statically: the HTTP handler
+#: class is instantiated by socketserver per request, on the
+#: metrics-server thread.
+THREAD_ROOTS = ("repro.obs.server._Handler",)
+#: Telemetry objects every engine thread calls into concurrently; all
+#: their methods count as concurrent entry points.
+HOT_PATH_CLASSES = ("repro.obs.metrics.MetricsRegistry", "repro.obs.tracing.Tracer")
 
 
 @dataclass(frozen=True)
@@ -93,14 +100,9 @@ class ConcurrencyDisciplineRule(Rule):
     )
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
-        options = self.options(config)
-        graph = ProjectGraph.for_tree(tree)
-        extra_roots = tuple(options.get("thread-roots", ()))
-        hot_classes = tuple(options.get("hot-path-classes", ()))
-        order_modules = tuple(options.get("lock-order-modules", ()))
-
-        analysis = _Analysis(graph)
-        roots = analysis.discover_roots(extra_roots, hot_classes)
+        order_modules = tuple(self.options(config).get("lock-order-modules", ()))
+        analysis = _Analysis(ProjectGraph.for_tree(tree))
+        roots = analysis.discover_roots()
         findings = analysis.check_mutations(self, roots)
         findings.extend(analysis.check_lock_order(self, order_modules))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
@@ -182,9 +184,7 @@ class _Analysis:
     # concurrent entry points
     # ------------------------------------------------------------------ #
 
-    def discover_roots(
-        self, extra_roots: tuple[str, ...], hot_classes: tuple[str, ...]
-    ) -> list[_Root]:
+    def discover_roots(self) -> list[_Root]:
         roots: dict[str, _Root] = {}
 
         def add(fn: FunctionInfo | None, site: ast.AST, source_path: str, why: str) -> None:
@@ -232,33 +232,27 @@ class _Analysis:
                             f"dispatched to an executor in {fn.qualname}",
                         )
 
-        for qualname in extra_roots:
-            self._add_configured_root(roots, qualname, "configured thread root")
-        for qualname in hot_classes:
-            self._add_configured_root(
+        for qualname in THREAD_ROOTS:
+            self._add_class_roots(roots, qualname, "configured thread root")
+        for qualname in HOT_PATH_CLASSES:
+            self._add_class_roots(
                 roots, qualname, "telemetry hot path (called from every engine thread)"
             )
         return list(roots.values())
 
-    def _add_configured_root(
-        self, roots: dict[str, _Root], qualname: str, why: str
-    ) -> None:
+    def _add_class_roots(self, roots: dict[str, _Root], qualname: str, why: str) -> None:
+        """Every method of a project class is a concurrent entry point."""
         cls = self.graph.classes.get(qualname)
-        if cls is not None:
-            for method in cls.methods.values():
-                if method.qualname not in roots:
-                    roots[method.qualname] = _Root(
-                        method,
-                        method.source.rel_path,
-                        int(method.node.lineno),
-                        f"{why}: {qualname}",
-                    )
+        if cls is None:
             return
-        fn = self.graph.function(qualname)
-        if fn is not None and fn.qualname not in roots:
-            roots[fn.qualname] = _Root(
-                fn, fn.source.rel_path, int(fn.node.lineno), f"{why}: {qualname}"
-            )
+        for method in cls.methods.values():
+            if method.qualname not in roots:
+                roots[method.qualname] = _Root(
+                    method,
+                    method.source.rel_path,
+                    int(method.node.lineno),
+                    f"{why}: {qualname}",
+                )
 
     def _resolve_callable(
         self, fn: FunctionInfo, expr: ast.expr

@@ -18,6 +18,11 @@ statically:
   :mod:`repro.fleet` — bare dispatch bypasses the engine layer that
   owns journaling, partitioning, and degradation policy, so crash
   recovery guarantees quietly stop applying.
+
+Every subclass is covered, however indirect: classes come from the
+:class:`~repro.analysis.graph.ProjectGraph` subclass closure, and a
+required method counts as implemented when any project class in the MRO
+below ``ShardExecutor`` defines it.
 """
 
 from __future__ import annotations
@@ -26,12 +31,33 @@ import ast
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core import Finding, SourceFile, SourceTree
-from .base import Rule, attr_chain, iter_classes, iter_methods, path_in
+from ..graph import ClassInfo, ProjectGraph
+from .base import Rule, attr_chain, path_in
 
 __all__ = ["ExecutorProtocolRule"]
 
+#: Base classes whose subclasses must honour the executor protocol.
+BASE_CLASSES = ("ShardExecutor",)
+#: Methods every executor must implement (the base raises
+#: NotImplementedError; broadcast/close have usable defaults).
+REQUIRED_METHODS = ("start", "call", "scatter")
+#: Protocol parameter names (after self) an override must keep, so
+#: keyword call sites stay valid for every executor.
+SIGNATURES: dict[str, tuple[str, ...]] = {
+    "start": ("num_shards", "seed", "telemetry"),
+    "call": ("shard", "method", "*args", "**kwargs"),
+    "broadcast": ("method", "*args", "**kwargs"),
+    "scatter": ("method", "per_shard"),
+    "close": (),
+}
+#: Executor dispatch (.call/.scatter/.broadcast on an executor receiver)
+#: is only legitimate inside these layers; elsewhere it bypasses
+#: journaling, partitioning, and degradation policy.
+ALLOWED_PATHS = ("src/repro/sharding", "src/repro/fleet")
+DISPATCH_METHODS = ("call", "scatter", "broadcast")
 
-def _signature_tokens(func: ast.FunctionDef) -> tuple[str, ...]:
+
+def _signature_tokens(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
     """A method's parameter names after ``self``, with vararg markers."""
     args = func.args
     tokens: list[str] = [a.arg for a in args.posonlyargs + args.args]
@@ -69,71 +95,46 @@ class ExecutorProtocolRule(Rule):
     )
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
-        options = self.options(config)
-        bases = tuple(str(b) for b in options.get("base-classes", ("ShardExecutor",)))
-        required = tuple(
-            str(m) for m in options.get("required-methods", ("start", "call", "scatter"))
-        )
-        signatures = {
-            str(name): tuple(str(t) for t in tokens)
-            for name, tokens in dict(options.get("signatures", {})).items()
-        }
-        allowed = tuple(str(p) for p in options.get("allowed-paths", ()))
-        dispatch = tuple(
-            str(m)
-            for m in options.get("dispatch-methods", ("call", "scatter", "broadcast"))
-        )
+        graph = ProjectGraph.for_tree(tree)
         findings: list[Finding] = []
+        for cls in graph.subclasses_of(BASE_CLASSES):
+            findings.extend(self._check_class(graph, cls))
         for source in tree:
-            for cls in iter_classes(source):
-                if not _subclasses(cls, bases):
-                    continue
-                findings.extend(
-                    self._check_class(source, cls, required, signatures)
-                )
-            if not path_in(source.rel_path, allowed):
-                findings.extend(self._check_dispatch(source, dispatch))
+            if not path_in(source.rel_path, ALLOWED_PATHS):
+                findings.extend(self._check_dispatch(source))
         return findings
 
-    def _check_class(
-        self,
-        source: SourceFile,
-        cls: ast.ClassDef,
-        required: Sequence[str],
-        signatures: Mapping[str, tuple[str, ...]],
-    ) -> Iterator[Finding]:
-        methods = {m.name: m for m in iter_methods(cls)}
-        for name in required:
-            if name not in methods:
+    def _check_class(self, graph: ProjectGraph, cls: ClassInfo) -> Iterator[Finding]:
+        for name in REQUIRED_METHODS:
+            owner = graph.method_owner(cls, name)
+            if owner is None or owner.name in BASE_CLASSES:
                 yield self.finding(
-                    source,
-                    cls,
+                    cls.source,
+                    cls.node,
                     f"{cls.name} subclasses ShardExecutor but does not "
                     f"implement {name}(); the base raises "
                     "NotImplementedError at first use",
                 )
-        for name, expected in signatures.items():
-            method = methods.get(name)
+        for name, expected in SIGNATURES.items():
+            method = cls.methods.get(name)
             if method is None:
-                continue  # inheriting the base implementation is conforming
-            got = _signature_tokens(method)
+                continue  # inheriting an implementation is conforming
+            got = _signature_tokens(method.node)
             if _normalize(got) != _normalize(expected):
                 yield self.finding(
-                    source,
-                    method,
+                    cls.source,
+                    method.node,
                     f"{cls.name}.{name}({', '.join(got)}) drifts from the "
                     f"executor protocol signature ({', '.join(expected)}); "
                     "keyword call sites break for this executor only",
                 )
 
-    def _check_dispatch(
-        self, source: SourceFile, dispatch: Sequence[str]
-    ) -> Iterator[Finding]:
+    def _check_dispatch(self, source: SourceFile) -> Iterator[Finding]:
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr not in dispatch:
+            if not isinstance(func, ast.Attribute) or func.attr not in DISPATCH_METHODS:
                 continue
             receiver = attr_chain(func.value)
             if "executor" in receiver.lower():
@@ -144,11 +145,3 @@ class ExecutorProtocolRule(Rule):
                     "outside repro.sharding/repro.fleet bypasses journaling "
                     "and degradation policy; go through the engine surface",
                 )
-
-
-def _subclasses(cls: ast.ClassDef, bases: Sequence[str]) -> bool:
-    for base in cls.bases:
-        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-        if name in bases:
-            return True
-    return False

@@ -5,8 +5,8 @@ tuple of the stream — millions of times per experiment.  The batched
 ``on_ops`` path exists precisely so per-op work stays cheap, and the
 benchmarks in ``benchmarks/`` regress measurably when a copy or an
 f-string sneaks into these bodies.  This rule flags allocation-heavy
-idioms inside the configured hot functions (``on_op``, ``process``) in
-the configured paths:
+idioms inside the hot functions (``on_op``, ``process``,
+``_process_inner``) in the configured paths:
 
 * ``list(...)`` / ``dict(...)`` / ``set(...)`` / ``tuple(...)`` /
   ``sorted(...)`` / ``copy.deepcopy(...)`` copies,
@@ -16,8 +16,8 @@ the configured paths:
 The rule also guards the *kernel seam*: batch coefficient maintenance
 must build its basis tables through ``repro.fastpath`` (the Chebyshev
 recurrence / compiled kernels), not by per-entry trig evaluation.  Files
-under the configured ``kernel-paths`` may not call the configured
-``kernel-calls`` (``basis_matrix``, ``np.cos``, ...) directly — the
+under the configured ``kernel-paths`` may not call ``basis_matrix``,
+``np.cos``, ``numpy.cos`` or ``phi`` directly — the
 blessed implementations live under ``kernel-seam`` (``src/repro/fastpath``
 by default), which is exempt because it *is* the seam, as are the
 reference modules the seam is checked against.
@@ -49,9 +49,12 @@ _COPY_CALLS = {
     "copy.deepcopy",
 }
 
-#: Default calls that reintroduce per-entry basis evaluation outside the
-#: fastpath seam (overridable via the ``kernel-calls`` option).
-_KERNEL_CALLS = ("basis_matrix", "np.cos", "numpy.cos", "phi")
+#: Per-tuple hot-path methods: allocation-heavy idioms inside are flagged.
+_HOT_FUNCTIONS = ("on_op", "process", "_process_inner")
+
+#: Calls that reintroduce per-entry basis evaluation outside the fastpath
+#: seam.
+_KERNEL_CALLS = {"basis_matrix", "np.cos", "numpy.cos", "phi"}
 
 #: Default home of the blessed kernel implementations, exempt from the
 #: seam check (overridable via the ``kernel-seam`` option).
@@ -69,34 +72,28 @@ class HotPathPurityRule(Rule):
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
         options = self.options(config)
-        functions = tuple(
-            str(f) for f in options.get("functions", ("on_op", "process", "_process_inner"))
-        )
         paths = tuple(str(p) for p in options.get("paths", ()))
         kernel_paths = tuple(str(p) for p in options.get("kernel-paths", ()))
-        kernel_calls = {str(c) for c in options.get("kernel-calls", _KERNEL_CALLS)}
         kernel_seam = tuple(str(p) for p in options.get("kernel-seam", _KERNEL_SEAM))
         findings: list[Finding] = []
         for source in tree:
             if path_in(source.rel_path, paths):
                 for node in ast.walk(source.tree):
-                    if isinstance(node, ast.FunctionDef) and node.name in functions:
+                    if isinstance(node, ast.FunctionDef) and node.name in _HOT_FUNCTIONS:
                         findings.extend(self._check_function(source, node))
             if path_in(source.rel_path, kernel_paths) and not path_in(
                 source.rel_path, kernel_seam
             ):
-                findings.extend(self._check_kernel_seam(source, kernel_calls))
+                findings.extend(self._check_kernel_seam(source))
         return findings
 
-    def _check_kernel_seam(
-        self, source: SourceFile, kernel_calls: set[str]
-    ) -> Iterator[Finding]:
+    def _check_kernel_seam(self, source: SourceFile) -> Iterator[Finding]:
         """Flag direct basis evaluation that bypasses ``repro.fastpath``."""
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
-            if name in kernel_calls:
+            if name in _KERNEL_CALLS:
                 yield self.finding(
                     source,
                     node,

@@ -11,20 +11,33 @@ catalog (:mod:`repro.obs.catalog`, refreshed with
 must not carry stale entries.  Label tuples written as
 ``("relation", *extra)`` are the engine's optional-shard-suffix idiom
 and match catalog entries flagged ``shard_suffix``.
+
+Metric names also appear far from their registration: dashboards fetch
+them by name, tests assert on them, exporters and docs embed them.  A
+renamed metric leaves those references silently pointing at nothing, so
+every other string literal that *is* a full metric name (matches
+``repro_[a-z0-9_]+``) must be a catalog entry too, unless the ``allow``
+option lists it.  The generated catalog module itself is skipped.
+Registration sites, stale entries and references together make the
+catalog agree with the tree in both directions.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..core import Finding, SourceFile, SourceTree
 from .base import Rule, string_tuple
 
 __all__ = ["CatalogEntry", "MetricCatalogRule", "MetricSite", "load_catalog", "scan_metric_sites"]
 
+#: Metric names under this prefix must agree with the generated catalog.
+PREFIX = "repro_"
+_NAME_RE = re.compile(re.escape(PREFIX) + r"[a-z0-9]+(?:_[a-z0-9]+)*\Z")
 _REGISTRY_METHODS = {"counter": "counter", "gauge": "gauge", "histogram": "histogram"}
 
 
@@ -49,8 +62,8 @@ class CatalogEntry:
     help: str
 
 
-def scan_metric_sites(tree: SourceTree, prefix: str) -> list[MetricSite]:
-    """Every ``.counter/.gauge/.histogram("<prefix>...")`` call in the tree."""
+def scan_metric_sites(tree: SourceTree) -> list[MetricSite]:
+    """Every ``.counter/.gauge/.histogram("repro_...")`` call in the tree."""
     sites: list[MetricSite] = []
     for source in tree:
         for node in ast.walk(source.tree):
@@ -62,7 +75,7 @@ def scan_metric_sites(tree: SourceTree, prefix: str) -> list[MetricSite]:
             first = node.args[0]
             if not isinstance(first, ast.Constant) or not isinstance(first.value, str):
                 continue
-            if not first.value.startswith(prefix):
+            if not first.value.startswith(PREFIX):
                 continue
             help_text = ""
             if len(node.args) > 1:
@@ -123,79 +136,87 @@ class MetricCatalogRule(Rule):
     name = "metric-catalog"
     description = (
         "repro_* metric registrations must match the generated catalog "
-        "(name, kind, and label set), so sharded registries stay mergeable"
+        "(name, kind, and label set), so sharded registries stay mergeable, "
+        "and every other repro_* metric-name literal must be catalogued"
     )
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
         options = self.options(config)
-        prefix = str(options.get("prefix", "repro_"))
         catalog_rel = str(options.get("catalog", "src/repro/obs/catalog.py"))
-        catalog_path = tree.root / catalog_rel
-        catalog = load_catalog(catalog_path)
-        sites = scan_metric_sites(tree, prefix)
-        findings: list[Finding] = []
+        allow = {str(name) for name in options.get("allow", ())}
+        return list(self._findings(tree, catalog_rel, allow))
+
+    def _findings(self, tree: SourceTree, catalog_rel: str, allow: set[str]) -> Iterator[Finding]:
+        catalog = load_catalog(tree.root / catalog_rel)
+        sites = scan_metric_sites(tree)
         hint = "regenerate with `python -m repro.analysis --update-metric-catalog`"
         for site in sites:
             if site.labels is None:
-                findings.append(
-                    self.finding(
-                        site.source,
-                        site.node,
-                        f"metric {site.name!r}: labelnames are not a literal "
-                        "tuple of strings, so catalog conformance cannot be "
-                        "checked statically",
-                    )
+                yield self.finding(
+                    site.source,
+                    site.node,
+                    f"metric {site.name!r}: labelnames are not a literal "
+                    "tuple of strings, so catalog conformance cannot be "
+                    "checked statically",
                 )
                 continue
             entry = None if catalog is None else catalog.get(site.name)
             if entry is None:
                 where = "missing" if catalog is None else "not in"
-                findings.append(
-                    self.finding(
-                        site.source,
-                        site.node,
-                        f"metric {site.name!r} is {where} the catalog "
-                        f"{catalog_rel}; {hint}",
-                    )
+                yield self.finding(
+                    site.source,
+                    site.node,
+                    f"metric {site.name!r} is {where} the catalog {catalog_rel}; {hint}",
                 )
-                continue
-            if entry.kind != site.kind:
-                findings.append(
-                    self.finding(
-                        site.source,
-                        site.node,
-                        f"metric {site.name!r} is registered as a {site.kind} "
-                        f"here but catalogued as a {entry.kind}; "
-                        "MetricsRegistry.merge would raise on this drift",
-                    )
+            elif entry.kind != site.kind:
+                yield self.finding(
+                    site.source,
+                    site.node,
+                    f"metric {site.name!r} is registered as a {site.kind} "
+                    f"here but catalogued as a {entry.kind}; "
+                    "MetricsRegistry.merge would raise on this drift",
                 )
-                continue
-            if not _labels_match(site, entry):
+            elif not _labels_match(site, entry):
                 expected = _expected_labels_text(entry)
                 got = "(" + ", ".join(site.labels) + (", *shard" if site.has_star else "") + ")"
-                findings.append(
-                    self.finding(
-                        site.source,
-                        site.node,
-                        f"metric {site.name!r} is registered with labels {got} "
-                        f"but catalogued with {expected}; "
-                        "MetricsRegistry.merge would raise on this drift",
-                    )
+                yield self.finding(
+                    site.source,
+                    site.node,
+                    f"metric {site.name!r} is registered with labels {got} "
+                    f"but catalogued with {expected}; "
+                    "MetricsRegistry.merge would raise on this drift",
                 )
         if catalog:
             used = {site.name for site in sites}
             anchor = tree.by_rel_path(catalog_rel)
             for name in sorted(set(catalog) - used):
-                message = (
-                    f"catalog entry {name!r} matches no registration site; {hint}"
-                )
+                message = f"catalog entry {name!r} matches no registration site; {hint}"
                 if anchor is not None:
-                    findings.append(self.finding(anchor, anchor.tree, message))
+                    yield self.finding(anchor, anchor.tree, message)
                 else:
-                    findings.append(
-                        Finding(self.code, self.name, catalog_rel, 1, 0, message)
+                    yield Finding(self.code, self.name, catalog_rel, 1, 0, message)
+        # Every other full metric-name literal must name a catalog entry.
+        known = set(catalog or ()) | allow
+        registration_nodes = {id(site.node.args[0]) for site in sites}
+        for source in tree:
+            if source.rel_path == catalog_rel:
+                continue
+            for node in ast.walk(source.tree):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in registration_nodes
+                    and _NAME_RE.fullmatch(node.value)
+                    and node.value not in known
+                ):
+                    yield self.finding(
+                        source,
+                        node,
+                        f"string {node.value!r} looks like a metric name but "
+                        f"is not in the catalog {catalog_rel}; fix the "
+                        "reference, register the metric, or allow-list it "
+                        "under [tool.repro-analysis.metric-catalog]",
                     )
-        return findings
 
 
 def _labels_match(site: MetricSite, entry: CatalogEntry) -> bool:

@@ -8,24 +8,34 @@ fast path whose base implementation replays per-op, and
 engine may call at any point between batches — including concurrently
 with checkpointing.  Two drift modes this rule pins down statically:
 
-* a subclass that defines ``on_ops`` but not ``on_op`` — the batched
-  path works until something (fault isolation, the dead-letter replayer)
-  falls back to per-op delivery and hits the base's
-  ``NotImplementedError``;
+* a subclass that defines ``on_ops`` while no class in its MRO below
+  ``StreamObserver`` defines ``on_op`` — the batched path works until a
+  per-op caller (``StreamRelation.process``, behind ``engine.insert`` /
+  ``delete`` / ``process``) hits the base's ``NotImplementedError``;
 * mutation inside the read-only methods — an ``answer()`` that updates
   ``self`` state turns checkpoint/restore and shard-merge into
   order-dependent heisenbugs.
+
+Every subclass is covered, however indirect: classes come from the
+:class:`~repro.analysis.graph.ProjectGraph` subclass closure over the
+project MRO, not from the bases named in one file.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
-from ..core import Finding, SourceFile, SourceTree
-from .base import Rule, is_self_attribute, iter_classes, iter_methods
+from ..core import Finding, SourceTree
+from ..graph import ClassInfo, ProjectGraph
+from .base import Rule, is_self_attribute
 
 __all__ = ["ObserverProtocolRule"]
+
+#: Base classes whose subclasses must honour the observer protocol.
+BASE_CLASSES = ("StreamObserver",)
+#: Methods that must never mutate observer/engine state.
+READ_ONLY_METHODS = ("answer", "estimate", "state_dict")
 
 
 class ObserverProtocolRule(Rule):
@@ -38,40 +48,30 @@ class ObserverProtocolRule(Rule):
     )
 
     def check(self, tree: SourceTree, config: Mapping[str, Any]) -> list[Finding]:
-        options = self.options(config)
-        bases = tuple(str(b) for b in options.get("base-classes", ("StreamObserver",)))
-        read_only = tuple(
-            str(m)
-            for m in options.get("read-only-methods", ("answer", "estimate", "state_dict"))
-        )
+        graph = ProjectGraph.for_tree(tree)
         findings: list[Finding] = []
-        for source in tree:
-            for cls in iter_classes(source):
-                if not _subclasses(cls, bases):
-                    continue
-                findings.extend(self._check_class(source, cls, read_only))
+        for cls in graph.subclasses_of(BASE_CLASSES):
+            findings.extend(self._check_class(graph, cls))
         return findings
 
-    def _check_class(
-        self, source: SourceFile, cls: ast.ClassDef, read_only: Sequence[str]
-    ) -> Iterator[Finding]:
-        methods = {m.name: m for m in iter_methods(cls)}
-        if "on_ops" in methods and "on_op" not in methods:
+    def _check_class(self, graph: ProjectGraph, cls: ClassInfo) -> Iterator[Finding]:
+        on_op = graph.method_owner(cls, "on_op")
+        if "on_ops" in cls.methods and (on_op is None or on_op.name in BASE_CLASSES):
             yield self.finding(
-                source,
-                methods["on_ops"],
+                cls.source,
+                cls.methods["on_ops"].node,
                 f"{cls.name} defines the batched on_ops fast path but not "
-                "on_op; per-op fallback (fault isolation, dead-letter "
-                "replay) would hit StreamObserver.on_op's "
-                "NotImplementedError",
+                "on_op; per-op delivery (StreamRelation.process, behind "
+                "engine.insert/delete/process) would hit "
+                "StreamObserver.on_op's NotImplementedError",
             )
-        for name in read_only:
-            method = methods.get(name)
+        for name in READ_ONLY_METHODS:
+            method = cls.methods.get(name)
             if method is None:
                 continue
-            for site in _mutations(method):
+            for site in _mutations(method.node):
                 yield self.finding(
-                    source,
+                    cls.source,
                     site,
                     f"{cls.name}.{name}() mutates self; read paths must be "
                     "pure so checkpointing and shard-merge stay "
@@ -79,15 +79,7 @@ class ObserverProtocolRule(Rule):
                 )
 
 
-def _subclasses(cls: ast.ClassDef, bases: Sequence[str]) -> bool:
-    for base in cls.bases:
-        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-        if name in bases:
-            return True
-    return False
-
-
-def _mutations(method: ast.FunctionDef) -> Iterator[ast.AST]:
+def _mutations(method: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]:
     """Statements that store into ``self`` state inside ``method``."""
     # AugAssign targets carry Store ctx, so `self.x += 1` and
     # `self.buckets[i] += 1` are covered by the two branches below.

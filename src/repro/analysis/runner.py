@@ -17,7 +17,7 @@ from typing import Any, Mapping, Sequence
 
 from .baseline import Baseline
 from .config import load_config
-from .core import Finding, SourceTree
+from .core import RETIRED_CODES, Finding, SourceTree
 from .rules import ALL_RULES, Rule
 
 __all__ = ["AnalysisReport", "run_analysis", "select_rules"]
@@ -45,13 +45,14 @@ class AnalysisReport:
 def select_rules(
     config: Mapping[str, Any], rules: Sequence[Rule] | None = None
 ) -> list[Rule]:
-    """Apply the ``select`` / ``ignore`` lists (codes or kebab-case names)."""
+    """Apply the ``select`` / ``ignore`` lists (codes or kebab-case names).
+
+    A retired code or name selects or ignores the rule that absorbed it.
+    """
     if rules is None:
         rules = ALL_RULES
-    select = {str(s).upper() for s in config.get("select", [])}
-    select |= {str(s).lower() for s in config.get("select", [])}
-    ignore = {str(s).upper() for s in config.get("ignore", [])}
-    ignore |= {str(s).lower() for s in config.get("ignore", [])}
+    select = _rule_keys(config.get("select", []))
+    ignore = _rule_keys(config.get("ignore", []))
     chosen: list[Rule] = []
     for rule in rules:
         keys = {rule.code, rule.name}
@@ -61,6 +62,15 @@ def select_rules(
             continue
         chosen.append(rule)
     return chosen
+
+
+def _rule_keys(values: Sequence[Any]) -> set[str]:
+    """Codes and names, in either case, with retired ones mapped forward."""
+    keys: set[str] = set()
+    for value in values:
+        for key in (str(value).upper(), str(value).lower()):
+            keys.add(RETIRED_CODES.get(key, key))
+    return keys
 
 
 def run_analysis(

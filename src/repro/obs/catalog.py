@@ -31,13 +31,19 @@ METRIC_CATALOG = {
         "kind": 'counter',
         "labels": ('query',),
         "shard_suffix": False,
-        "help": 'Answers clamped because the point estimate exceeded the guaranteed upper bound, per query.',
+        "help": (
+            'Answers clamped because the point estimate exceeded the guaranteed upper bound, per '
+            'query.'
+        ),
     },
     'repro_bound_tightness_ratio': {
         "kind": 'gauge',
         "labels": ('query',),
         "shard_suffix": False,
-        "help": 'Clamped estimate as a fraction of its guaranteed upper bound, per query (1.0 = estimate at or above the bound).',
+        "help": (
+            'Clamped estimate as a fraction of its guaranteed upper bound, per query (1.0 = '
+            'estimate at or above the bound).'
+        ),
     },
     'repro_estimate_latency_seconds': {
         "kind": 'histogram',

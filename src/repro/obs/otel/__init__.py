@@ -37,10 +37,6 @@ from .encode import (
     encode_span_groups,
     encode_spans,
     epoch_anchor_ns,
-    metrics_from_otlp,
-    spans_from_otlp,
-    validate_metrics_payload,
-    validate_traces_payload,
 )
 from .export import (
     OtelPushLoop,
@@ -57,10 +53,6 @@ __all__ = [
     "encode_span_groups",
     "encode_spans",
     "epoch_anchor_ns",
-    "metrics_from_otlp",
-    "spans_from_otlp",
-    "validate_metrics_payload",
-    "validate_traces_payload",
     "OtelPushLoop",
     "OtlpExporter",
     "OtlpHttpExporter",

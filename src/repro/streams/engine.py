@@ -1421,7 +1421,9 @@ class _SketchObserver(StreamObserver):
 
     def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
         # Per-op slow path; the allocation-free route is the batched on_ops.
-        indices = [d.index_of(op.values[ax]) for d, ax in zip(self.domains, self.axes)]  # repro: noqa[REP006]
+        indices = [  # repro: noqa[REP006]
+            d.index_of(op.values[ax]) for d, ax in zip(self.domains, self.axes)
+        ]
         self.sketch.update(indices, weight=op.weight)
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:

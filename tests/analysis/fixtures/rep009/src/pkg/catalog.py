@@ -1,4 +1,4 @@
-"""Stand-in for the generated metric catalog (REP009 fixture)."""
+"""Stand-in for the generated metric catalog (REP001 fixture)."""
 
 METRIC_CATALOG = {
     "repro_good_total": {

@@ -1,4 +1,4 @@
-"""Metric names referenced far from their registration (REP009 fixture)."""
+"""Metric names referenced far from their registration (REP001 fixture)."""
 
 GOOD = "repro_good_total"
 GHOST = "repro_ghost_total"

@@ -1,4 +1,4 @@
-"""The checkpoint-protocol base the subclasses inherit from (REP010 fixture)."""
+"""The checkpoint-protocol base the subclasses inherit from (REP002 fixture)."""
 
 
 class Synopsis:

@@ -1,4 +1,4 @@
-"""Subclasses in another module than their serialization (REP010 fixture)."""
+"""Subclasses in another module than their serialization (REP002 fixture)."""
 
 from .base import Synopsis
 

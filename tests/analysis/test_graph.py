@@ -1,7 +1,5 @@
 """ProjectGraph: the indexes every cross-module rule stands on."""
 
-from pathlib import Path
-
 from repro.analysis.core import SourceTree
 from repro.analysis.graph import ProjectGraph, module_name_for
 

@@ -1,13 +1,19 @@
-"""REP008–REP011: the whole-program rules against on-disk fixtures.
+"""The cross-module rules against on-disk fixtures.
 
 Each fixture project under ``fixtures/`` seeds one true positive (the
 regression the rule exists to catch), one noqa'd case, and one clean
 case, with the violation and its cause split across modules so the
-rules' cross-module reach is what is actually under test.
+rules' cross-module reach is what is actually under test.  The
+``rep009`` and ``rep010`` projects were written for the retired codes
+REP009 and REP010 and now exercise REP001 and REP002, which absorbed
+them; their tests still select by the old codes.
 """
 
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.cli import main
 from repro.analysis.runner import run_analysis
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -65,7 +71,7 @@ class TestMetricDrift:
         report = report_for(
             "rep009",
             "REP009",
-            **{"metric-drift": {"catalog": "src/pkg/catalog.py"}},
+            **{"metric-catalog": {"catalog": "src/pkg/catalog.py"}},
         )
         assert len(report.findings) == 1
         assert "repro_ghost_total" in report.findings[0].message
@@ -77,7 +83,7 @@ class TestMetricDrift:
             "rep009",
             "REP009",
             **{
-                "metric-drift": {
+                "metric-catalog": {
                     "catalog": "src/pkg/catalog.py",
                     "allow": ["repro_ghost_total"],
                 }
@@ -104,6 +110,29 @@ class TestCheckpointCompleteness:
         assert "scale" not in messages  # overriding state_dict covers it
         assert "scratch" not in messages  # suppressed inline
         assert report.suppressed == 1
+
+
+class TestRetiredCodes:
+    """REP009 and REP010 live on inside REP001 and REP002.
+
+    The fixtures' ``noqa[REP009]`` / ``noqa[REP010]`` comments still
+    suppress (see the two classes above); selection by the retired code
+    or name reaches the merged rule too.
+    """
+
+    @pytest.mark.parametrize("key", ["REP010", "checkpoint-completeness"])
+    def test_select_by_retired_key_runs_the_merged_rule(self, key, capsys):
+        assert main([str(FIXTURES / "rep010" / "src"), "--select", key]) == 1
+        out = capsys.readouterr().out
+        assert "REP002 Drifted.offset" in out
+        assert "1 finding" in out
+
+    def test_ignore_by_retired_name_skips_the_merged_rule(self):
+        report = run_analysis(
+            FIXTURES / "rep009",
+            overrides={"select": ["REP001", "REP004"], "ignore": ["metric-drift"]},
+        )
+        assert report.rules_run == ("REP004",)
 
 
 class TestAsyncSafety:

@@ -135,6 +135,26 @@ class TestCoverage:
         assert len(findings) == 1
         assert "ghost" in findings[0].message and "never assigned" in findings[0].message
 
+    def test_stale_exemption_on_an_inheriting_class_is_flagged(self, project):
+        root = project(
+            {
+                "src/pkg/checkpoint.py": CHECKPOINT,
+                "src/pkg/a.py": COVERED,
+                "src/pkg/b.py": '''
+                    from .a import Synopsis
+
+                    class Child(Synopsis):
+                        _checkpoint_exempt = ("ghost",)
+                ''',
+            }
+        )
+        regenerate(root)
+        findings = findings_for(root, "REP002", **OPTIONS)
+        assert len(findings) == 1
+        assert findings[0].path == "src/pkg/b.py"
+        assert "Child.ghost" in findings[0].message
+        assert "never assigned" in findings[0].message
+
     def test_exempt_but_serialized_is_flagged(self, project):
         root = project(
             {

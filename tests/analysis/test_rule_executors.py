@@ -120,6 +120,36 @@ class TestSignatureDrift:
         assert len(findings) == 1
         assert "call" in findings[0].message
 
+    def test_indirect_subclass_override_is_checked(self, project):
+        root = project(
+            {
+                "src/pkg/serial.py": '''
+                    from repro.sharding.executor import ShardExecutor
+
+                    class Serial(ShardExecutor):
+                        def start(self, num_shards, seed, telemetry=True):
+                            pass
+
+                        def call(self, shard, method, *args, **kwargs):
+                            pass
+
+                        def scatter(self, method, per_shard):
+                            pass
+                ''',
+                "src/pkg/drifting.py": '''
+                    from .serial import Serial
+
+                    class Drifting(Serial):
+                        def call(self, shard, name):
+                            pass
+                ''',
+            }
+        )
+        findings = findings_for(root, "REP007")
+        assert len(findings) == 1
+        assert findings[0].path == "src/pkg/drifting.py"
+        assert "Drifting.call(shard, name) drifts" in findings[0].message
+
     def test_vararg_names_do_not_matter(self, project):
         root = project(
             {

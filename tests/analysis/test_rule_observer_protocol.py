@@ -51,6 +51,47 @@ class TestBatchProtocol:
         )
         assert findings_for(root, "REP005") == []
 
+    def test_indirect_subclass_without_on_op_is_flagged(self, project):
+        root = project(
+            {
+                "src/pkg/middle.py": '''
+                    from repro.streams import StreamObserver
+
+                    class Middle(StreamObserver):
+                        pass
+                ''',
+                "src/pkg/leaf.py": '''
+                    from .middle import Middle
+
+                    class Leaf(Middle):
+                        def on_ops(self, relation, rows, kind):
+                            pass
+                ''',
+            }
+        )
+        findings = findings_for(root, "REP005")
+        assert len(findings) == 1
+        assert findings[0].path == "src/pkg/leaf.py"
+        assert "Leaf defines the batched on_ops" in findings[0].message
+
+    def test_inherited_on_op_is_fine(self, project):
+        root = project(
+            {
+                "src/pkg/a.py": '''
+                    from repro.streams import StreamObserver
+
+                    class PerOp(StreamObserver):
+                        def on_op(self, relation, op):
+                            pass
+
+                    class Batched(PerOp):
+                        def on_ops(self, relation, rows, kind):
+                            pass
+                ''',
+            }
+        )
+        assert findings_for(root, "REP005") == []
+
     def test_unrelated_classes_are_out_of_scope(self, project):
         root = project(
             {
@@ -118,6 +159,31 @@ class TestReadOnlyMethods:
             }
         )
         assert len(findings_for(root, "REP005")) == 1
+
+    def test_store_in_an_indirect_subclass_answer_is_flagged(self, project):
+        root = project(
+            {
+                "src/pkg/middle.py": '''
+                    from repro.streams import StreamObserver
+
+                    class Middle(StreamObserver):
+                        def on_op(self, relation, op):
+                            pass
+                ''',
+                "src/pkg/leaf.py": '''
+                    from .middle import Middle
+
+                    class Leaf(Middle):
+                        def answer(self):
+                            self.cache = 42
+                            return self.cache
+                ''',
+            }
+        )
+        findings = findings_for(root, "REP005")
+        assert len(findings) == 1
+        assert findings[0].path == "src/pkg/leaf.py"
+        assert "Leaf.answer() mutates self" in findings[0].message
 
     def test_pure_reads_and_locals_are_fine(self, project):
         root = project(

@@ -33,8 +33,6 @@ def test_repo_tree_is_clean():
         "REP006",
         "REP007",
         "REP008",
-        "REP009",
-        "REP010",
         "REP011",
     )
     assert report.files_scanned > 50

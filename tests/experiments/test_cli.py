@@ -79,6 +79,22 @@ class TestStats:
         assert "per-tuple ops" in out and "cosine" in out
 
 
+class TestBounds:
+    def test_every_bound_covers_the_exact_answer(self, capsys):
+        code = main(["bounds", "--tuples", "2000", "--domain", "200", "--budget", "32"])
+        assert code == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            fields = line.split()
+            if len(fields) >= 2 and fields[1].replace(",", "").replace(".", "").isdigit():
+                rows[fields[0]] = [float(field.replace(",", "")) for field in fields[1:4]]
+        exact = rows.pop("exact")[0]
+        assert sorted(rows) == ["basic_sketch", "cosine", "histogram", "sample"]
+        for method, (estimate, bound, clamped) in rows.items():
+            assert exact <= bound, method
+            assert clamped == min(estimate, bound), method
+
+
 class TestMonitor:
     ARGS = ["monitor", "--tuples", "600", "--batch", "128", "--domain", "100",
             "--budget", "32", "--refresh-every", "400", "--accuracy-every", "200",

@@ -12,12 +12,15 @@ from repro.obs.otel.encode import (
     encode_span_groups,
     encode_spans,
     epoch_anchor_ns,
+)
+from repro.obs.tracing import SpanEvent, Tracer
+
+from .otlp_decode import (
     metrics_from_otlp,
     spans_from_otlp,
     validate_metrics_payload,
     validate_traces_payload,
 )
-from repro.obs.tracing import SpanEvent, TraceContext, Tracer
 
 
 def make_events(n=3):

@@ -5,14 +5,12 @@ import json
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.otel.encode import (
-    encode_metrics,
-    validate_metrics_payload,
-    validate_traces_payload,
-)
+from repro.obs.otel.encode import encode_metrics
 from repro.obs.otel.export import OtelPushLoop, OtlpJsonFileExporter
 from repro.obs.tracing import Tracer
 from repro.resilience.retry import RetryPolicy
+
+from .otlp_decode import validate_metrics_payload, validate_traces_payload
 
 
 class FlakyExporter(OtlpJsonFileExporter):

@@ -348,3 +348,27 @@ class TestDuplicateQueries:
             for method in SHARED_METHODS:
                 bound = single.estimate(f"{method}_a", mode="upper_bound")
                 assert sharded.estimate(f"{method}_b", mode="upper_bound") == bound
+
+
+class TestUnregister:
+    """A fleet query dropped mid-stream and registered again under the same
+    name answers exactly as the single engine doing the same."""
+
+    @pytest.mark.parametrize("method", ["cosine", "basic_sketch", "sample", "histogram"])
+    def test_reregistered_query_matches_single_engine(self, method):
+        name = f"q_{method}"
+        ops = make_stream(data_seed=3, n_batches=12, with_deletes=False)
+        single = build_single(methods=[method])
+        with build_sharded(2, methods=[method]) as sharded:
+            for engine in (single, sharded):
+                feed(engine, ops[:4])
+                engine.unregister_query(name)
+                assert name not in engine.query_names()
+                feed(engine, ops[4:8])
+                engine.register_query(name, QUERY, method=method, budget=BUDGET)
+                feed(engine, ops[8:])
+            assert sharded.exact_answer(name) == single.exact_answer(name)
+            if method in FLOAT_METHODS:
+                assert sharded.answer(name) == pytest.approx(single.answer(name), rel=1e-9)
+            else:
+                assert sharded.answer(name) == single.answer(name)

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro.core.normalization import Domain
-from repro.obs.otel import encode_span_groups, validate_traces_payload
+from repro.obs.otel import encode_span_groups
 from repro.sharding import ShardedStreamEngine
 from repro.streams import JoinQuery
+
+from ..obs.otel.otlp_decode import validate_traces_payload
 
 EXECUTORS = ["serial", "thread", "process"]
 

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.normalization import Domain
-from repro.wavelets.haar import (
-    HaarSynopsis,
-    haar_transform,
-    inverse_haar_transform,
-)
+from repro.wavelets.haar import HaarSynopsis, haar_transform
 
 
 @st.composite
