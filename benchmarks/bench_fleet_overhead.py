@@ -1,13 +1,13 @@
 """Serve-path overhead: the supervised socket fleet vs in-process sharding.
 
 Moving shards out of process buys crash isolation (SIGKILL a worker,
-answers are unchanged) at the price of pickled command frames over
-loopback TCP.  This bench prices that trade on the serve path — batched
-ingest interleaved with query answering, the exact op mix the
+answers are unchanged) at the price of pickled command frames over a
+socketpair per worker.  This bench prices that trade on the serve path —
+batched ingest interleaved with query answering, the exact op mix the
 ``repro-experiments serve`` daemon dispatches — and enforces the fleet
 promise: the socket executor costs at most 15% wall-clock over the same
 workload on in-process serial sharding.  Per-shard scatter overlaps both
-the network round-trips and the workers' synopsis updates, which is why
+the worker round trips and the workers' synopsis updates, which is why
 batched commands keep the ratio small even though every frame is
 pickled twice.
 

@@ -1,7 +1,7 @@
 """REP007: ShardExecutor subclasses must honour the executor protocol.
 
 :class:`repro.sharding.executor.ShardExecutor` is the placement seam the
-sharded engine — and now the supervised network fleet — depends on: four
+sharded engine — and the supervised worker fleet — depends on: four
 implementations must stay drop-in interchangeable for the executor
 matrix tests to mean anything.  Three drift modes pinned down
 statically:

@@ -1,24 +1,25 @@
-"""Supervised network shard fleet: socket executor, supervisor, serve daemon.
+"""Supervised shard fleet: socket executor, supervisor, serve daemon.
 
-This package moves the shard fleet out of the coordinator process.  The
-pieces, bottom-up:
+This package keeps a sharded engine serving through worker crashes.
+Every shard runs in its own process behind a
+:class:`~repro.sharding.executor.WorkerProcess` handle: a socketpair
+carrying the length-prefixed pickle frames of
+:mod:`repro.sharding.worker`, with no listening socket.  The pieces,
+bottom-up:
 
-* :mod:`repro.fleet.protocol` — length-prefixed pickle frames over a
-  stream socket, the wire format every fleet connection speaks.
-* :mod:`repro.fleet.worker` — the worker-process entry point: one
-  :class:`~repro.sharding.worker.ShardWorker` served over a TCP socket.
 * :mod:`repro.fleet.supervisor` — :class:`ShardSupervisor` launches the
   worker processes, heartbeats them, and on crash restarts a worker from
   its latest checkpoint then replays the post-checkpoint
   :class:`~repro.resilience.journal.CommandJournal` suffix.
 * :mod:`repro.fleet.executor` — :class:`SocketExecutor`, the
   :class:`~repro.sharding.executor.ShardExecutor` implementation that
-  plugs supervised network workers into the unchanged
+  plugs supervised workers into the unchanged
   :class:`~repro.sharding.engine.ShardedStreamEngine`.
 * :mod:`repro.fleet.serve` / :mod:`repro.fleet.client` — the
   ``repro-experiments serve`` asyncio front-end (newline-JSON protocol,
   bounded per-client backpressure, graceful-degradation query policies)
-  and its small synchronous client.
+  and its small synchronous client.  The serve daemon is the fleet's
+  only listening socket.
 
 The supervision contract the chaos suite enforces: SIGKILL any shard at
 any batch boundary and, after the supervised restart + journal replay,
@@ -26,11 +27,11 @@ every estimation method answers identically to an engine that never
 crashed.
 """
 
+from ..sharding.executor import WorkerGone
 from .client import FleetClient
 from .executor import SocketExecutor
-from .protocol import recv_frame, send_frame
 from .serve import FleetServer
-from .supervisor import ShardSupervisor, WorkerGone
+from .supervisor import ShardSupervisor
 
 __all__ = [
     "FleetClient",
@@ -38,6 +39,4 @@ __all__ = [
     "ShardSupervisor",
     "SocketExecutor",
     "WorkerGone",
-    "recv_frame",
-    "send_frame",
 ]

@@ -1,13 +1,14 @@
-"""``SocketExecutor``: the supervised network fleet as a ShardExecutor.
+"""``SocketExecutor``: the supervised worker fleet as a ShardExecutor.
 
 The :class:`~repro.sharding.engine.ShardedStreamEngine` only ever talks
 to the :class:`~repro.sharding.executor.ShardExecutor` protocol, so
 moving shards out of process is entirely this adapter: ``call`` routes
 one command through the :class:`~repro.fleet.supervisor.ShardSupervisor`
 (which journals, detects crashes, and revives), and ``scatter`` fans
-commands out on one single-thread pool per shard — the same per-shard
-ordering guarantee :class:`~repro.sharding.executor.ThreadExecutor`
-gives, here overlapping network round-trips instead of GIL releases.
+commands out on the :class:`~repro.sharding.executor.ShardLanes` the
+:class:`~repro.sharding.executor.ThreadExecutor` uses too — the same
+per-shard ordering guarantee, here overlapping worker round trips
+instead of GIL releases.
 
 Crash recovery is invisible at this layer by design: a revive happens
 inside ``supervisor.command`` and the caller just gets its result (or a
@@ -17,18 +18,17 @@ recovery, which is what the engine's degradation policies key on).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 from ..obs.metrics import MetricsRegistry
-from ..sharding.executor import ShardError, ShardExecutor
+from ..sharding.executor import CallSpec, ShardExecutor, ShardLanes
 from .supervisor import ShardSupervisor
 
 __all__ = ["SocketExecutor"]
 
 
 class SocketExecutor(ShardExecutor):
-    """One supervised worker process per shard, commands over TCP."""
+    """One supervised worker process per shard, behind a socketpair each."""
 
     def __init__(
         self,
@@ -52,7 +52,7 @@ class SocketExecutor(ShardExecutor):
                 mp_context=mp_context,
             )
         self.supervisor = supervisor
-        self._pools: list[ThreadPoolExecutor] = []
+        self._lanes = ShardLanes(0, "fleet-shard")
 
     @property
     def metrics_registry(self) -> MetricsRegistry:
@@ -62,41 +62,14 @@ class SocketExecutor(ShardExecutor):
     def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
         self.num_shards = num_shards
         self.supervisor.start(num_shards, seed, telemetry)
-        self._pools = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"fleet-shard-{i}")
-            for i in range(num_shards)
-        ]
+        self._lanes = ShardLanes(num_shards, "fleet-shard")
 
     def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
         return self.supervisor.command(shard, method, args, kwargs)
 
-    def scatter(self, method: str, per_shard: Sequence[tuple[Any, ...] | None]) -> list[Any]:
-        futures = []
-        for shard, item in enumerate(per_shard):
-            if item is None:
-                futures.append(None)
-                continue
-            args, kwargs = item
-            futures.append(
-                self._pools[shard].submit(
-                    self.supervisor.command, shard, method, args, kwargs
-                )
-            )
-        results: list[Any] = [None] * self.num_shards
-        errors: list[ShardError] = []
-        for shard, future in enumerate(futures):
-            if future is None:
-                continue
-            try:
-                results[shard] = future.result()
-            except ShardError as exc:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-        return results
+    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
+        return self._lanes.scatter(self.supervisor.command, method, per_shard)
 
     def close(self) -> None:
-        for pool in self._pools:
-            pool.shutdown(wait=True)
-        self._pools = []
+        self._lanes.close()
         self.supervisor.stop()

@@ -1,8 +1,8 @@
 """Shard process supervision: launch, heartbeat, restart, replay.
 
-:class:`ShardSupervisor` owns one worker process per shard (entry point
-:func:`repro.fleet.worker.shard_server_main`), talks to each over a
-per-shard TCP connection speaking :mod:`repro.fleet.protocol` frames,
+:class:`ShardSupervisor` owns one worker process per shard, each behind
+a :class:`~repro.sharding.executor.WorkerProcess` handle (a socketpair
+carrying pickled frames, the same handle the process executor holds),
 and keeps the fleet answer-correct across worker crashes:
 
 * every state-mutating command is appended to that shard's
@@ -10,7 +10,7 @@ and keeps the fleet answer-correct across worker crashes:
 * a successful ``save_checkpoint`` marks the journal (and truncates the
   replayed prefix), so the journal holds exactly the post-checkpoint
   suffix;
-* when a worker is gone — connection reset, clean EOF, or a call
+* when a worker is gone — transport error, clean EOF, or a call
   timeout, all treated identically — the supervisor respawns the
   process, restores the latest checkpoint (if one was ever marked) and
   replays the journal suffix in order.  Replay is correct because a
@@ -40,18 +40,14 @@ Everything is observable: ``repro_fleet_restarts_total{shard}``,
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import socket
 import threading
 from typing import Any, Sequence
 
 from ..obs.metrics import MetricsRegistry
 from ..resilience.journal import CommandJournal
-from ..sharding.executor import ShardError
-from .protocol import ProtocolError, recv_frame, send_frame
-from .worker import shard_server_main
+from ..sharding.executor import ShardError, WorkerGone, WorkerProcess
 
-__all__ = ["JOURNALED_METHODS", "ShardSupervisor", "WorkerGone"]
+__all__ = ["JOURNALED_METHODS", "ShardSupervisor"]
 
 #: Worker methods that mutate shard state and must be replayed after a
 #: restore; everything else is a read and is simply retried.
@@ -64,124 +60,6 @@ JOURNALED_METHODS = frozenset(
         "ingest",
     }
 )
-
-#: Seconds to wait for a freshly spawned worker's port handshake.
-_SPAWN_TIMEOUT = 30.0
-
-
-class WorkerGone(ConnectionError):
-    """Transport-level loss of a shard worker (crash, reset, or timeout)."""
-
-    def __init__(self, shard: int, message: str) -> None:
-        super().__init__(f"shard {shard} worker gone: {message}")
-        self.shard = shard
-
-
-class _ShardProcess:
-    """One worker process plus the connected command socket."""
-
-    def __init__(
-        self,
-        shard: int,
-        seed: int,
-        telemetry: bool,
-        ctx: Any,
-        call_timeout: float | None,
-    ) -> None:
-        self.shard = shard
-        self._seed = seed
-        self._telemetry = telemetry
-        self._ctx = ctx
-        self._call_timeout = call_timeout
-        self._proc: Any = None
-        self._sock: socket.socket | None = None
-
-    @property
-    def pid(self) -> int | None:
-        return None if self._proc is None else self._proc.pid
-
-    def spawn(self) -> None:
-        """Start the worker process and connect to its command socket."""
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=shard_server_main,
-            args=(send_conn, self.shard, self._seed, self._telemetry),
-            daemon=True,
-            name=f"repro-fleet-shard-{self.shard}",
-        )
-        proc.start()
-        send_conn.close()
-        try:
-            if not recv_conn.poll(_SPAWN_TIMEOUT):
-                raise WorkerGone(self.shard, "no port handshake before timeout")
-            port = recv_conn.recv()
-        except (EOFError, OSError) as exc:
-            proc.terminate()
-            raise WorkerGone(self.shard, f"died during startup: {exc}") from exc
-        finally:
-            recv_conn.close()
-        sock = socket.create_connection(("127.0.0.1", port), timeout=_SPAWN_TIMEOUT)
-        sock.settimeout(self._call_timeout)
-        self._proc = proc
-        self._sock = sock
-
-    def request(self, method: str, args: Sequence[Any], kwargs: dict[str, Any]) -> Any:
-        """One command round-trip; raises :class:`WorkerGone` on transport loss.
-
-        A timed-out call also raises :class:`WorkerGone`: the connection
-        then has an unconsumed reply in flight, so it cannot be reused —
-        the supervisor's response (kill + respawn + replay) is exactly
-        the desynchronization recovery this needs.
-        """
-        if self._sock is None:
-            raise WorkerGone(self.shard, "not connected")
-        try:
-            send_frame(self._sock, (method, tuple(args), dict(kwargs)))
-            status, payload = recv_frame(self._sock)
-        except (EOFError, OSError, ProtocolError) as exc:
-            raise WorkerGone(self.shard, f"{type(exc).__name__}: {exc}") from exc
-        if status == "err":
-            raise ShardError(self.shard, payload)
-        return payload
-
-    def stop(self) -> None:
-        """Graceful shutdown: request exit, wait briefly, then escalate."""
-        if self._sock is not None:
-            try:
-                send_frame(self._sock, None)
-                recv_frame(self._sock)  # shutdown ack
-            except (EOFError, OSError, ProtocolError):
-                pass
-            self._close_sock()
-        self._reap(graceful_timeout=5.0)
-
-    def destroy(self) -> None:
-        """Tear the worker down now (crash recovery path)."""
-        self._close_sock()
-        self._reap(graceful_timeout=0.0)
-
-    def _close_sock(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close never matters
-                pass
-            self._sock = None
-
-    def _reap(self, graceful_timeout: float) -> None:
-        proc = self._proc
-        if proc is None:
-            return
-        if graceful_timeout > 0:
-            proc.join(timeout=graceful_timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
-        if proc.is_alive():  # pragma: no cover - terminate resisted
-            proc.kill()
-            proc.join(timeout=1.0)
-        self._proc = None
-
 
 class ShardSupervisor:
     """Launch, monitor, and self-heal a fleet of shard worker processes."""
@@ -210,7 +88,7 @@ class ShardSupervisor:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._ctx_name = mp_context
         self.num_shards = 0
-        self._procs: list[_ShardProcess] = []
+        self._workers: list[WorkerProcess] = []
         self._journals: list[CommandJournal] = []
         self._locks: list[threading.Lock] = []
         self._restart_counts: list[int] = []
@@ -239,22 +117,18 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
 
     def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
-        if self._procs:
+        if self._workers:
             raise RuntimeError("supervisor already started")
-        name = self._ctx_name
-        if name is None:
-            name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(name)
         self.num_shards = num_shards
         self._journals = [CommandJournal() for _ in range(num_shards)]
         self._locks = [threading.Lock() for _ in range(num_shards)]
         self._restart_counts = [0] * num_shards
         self._miss_counts = [0] * num_shards
         self._down = {}
+        self._workers = WorkerProcess.start_all(
+            num_shards, seed, telemetry, self._ctx_name, self.call_timeout
+        )
         for shard in range(num_shards):
-            proc = _ShardProcess(shard, seed, telemetry, ctx, self.call_timeout)
-            proc.spawn()
-            self._procs.append(proc)
             self._up_metric.labels(str(shard)).set(1.0)
         if self.heartbeat_interval is not None:
             self._stop_event.clear()
@@ -269,11 +143,11 @@ class ShardSupervisor:
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=10.0)
             self._heartbeat_thread = None
-        for shard, proc in enumerate(self._procs):
+        for shard, worker in enumerate(self._workers):
             with self._locks[shard]:
-                proc.stop()
+                worker.stop()
                 self._up_metric.labels(str(shard)).set(0.0)
-        self._procs = []
+        self._workers = []
 
     # ------------------------------------------------------------------ #
     # command dispatch
@@ -302,12 +176,12 @@ class ShardSupervisor:
             if journaled:
                 self._journals[shard].append(method, tuple(args), dict(kwargs))
             try:
-                result = self._procs[shard].request(method, args, kwargs)
+                result = self._workers[shard].call(method, args, kwargs)
             except WorkerGone as exc:
                 self._revive_locked(shard, str(exc))
                 if journaled:
                     return None
-                result = self._procs[shard].request(method, args, kwargs)
+                result = self._workers[shard].call(method, args, kwargs)
             if method == "save_checkpoint":
                 # The checkpoint now covers everything journaled so far:
                 # mark it (remembering the store directory for revives)
@@ -334,7 +208,8 @@ class ShardSupervisor:
 
     def _revive_locked(self, shard: int, cause: str) -> None:
         """Respawn a dead worker and rebuild its state (lock held)."""
-        self._procs[shard].destroy()
+        worker = self._workers[shard]
+        worker.destroy()
         self._up_metric.labels(str(shard)).set(0.0)
         if not self.restart:
             self._mark_down_locked(shard, f"restart disabled; {cause}")
@@ -349,21 +224,19 @@ class ShardSupervisor:
         self._restarts_metric.labels(str(shard)).inc()
         journal = self._journals[shard]
         try:
-            self._procs[shard].spawn()
+            worker.spawn(self._workers)
             if journal.has_mark:
-                self._procs[shard].request(
-                    "load_latest_checkpoint", (journal.mark_ref,), {}
-                )
+                worker.call("load_latest_checkpoint", (journal.mark_ref,), {})
                 entries = journal.since_mark()
             else:
                 entries = journal.all_entries()
             for entry in entries:
-                self._procs[shard].request(entry.method, entry.args, entry.kwargs)
+                worker.call(entry.method, entry.args, entry.kwargs)
         except (WorkerGone, ShardError) as exc:
             # Recovery itself failed (checkpoint unreadable, replay
             # rejected, or the fresh worker died too): this shard cannot
             # be made consistent, so it must not serve partial state.
-            self._procs[shard].destroy()
+            worker.destroy()
             self._mark_down_locked(shard, f"recovery failed: {exc}")
             raise ShardError(shard, f"restart failed: {exc}") from exc
         self._up_metric.labels(str(shard)).set(1.0)
@@ -387,7 +260,7 @@ class ShardSupervisor:
             if shard in self._down:
                 return
             try:
-                self._procs[shard].request("ping", (), {})
+                self._workers[shard].call("ping", (), {})
             except (WorkerGone, ShardError):
                 self._miss_counts[shard] += 1
                 self._misses_metric.labels(str(shard)).inc()
@@ -408,10 +281,10 @@ class ShardSupervisor:
 
     def pid(self, shard: int) -> int | None:
         """The worker process id (chaos tests aim SIGKILL at this)."""
-        return self._procs[shard].pid
+        return self._workers[shard].pid
 
     def pids(self) -> list[int | None]:
-        return [proc.pid for proc in self._procs]
+        return [worker.pid for worker in self._workers]
 
     def shard_up(self, shard: int) -> bool:
         return shard not in self._down

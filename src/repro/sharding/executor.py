@@ -12,24 +12,32 @@ against them:
   ingest correctness depends on) while different shards run
   concurrently.  Wins when the synopsis kernels spend their time inside
   numpy, which releases the GIL.
-* :class:`ProcessExecutor` — one worker process per shard behind a
-  pipe; commands and results are pickled.  True CPU parallelism at the
+* :class:`ProcessExecutor` — one worker process per shard, spoken to
+  over a ``socketpair`` in pickled frames.  True CPU parallelism at the
   cost of per-command IPC; worth it when per-batch synopsis work
   dominates (large budgets / batches).
 
 Commands are ``(method_name, args, kwargs)`` against the worker's public
 methods.  A worker exception is re-raised in the caller as
 :class:`ShardError` naming the shard, for all three executors alike.
+
+:class:`WorkerProcess` is the one handle that starts, speaks to and
+reaps a shard process; the process executor and the fleet's
+:class:`~repro.fleet.supervisor.ShardSupervisor` each hold one per
+shard.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Sequence, cast
+import socket
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
+from functools import partial
+from typing import Any, Callable, Iterable, NoReturn, Sequence, cast
 
-from .worker import ShardWorker, serve_commands
+from .worker import ProtocolError, ShardWorker, recv_frame, send_frame, serve_commands
 
 #: One shard's ``(args, kwargs)`` pair in a :meth:`ShardExecutor.scatter`.
 CallSpec = tuple[tuple[Any, ...], dict[str, Any]]
@@ -39,7 +47,10 @@ __all__ = [
     "SerialExecutor",
     "ShardError",
     "ShardExecutor",
+    "ShardLanes",
     "ThreadExecutor",
+    "WorkerGone",
+    "WorkerProcess",
     "resolve_executor",
 ]
 
@@ -86,21 +97,6 @@ class ShardExecutor:
         self.close()
 
 
-def _wrap_call(
-    shard: int,
-    worker: ShardWorker,
-    method: str,
-    args: tuple[Any, ...],
-    kwargs: dict[str, Any],
-) -> Any:
-    try:
-        return getattr(worker, method)(*args, **kwargs)
-    except ShardError:
-        raise
-    except Exception as exc:
-        raise ShardError(shard, f"{type(exc).__name__}: {exc}") from exc
-
-
 class SerialExecutor(ShardExecutor):
     """All shards in-process; commands run inline in shard order."""
 
@@ -111,93 +107,285 @@ class SerialExecutor(ShardExecutor):
         self.num_shards = num_shards
         self.workers = [ShardWorker(i, seed, telemetry) for i in range(num_shards)]
 
+    def _run(
+        self, shard: int, method: str, args: tuple[Any, ...], kwargs: dict[str, Any]
+    ) -> Any:
+        try:
+            return getattr(self.workers[shard], method)(*args, **kwargs)
+        except ShardError:
+            raise
+        except Exception as exc:
+            raise ShardError(shard, f"{type(exc).__name__}: {exc}") from exc
+
     def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return _wrap_call(shard, self.workers[shard], method, args, kwargs)
+        return self._run(shard, method, args, kwargs)
 
     def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
         results: list[Any] = [None] * self.num_shards
         for shard, item in enumerate(per_shard):
             if item is not None:
-                args, kwargs = item
-                results[shard] = self.call(shard, method, *args, **kwargs)
+                results[shard] = self._run(shard, method, *item)
         return results
 
 
-class ThreadExecutor(ShardExecutor):
-    """One single-thread pool per shard: per-shard order, cross-shard overlap."""
+class ShardLanes:
+    """One single-thread pool per shard: per-shard order, cross-shard overlap.
 
-    def __init__(self) -> None:
-        self.workers: list[ShardWorker] = []
-        self._pools: list[ThreadPoolExecutor] = []
+    Each shard applies its commands in submission order, the ordering
+    ingest correctness depends on, while different shards run at once.
+    """
 
-    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
-        self.num_shards = num_shards
-        self.workers = [ShardWorker(i, seed, telemetry) for i in range(num_shards)]
+    def __init__(self, num_shards: int, prefix: str) -> None:
         self._pools = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"shard-{i}")
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{prefix}-{i}")
             for i in range(num_shards)
         ]
 
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        future = self._pools[shard].submit(
-            _wrap_call, shard, self.workers[shard], method, args, kwargs
-        )
-        return future.result()
+    def call(self, run: Callable[..., Any], shard: int, *command: Any) -> Any:
+        """``run(shard, *command)`` on the shard's lane, waiting for it."""
+        return self._pools[shard].submit(run, shard, *command).result()
 
-    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
-        futures: list[Future[Any] | None] = []
-        for shard, item in enumerate(per_shard):
-            if item is None:
-                futures.append(None)
-                continue
-            args, kwargs = item
-            futures.append(
-                self._pools[shard].submit(
-                    _wrap_call, shard, self.workers[shard], method, args, kwargs
-                )
-            )
-        return [f.result() if f is not None else None for f in futures]
+    def scatter(
+        self, run: Callable[..., Any], method: str, per_shard: Sequence[CallSpec | None]
+    ) -> list[Any]:
+        """``run(shard, method, args, kwargs)`` on every named shard's lane."""
+        futures = {
+            shard: self._pools[shard].submit(run, shard, method, *item)
+            for shard, item in enumerate(per_shard)
+            if item is not None
+        }
+        return _gather(len(self._pools), futures, lambda shard: futures[shard].result())
 
     def close(self) -> None:
         for pool in self._pools:
             pool.shutdown(wait=True)
         self._pools = []
+
+
+def _gather(
+    num_shards: int, shards: Iterable[int], fetch: Callable[[int], Any]
+) -> list[Any]:
+    """``fetch(shard)`` for every shard, in shard order, into a result list.
+
+    A :class:`ShardError` does not cut the loop short: every reply is
+    collected first, so no shard is left mid-command, and then the first
+    error in shard order is raised.
+    """
+    results: list[Any] = [None] * num_shards
+    errors: list[ShardError] = []
+    for shard in shards:
+        try:
+            results[shard] = fetch(shard)
+        except ShardError as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
+
+
+class ThreadExecutor(SerialExecutor):
+    """In-process shards on :class:`ShardLanes`: per-shard order, cross-shard overlap."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lanes = ShardLanes(0, "shard")
+
+    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
+        super().start(num_shards, seed, telemetry)
+        self._lanes = ShardLanes(num_shards, "shard")
+
+    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
+        return self._lanes.call(self._run, shard, method, args, kwargs)
+
+    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
+        return self._lanes.scatter(self._run, method, per_shard)
+
+    def close(self) -> None:
+        self._lanes.close()
         self.workers = []
 
 
-def _process_worker_loop(
-    conn: Any, shard_index: int, seed: int, telemetry: bool, inherited: tuple[Any, ...] = ()
-) -> None:
-    """Worker-process entry point: :func:`serve_commands` over the pipe.
+class WorkerGone(ConnectionError):
+    """Transport-level loss of a shard worker (crash, reset, or timeout)."""
 
-    ``inherited`` carries the parent-side connections of *earlier* shards
-    under the ``fork`` start method: the fork inherited those open file
-    descriptors, and while this process holds them an earlier worker's
-    death never surfaces as EOF to the coordinator.  Closing them first
-    restores the one-writer-per-pipe invariant EOF detection needs.
+    def __init__(self, shard: int, message: str) -> None:
+        super().__init__(f"shard {shard} worker gone: {message}")
+        self.shard = shard
+        self.reason = message
+
+
+#: Serializes socketpair creation, fork and the parent's close of the
+#: child end, so no worker forked from another thread inherits an end it
+#: does not know to close (an extra holder hides a peer's death as EOF).
+_SPAWN_LOCK = threading.Lock()
+
+
+def _worker_main(
+    sock: socket.socket, shard: int, seed: int, telemetry: bool, inherited: list[Any]
+) -> None:
+    """Worker-process entry point: :func:`serve_commands` over frames.
+
+    ``inherited`` holds the coordinator-side socket ends a ``fork``
+    copied into this process, this worker's own included.  Closing them
+    leaves the coordinator the only holder, so its exit (even a SIGKILL)
+    reads here as EOF and the worker exits instead of outliving it.
     """
-    for other in inherited:
+    for end in inherited:
+        end.close()
+    worker = ShardWorker(shard, seed, telemetry)
+    try:
+        serve_commands(worker, partial(recv_frame, sock), partial(send_frame, sock))
+    finally:
+        sock.close()
+
+
+class WorkerProcess:
+    """One shard worker process and the socketpair end that speaks to it.
+
+    The single place a shard process is started, spoken to and torn
+    down; :class:`ProcessExecutor` and the fleet's supervisor each hold
+    one per shard.  Any transport failure — EOF, ``OSError`` (a
+    ``call_timeout`` expiry included) or a malformed frame — destroys
+    the process and raises :class:`WorkerGone`; the handle then stays
+    lost, so a late reply can never be read as the answer to a later
+    command.  An ``("err", message)`` reply raises :class:`ShardError`.
+    """
+
+    def __init__(
+        self, shard: int, seed: int, telemetry: bool, ctx: Any, call_timeout: float | None
+    ) -> None:
+        self.shard = shard
+        self._seed = seed
+        self._telemetry = telemetry
+        self._ctx = ctx
+        self._call_timeout = call_timeout
+        self._proc: Any = None
+        self._sock: socket.socket | None = None
+        self._gone = "not running"
+
+    @classmethod
+    def start_all(
+        cls,
+        num_shards: int,
+        seed: int,
+        telemetry: bool,
+        mp_context: str | None,
+        call_timeout: float | None,
+    ) -> list[WorkerProcess]:
+        """One spawned worker per shard; ``mp_context=None`` = fork where available."""
+        if mp_context is None:
+            mp_context = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        ctx = mp.get_context(mp_context)
+        workers: list[WorkerProcess] = []
+        for shard in range(num_shards):
+            worker = cls(shard, seed, telemetry, ctx, call_timeout)
+            worker.spawn(workers)
+            workers.append(worker)
+        return workers
+
+    @property
+    def pid(self) -> int | None:
+        return None if self._proc is None else self._proc.pid
+
+    def spawn(self, others: Sequence[WorkerProcess] = ()) -> None:
+        """Start the process; ``others`` are the sibling handles a fork copies."""
+        with _SPAWN_LOCK:
+            parent, child = socket.socketpair()
+            inherited: list[Any] = []
+            if self._ctx.get_start_method() == "fork":
+                inherited = [parent, *(w._sock for w in others if w._sock is not None)]
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(child, self.shard, self._seed, self._telemetry, inherited),
+                daemon=True,
+                name=f"repro-shard-{self.shard}",
+            )
+            try:
+                proc.start()
+            except BaseException:
+                parent.close()
+                raise
+            finally:
+                child.close()
+        parent.settimeout(self._call_timeout)
+        self._proc, self._sock = proc, parent
+
+    def send(self, message: Any) -> None:
+        """Write one frame to the worker."""
+        if self._sock is None:
+            raise WorkerGone(self.shard, self._gone)
         try:
-            other.close()
-        except OSError:  # pragma: no cover - already closed is fine
-            pass
-    serve_commands(ShardWorker(shard_index, seed, telemetry), conn.recv, conn.send)
-    conn.close()
+            send_frame(self._sock, message)
+        except (OSError, ProtocolError) as exc:
+            self._lost(exc)
+
+    def recv(self) -> Any:
+        """The worker's next reply."""
+        if self._sock is None:
+            raise WorkerGone(self.shard, self._gone)
+        try:
+            status, payload = recv_frame(self._sock)
+        except (EOFError, OSError, ProtocolError) as exc:
+            self._lost(exc)
+        if status == "err":
+            raise ShardError(self.shard, payload)
+        return payload
+
+    def call(self, method: str, args: Sequence[Any], kwargs: dict[str, Any]) -> Any:
+        """One command round trip."""
+        self.send((method, tuple(args), dict(kwargs)))
+        return self.recv()
+
+    def _lost(self, exc: BaseException) -> NoReturn:
+        if isinstance(exc, TimeoutError):
+            reason = f"no reply within call_timeout={self._call_timeout}s"
+        else:
+            reason = f"{type(exc).__name__}: {exc}"
+        self._gone = reason
+        self.destroy()
+        raise WorkerGone(self.shard, reason) from exc
+
+    def stop(self) -> None:
+        """Graceful shutdown: the ``None`` command and its ack, then reap."""
+        if self._sock is not None:
+            self._sock.settimeout(5.0)  # a wedged worker must not stall shutdown
+            try:
+                send_frame(self._sock, None)
+                recv_frame(self._sock)
+            except (EOFError, OSError, ProtocolError):
+                pass
+        self._reap(graceful_timeout=5.0)
+
+    def destroy(self) -> None:
+        """Tear the worker down now (crash recovery path)."""
+        self._reap(graceful_timeout=0.0)
+
+    def _reap(self, graceful_timeout: float) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.join(timeout=graceful_timeout)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=2.0)
+        if proc.is_alive():  # pragma: no cover - terminate resisted
+            proc.kill()
+            proc.join(timeout=1.0)
 
 
 class ProcessExecutor(ShardExecutor):
-    """One worker process per shard, commands over a duplex pipe.
+    """One worker process per shard, commands as frames over a socketpair.
 
     ``call_timeout`` bounds how long a command may go unanswered before
     it fails as :class:`ShardError` (``None`` = wait forever as long as
-    the worker lives).  Independently of the timeout, a worker that
-    *dies* mid-command is detected by liveness polling, so a crashed
-    shard raises promptly instead of blocking the coordinator on a pipe
-    no one will ever write to.
+    the worker lives).  A worker that dies mid-command closes its end of
+    the socketpair, so the coordinator reads EOF at once.  Either way
+    the shard is lost for good: its later commands raise
+    :class:`ShardError` too.
     """
-
-    #: Liveness poll granularity while waiting on a reply (seconds).
-    _POLL_INTERVAL = 0.05
 
     def __init__(
         self, mp_context: str | None = None, call_timeout: float | None = None
@@ -206,106 +394,40 @@ class ProcessExecutor(ShardExecutor):
             raise ValueError(f"call_timeout must be positive, got {call_timeout}")
         self._ctx_name = mp_context
         self._call_timeout = call_timeout
-        self._procs: list[Any] = []
-        self._conns: list[Any] = []
+        self._workers: list[WorkerProcess] = []
 
     def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
         self.num_shards = num_shards
-        name = self._ctx_name
-        if name is None:
-            name = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(name)
-        for i in range(num_shards):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            # Under fork, this child inherits every earlier parent-side
-            # connection; hand them over so it closes them (see
-            # _process_worker_loop).  Spawned children inherit nothing.
-            inherited = tuple(self._conns) if name == "fork" else ()
-            proc = ctx.Process(
-                target=_process_worker_loop,
-                args=(child_conn, i, seed, telemetry, inherited),
-                daemon=True,
-                name=f"repro-shard-{i}",
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
+        self._workers = WorkerProcess.start_all(
+            num_shards, seed, telemetry, self._ctx_name, self._call_timeout
+        )
 
     def _send(
         self, shard: int, method: str, args: tuple[Any, ...], kwargs: dict[str, Any]
     ) -> None:
-        try:
-            self._conns[shard].send((method, args, kwargs))
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardError(shard, f"worker process is gone: {exc}") from exc
+        with suppress(WorkerGone):  # the lost handle's recv reports it
+            self._workers[shard].send((method, args, kwargs))
 
     def _recv(self, shard: int) -> Any:
-        conn = self._conns[shard]
-        deadline = (
-            None
-            if self._call_timeout is None
-            else time.monotonic() + self._call_timeout
-        )
-        while not conn.poll(self._POLL_INTERVAL):
-            if not self._procs[shard].is_alive():
-                # One last race-free check: the reply may have landed
-                # between the poll and the liveness test.
-                if conn.poll(0):
-                    break
-                raise ShardError(shard, "worker process died mid-command")
-            if deadline is not None and time.monotonic() > deadline:
-                raise ShardError(
-                    shard, f"no reply within call_timeout={self._call_timeout}s"
-                )
         try:
-            status, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise ShardError(shard, "worker process exited mid-command") from exc
-        if status == "err":
-            raise ShardError(shard, payload)
-        return payload
+            return self._workers[shard].recv()
+        except WorkerGone as exc:
+            raise ShardError(shard, f"worker process lost ({exc.reason})") from exc
 
     def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
         self._send(shard, method, args, kwargs)
         return self._recv(shard)
 
     def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
-        active: list[int] = []
-        for shard, item in enumerate(per_shard):
-            if item is None:
-                continue
-            args, kwargs = item
-            self._send(shard, method, args, kwargs)
-            active.append(shard)
-        results: list[Any] = [None] * self.num_shards
-        errors: list[ShardError] = []
+        active = [shard for shard, item in enumerate(per_shard) if item is not None]
         for shard in active:
-            try:
-                results[shard] = self._recv(shard)
-            except ShardError as exc:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-        return results
+            self._send(shard, method, *cast(CallSpec, per_shard[shard]))
+        return _gather(self.num_shards, active, self._recv)
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=2)
-            if proc.is_alive():  # pragma: no cover - terminate resisted
-                proc.kill()
-                proc.join(timeout=1)
-        self._procs = []
-        self._conns = []
+        for worker in self._workers:
+            worker.stop()
+        self._workers = []
 
 
 _EXECUTORS: dict[str, type[ShardExecutor]] = {
@@ -319,7 +441,7 @@ def resolve_executor(executor: str | ShardExecutor) -> ShardExecutor:
     """Coerce an executor name or instance.
 
     Names: ``serial`` / ``thread`` / ``process`` (this module) plus
-    ``socket`` — the supervised network fleet, imported lazily because
+    ``socket`` — the supervised worker fleet, imported lazily because
     :mod:`repro.fleet` builds on this module.
     """
     if isinstance(executor, ShardExecutor):

@@ -5,10 +5,18 @@ A :class:`ShardWorker` owns one
 operations a :class:`~repro.sharding.engine.ShardedStreamEngine` needs,
 as plain methods taking and returning picklable values.  Executors call
 these methods either directly (serial / thread executors, in-process) or
-through :func:`serve_commands`, the one command loop behind both
-out-of-process transports (the process executor's pipe and the fleet's
-socket) — the worker itself cannot tell the difference, which is what
-keeps every executor answer-identical.
+through :func:`serve_commands`, the one command loop every worker
+process runs — the worker itself cannot tell the difference, which is
+what keeps every executor answer-identical.
+
+Out of process, commands and replies travel as *frames*
+(:func:`send_frame` / :func:`recv_frame`): an 8-byte big-endian length
+header followed by the pickled payload.  A clean or truncated close
+raises :exc:`EOFError`; socket timeouts and transport failures surface
+as :exc:`OSError`; a header beyond :data:`MAX_FRAME_BYTES` or a payload
+that does not unpickle raises :exc:`ProtocolError`.  Pickle is safe
+because both ends of every frame stream are processes of this codebase
+joined by a ``socketpair`` — no listener, so nothing else can connect.
 
 Each worker's engine carries its own
 :class:`~repro.obs.metrics.MetricsRegistry` with the shard index as a
@@ -27,6 +35,8 @@ buffered spans back as picklable values for the fleet's OTLP export.
 
 from __future__ import annotations
 
+import pickle
+import struct
 from pathlib import Path
 from typing import Any, Callable, cast
 
@@ -41,7 +51,20 @@ from ..resilience.errors import CheckpointError
 from ..streams.engine import StreamEngine
 from ..streams.tuples import OpKind
 
-__all__ = ["ShardWorker", "serve_commands"]
+__all__ = [
+    "MAX_FRAME_BYTES",
+    "ProtocolError",
+    "ShardWorker",
+    "recv_frame",
+    "send_frame",
+    "serve_commands",
+]
+
+#: Refuse frames larger than this (a desynchronized stream shows up as a
+#: garbage length; 1 GiB is far above any real command batch).
+MAX_FRAME_BYTES = 1 << 30
+
+_HEADER = struct.Struct(">Q")
 
 
 class ShardWorker:
@@ -184,3 +207,57 @@ def serve_commands(
             send(reply)
         except OSError:
             return
+
+
+class ProtocolError(RuntimeError):
+    """The byte stream is not a well-formed frame sequence."""
+
+
+def send_frame(sock: Any, obj: Any) -> None:
+    """Pickle ``obj`` and write it as one length-prefixed frame."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES")
+    header = _HEADER.pack(len(payload))
+    # One gathered write, no joined copy of the payload; a partial write
+    # (a socket with a timeout is non-blocking underneath) is finished in
+    # place.
+    sent = sock.sendmsg((header, payload))
+    if sent < len(header):
+        sock.sendall(header[sent:])
+        sent = len(header)
+    if sent < len(header) + len(payload):
+        sock.sendall(memoryview(payload)[sent - len(header) :])
+
+
+def _recv_into(sock: Any, buffer: bytearray) -> None:
+    view = memoryview(buffer)
+    read = 0
+    while read < len(buffer):
+        count = sock.recv_into(view[read:])
+        if not count:
+            raise EOFError(f"connection closed mid-frame ({read}/{len(buffer)} bytes read)")
+        read += count
+
+
+def recv_frame(sock: Any) -> Any:
+    """Read one frame and unpickle it.
+
+    Raises :exc:`EOFError` on a clean close *between* frames too — the
+    caller cannot tell "peer finished" from "peer died" at this layer,
+    and both mean the other end is gone.
+    """
+    header = bytearray(_HEADER.size)
+    _recv_into(sock, header)
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame header claims {length} bytes (> MAX_FRAME_BYTES); "
+            "stream is desynchronized"
+        )
+    payload = bytearray(length)
+    _recv_into(sock, payload)
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:  # unpicklable payload = corrupt stream
+        raise ProtocolError(f"frame payload failed to unpickle: {exc}") from exc

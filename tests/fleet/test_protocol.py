@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from repro.fleet.protocol import (
+from repro.sharding.worker import (
     MAX_FRAME_BYTES,
     ProtocolError,
     recv_frame,
@@ -74,7 +74,7 @@ class TestFailureModes:
             recv_frame(b)
 
     def test_oversized_send_is_refused_before_writing(self, pair, monkeypatch):
-        import repro.fleet.protocol as protocol
+        import repro.sharding.worker as protocol
 
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
         a, b = pair

@@ -1,5 +1,12 @@
 """The three shard executors behave identically behind one interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import numpy as np
 import pytest
 
 from repro.sharding.executor import (
@@ -10,6 +17,8 @@ from repro.sharding.executor import (
     ThreadExecutor,
     resolve_executor,
 )
+from repro.sharding.worker import ShardWorker
+from repro.streams.tuples import OpKind
 
 EXECUTORS = ["serial", "thread", "process"]
 
@@ -48,6 +57,25 @@ class TestCommandProtocol:
             executor.call(0, "no_such_command")
 
 
+class TestScatterWaitsForEveryShard:
+    def test_thread_scatter_raises_only_after_every_shard_finished(self, monkeypatch):
+        finished = []
+
+        def ping(self):
+            if self.shard_index == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.2)
+            finished.append(self.shard_index)
+            return self.shard_index
+
+        monkeypatch.setattr(ShardWorker, "ping", ping)
+        with ThreadExecutor() as ex:
+            ex.start(3, seed=0, telemetry=False)
+            with pytest.raises(ShardError, match="shard 0: RuntimeError: boom"):
+                ex.broadcast("ping")
+            assert sorted(finished) == [1, 2]
+
+
 class TestLifecycle:
     def test_close_is_idempotent(self):
         for name in EXECUTORS:
@@ -64,13 +92,14 @@ class TestLifecycle:
     def test_process_workers_are_real_processes(self):
         ex = ProcessExecutor()
         ex.start(2, seed=0, telemetry=False)
+        procs = [w._proc for w in ex._workers]
         try:
             pids = set(ex.broadcast("ping"))
             assert pids == {0, 1}
-            assert all(p.is_alive() for p in ex._procs)
+            assert all(p.is_alive() for p in procs)
         finally:
             ex.close()
-        assert not any(p.is_alive() for p in ex._procs) or not ex._procs
+        assert not any(p.is_alive() for p in procs) and not ex._workers
 
 
 class TestResolve:
@@ -100,7 +129,7 @@ class TestProcessExecutorRobustness:
         ex = ProcessExecutor()
         ex.start(2, seed=0, telemetry=False)
         try:
-            os.kill(ex._procs[1].pid, signal.SIGKILL)
+            os.kill(ex._workers[1].pid, signal.SIGKILL)
             with pytest.raises(ShardError, match="worker process"):
                 ex.call(1, "ping")
             # the surviving shard is unaffected
@@ -117,12 +146,16 @@ class TestProcessExecutorRobustness:
             # wedge the worker: SIGSTOP leaves it alive but unable to reply
             import os
 
-            os.kill(ex._procs[0].pid, signal.SIGSTOP)
+            pid = ex._workers[0].pid
+            os.kill(pid, signal.SIGSTOP)
             try:
                 with pytest.raises(ShardError, match="call_timeout"):
                     ex.call(0, "ping")
             finally:
-                os.kill(ex._procs[0].pid, signal.SIGCONT)
+                try:
+                    os.kill(pid, signal.SIGCONT)
+                except ProcessLookupError:  # the timeout already reaped it
+                    pass
         finally:
             ex.close()
 
@@ -137,11 +170,11 @@ class TestProcessExecutorRobustness:
 
         ex = ProcessExecutor()
         ex.start(2, seed=0, telemetry=False)
-        os.kill(ex._procs[0].pid, signal.SIGKILL)
+        os.kill(ex._workers[0].pid, signal.SIGKILL)
         started = time.monotonic()
         ex.close()
         assert time.monotonic() - started < 10
-        assert ex._procs == [] and ex._conns == []
+        assert ex._workers == []
 
 
 def _command_errors(ex):
@@ -156,9 +189,8 @@ def _command_errors(ex):
 
 def _worker_procs(ex):
     """The worker processes behind a process or socket executor."""
-    if isinstance(ex, ProcessExecutor):
-        return list(ex._procs)
-    return [shard._proc for shard in ex.supervisor._procs]
+    workers = ex._workers if isinstance(ex, ProcessExecutor) else ex.supervisor._workers
+    return [worker._proc for worker in workers]
 
 
 class TestOneCommandLoop:
@@ -184,3 +216,99 @@ class TestOneCommandLoop:
         finally:
             ex.close()
         assert [proc.exitcode for proc in procs] == [0, 0]  # not terminated
+
+
+def _alive(pid):
+    """Whether ``pid`` is a running process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+#: Starts a 3-shard executor, prints its worker pids, then blocks.
+_COORDINATOR = """
+import multiprocessing
+import sys
+from repro.sharding.executor import resolve_executor
+
+ex = resolve_executor(sys.argv[1])
+ex.start(3, seed=0, telemetry=False)
+print(" ".join(str(p.pid) for p in multiprocessing.active_children()), flush=True)
+sys.stdin.read()
+"""
+
+
+class TestLostWorkers:
+    """A lost worker never answers out of turn and never outlives its coordinator."""
+
+    def test_no_stale_reply_after_a_call_timeout(self, monkeypatch):
+        def slow_ping(self):
+            time.sleep(1.0)
+            return 1000
+
+        monkeypatch.setattr(ShardWorker, "ping", slow_ping)  # inherited by the fork
+        ex = ProcessExecutor(mp_context="fork", call_timeout=0.3)
+        ex.start(1, seed=0, telemetry=False)
+        try:
+            ex.call(0, "create_relation", "R", ["A"], [{"low": 0, "size": 8}])
+            ex.call(0, "ingest", "R", np.array([[1], [2], [3]]), OpKind.INSERT)
+            with pytest.raises(ShardError, match="call_timeout"):
+                ex.call(0, "ping")
+            time.sleep(1.0)  # long enough for a late ping reply to land
+            with pytest.raises(ShardError, match="worker process"):
+                ex.call(0, "relation_count", "R")
+        finally:
+            ex.close()
+
+    @pytest.mark.parametrize("name", ["process", "socket"])
+    def test_workers_exit_when_the_coordinator_is_killed(self, name):
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _COORDINATOR, name],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in coordinator.stdout.readline().split()]
+            assert len(pids) == 3
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _alive(pid)] == []
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=10)
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+class TestSpawnStartMethod:
+    """The socketpair end is pickled to the child only under ``spawn``."""
+
+    @pytest.mark.parametrize("name", ["process", "socket"])
+    def test_spawned_workers_serve_and_close(self, name):
+        if name == "socket":
+            from repro.fleet import SocketExecutor
+
+            ex = SocketExecutor(mp_context="spawn")
+        else:
+            ex = ProcessExecutor(mp_context="spawn")
+        ex.start(2, seed=0, telemetry=False)
+        procs = _worker_procs(ex)
+        try:
+            assert ex.broadcast("ping") == [0, 1]
+        finally:
+            ex.close()
+        assert [proc.exitcode for proc in procs] == [0, 0]
