@@ -15,6 +15,9 @@ Usage (installed as the ``repro-experiments`` console script, or via
 
 User errors (bad paths, unknown figures/methods, unreadable checkpoints)
 exit non-zero with a one-line message instead of a traceback.
+
+Each subcommand imports what it runs, so ``serve`` or ``stats`` never
+loads the figure harness or the data generators.
 """
 
 from __future__ import annotations
@@ -27,24 +30,10 @@ if TYPE_CHECKING:
     from ..obs.metrics import MetricsRegistry
     from ..obs.otel import OtelPushLoop, SpanSource
 
-from .figures import FIGURES
-from .harness import run_experiment
-from .report import (
-    ascii_chart,
-    format_comparison_summary,
-    format_result,
-    result_to_dict,
-)
-from .speed import measure_speed
-from .sweeps import (
-    bound_tightness_sweep,
-    correlation_sweep,
-    domain_size_sweep,
-    skew_sweep,
-)
-
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .figures import FIGURES
+
     width = max(len(config.title) for config in FIGURES.values())
     for figure_id in sorted(FIGURES):
         config = FIGURES[figure_id]
@@ -54,6 +43,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .figures import FIGURES
+    from .harness import run_experiment
+    from .report import ascii_chart, format_comparison_summary, format_result, result_to_dict
+
     if args.figure == "all":
         figure_ids = sorted(FIGURES)
     elif args.figure in FIGURES:
@@ -88,6 +81,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_speed(args: argparse.Namespace) -> int:
+    from .speed import measure_speed
+
     report = measure_speed(synopsis_size=args.size)
     print(report.summary())
     return 0
@@ -545,13 +540,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEPS = {
-    "skew": skew_sweep,
-    "correlation": correlation_sweep,
-    "domain": domain_size_sweep,
-}
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived fleet serving daemon.
 
@@ -655,6 +643,18 @@ def _cmd_deadletters(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweeps import (
+        bound_tightness_sweep,
+        correlation_sweep,
+        domain_size_sweep,
+        skew_sweep,
+    )
+
+    sweeps = {
+        "skew": skew_sweep,
+        "correlation": correlation_sweep,
+        "domain": domain_size_sweep,
+    }
     if args.axis == "bound":
         points = bound_tightness_sweep(trials=args.trials, seed=args.seed)
         print(f"{'space':>7}  {'measured':>10}  {'bound':>12}")
@@ -663,10 +663,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{p.budget:>7}  {p.measured * 100:>9.3f}%  {p.bound * 100:>11.1f}%"
             )
         return 0
-    if args.axis not in _SWEEPS:
+    if args.axis not in sweeps:
         print(f"unknown sweep axis {args.axis!r}", file=sys.stderr)
         return 2
-    points = _SWEEPS[args.axis](trials=args.trials, seed=args.seed)
+    points = sweeps[args.axis](trials=args.trials, seed=args.seed)
     methods = list(points[0].errors)
     print(f"{'param':>9}  " + "  ".join(f"{m:>15}" for m in methods))
     for point in points:

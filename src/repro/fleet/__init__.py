@@ -25,13 +25,33 @@ The supervision contract the chaos suite enforces: SIGKILL any shard at
 any batch boundary and, after the supervised restart + journal replay,
 every estimation method answers identically to an engine that never
 crashed.
+
+Only :class:`FleetClient` is imported with the package.  The other names
+are imported on first use: the executor and supervisor load
+``multiprocessing`` and the serve daemon ``asyncio``, none of which a
+client needs.
 """
 
-from ..sharding.executor import WorkerGone
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .client import FleetClient
-from .executor import SocketExecutor
-from .serve import FleetServer
-from .supervisor import ShardSupervisor
+
+if TYPE_CHECKING:
+    from ..sharding.executor import WorkerGone
+    from .executor import SocketExecutor
+    from .serve import FleetServer
+    from .supervisor import ShardSupervisor
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "FleetServer": ".serve",
+        "ShardSupervisor": ".supervisor",
+        "SocketExecutor": ".executor",
+        "WorkerGone": "..sharding.executor",
+    },
+)
 
 __all__ = [
     "FleetClient",

@@ -21,8 +21,15 @@ Quickstart::
     print(engine.stats().summary())              # counters + latency
     print(tracker.summary())                     # streaming relative error
     print(prometheus_text(engine.telemetry.registry))   # /metrics payload
+
+:class:`~repro.obs.server.MetricsServer` is imported on first use: it
+loads ``http.server`` (and with it ``email``, ``ssl`` and
+``mimetypes``), which a process that serves no ``/metrics`` never needs.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .accuracy import AccuracyTracker, relative_error_of
 from .exporters import JsonlSnapshotWriter, prometheus_text, render_dashboard
 from .metrics import (
@@ -35,9 +42,13 @@ from .metrics import (
     MetricsRegistry,
     catalog_mismatches,
 )
-from .server import MetricsServer
 from .telemetry import Telemetry
 from .tracing import DEFAULT_TRACE_CAPACITY, SpanEvent, TraceContext, Tracer
+
+if TYPE_CHECKING:
+    from .server import MetricsServer
+
+__getattr__ = lazy_exports(__name__, {"MetricsServer": ".server"})
 
 __all__ = [
     "AccuracyTracker",

@@ -117,20 +117,22 @@ def write_checkpoint(
     """
     path = Path(path)
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    data = _header_bytes(blob) + blob
+    header = _header_bytes(blob)
 
     def attempt() -> int:
         tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
         try:
             with tmp.open("wb") as handle:
-                handle.write(data)
+                # two writes, so the payload is never copied behind its header
+                handle.write(header)
+                handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        return len(data)
+        return len(header) + len(blob)
 
     if sleep is None:
         return retry_io(attempt, policy=retry, on_retry=on_retry)

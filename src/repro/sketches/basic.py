@@ -237,12 +237,28 @@ class AGMSSketch:
         )
 
 
+def median(values: NDArray[Any], axis: int = -1) -> NDArray[Any]:
+    """``np.median(values, axis)``, bit for bit, without importing ``numpy.ma``.
+
+    ``np.median`` checks its result for NaNs through ``np.ma``, so the
+    first AGMS answer of a process would import the masked-array package
+    and keep it resident.  Here the sort puts any NaN last, and the last
+    element carries it into the result.
+    """
+    ordered = np.sort(values, axis=axis)
+    n = ordered.shape[axis]
+    middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+    result = np.take(ordered, middle, axis=axis).mean(axis=axis)
+    last = np.take(ordered, -1, axis=axis)
+    return np.where(np.isnan(last), last, result)
+
+
 def median_of_means(products: NDArray[Any], num_means: int, num_medians: int) -> float:
     """The AGMS estimate: median over ``s2`` groups of ``s1``-means."""
     if products.shape[0] != num_means * num_medians:
         raise ValueError("product vector does not match the sketch geometry")
     groups = products.reshape(num_medians, num_means)
-    return float(np.median(groups.mean(axis=1)))
+    return float(median(groups.mean(axis=1)))
 
 
 def estimate_self_join_size(sketch: AGMSSketch) -> float:
@@ -278,7 +294,7 @@ def estimate_join_size_with_spread(a: AGMSSketch, b: AGMSSketch) -> tuple[float,
     if not a.compatible_with(b, 0, 0):
         raise ValueError("sketches do not share a sign family; joins are undefined")
     groups = (a.atoms * b.atoms).reshape(a.num_medians, a.num_means).mean(axis=1)
-    return float(np.median(groups)), float(np.std(groups))
+    return float(median(groups)), float(np.std(groups))
 
 
 def estimate_multijoin_size(sketches: Sequence[AGMSSketch]) -> float:

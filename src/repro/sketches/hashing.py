@@ -115,7 +115,9 @@ class SignFamily:
         """Hash the rows of ``idx`` the table does not hold yet, each once."""
         missing = idx[table[idx, 0] == 0]
         if missing.size:
-            missing = np.unique(missing)
+            # Sort-based dedupe: a plain np.unique imports numpy.ma.
+            missing = np.sort(missing)
+            missing = missing[np.diff(missing, prepend=-1) != 0]
             table[missing] = self._hash_rows(missing)
 
     def _rows(self, idx: NDArray[np.intp]) -> NDArray[np.int8]:

@@ -19,7 +19,7 @@ prior knowledge buys.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,8 +55,10 @@ def equi_mass_partition(pilot_counts: NDArray[Any], num_partitions: int) -> NDAr
         boundaries[i] = max(boundaries[i], boundaries[i - 1] + 1)
     boundaries = np.minimum(boundaries, n)
     # trailing duplicates mean fewer effective partitions; dedupe keeps the
-    # estimator correct (empty partitions contribute zero)
-    return np.unique(boundaries).astype(np.int64)
+    # estimator correct (empty partitions contribute zero).  The cuts are
+    # sorted, so dropping repeats is a unique without np.unique, which
+    # imports numpy.ma.
+    return boundaries[np.diff(boundaries, prepend=-1) != 0].astype(np.int64)
 
 
 class PartitionedSketch:
@@ -71,10 +73,16 @@ class PartitionedSketch:
         with the same ``seed``).
     budget:
         Total atomic sketches across all partitions; split evenly.
+    family:
+        Builds the sign family of one partition from ``(width, functions,
+        seed)``, here and on :meth:`load_state`.  An engine passes its
+        shared families, so both sides of a join hash each partition's
+        domain once.
     """
 
-    # Derived from ``boundaries`` in __init__; never part of checkpoints.
-    _checkpoint_exempt = ("num_partitions",)
+    # Derived from ``boundaries`` in __init__, or the caller's family
+    # source; never part of checkpoints.
+    _checkpoint_exempt = ("num_partitions", "_family")
 
     def __init__(
         self,
@@ -82,6 +90,7 @@ class PartitionedSketch:
         budget: int,
         seed: int,
         num_medians: int | None = None,
+        family: Callable[[int, int, int], SignFamily] = SignFamily,
     ) -> None:
         self.boundaries = np.asarray(boundaries, dtype=np.int64)
         if self.boundaries.ndim != 1 or self.boundaries.shape[0] < 2:
@@ -98,11 +107,15 @@ class PartitionedSketch:
         self.seed = seed
         s1, s2 = split_budget(per_partition, num_medians)
         self._s1, self._s2 = s1, s2
-        self.sketches: list[AGMSSketch] = []
-        for p in range(self.num_partitions):
-            width = int(self.boundaries[p + 1] - self.boundaries[p])
-            family = SignFamily(width, s1 * s2, seed=seed * 8191 + p)
-            self.sketches.append(AGMSSketch(family, s1, s2))
+        self._family = family
+        self.sketches = [
+            AGMSSketch(self._partition_family(p), s1, s2) for p in range(self.num_partitions)
+        ]
+
+    def _partition_family(self, p: int) -> SignFamily:
+        """The sign family of partition ``p``."""
+        width = int(self.boundaries[p + 1] - self.boundaries[p])
+        return self._family(width, self._s1 * self._s2, self.seed * 8191 + p)
 
     @property
     def domain_size(self) -> int:
@@ -185,9 +198,7 @@ class PartitionedSketch:
         self._s1, self._s2 = s1, s2
         self.sketches = []
         for p, sub_state in enumerate(state["sketches"]):
-            width = int(boundaries[p + 1] - boundaries[p])
-            family = SignFamily(width, s1 * s2, seed=self.seed * 8191 + p)
-            sub = AGMSSketch(family, s1, s2)
+            sub = AGMSSketch(self._partition_family(p), s1, s2)
             sub.load_state(sub_state)
             self.sketches.append(sub)
 
@@ -199,10 +210,11 @@ class PartitionedSketch:
         budget: int,
         seed: int,
         num_medians: int | None = None,
+        family: Callable[[int, int, int], SignFamily] = SignFamily,
     ) -> "PartitionedSketch":
         """Build from a frequency vector in one pass."""
         counts = np.asarray(counts, dtype=float)
-        sketch = cls(boundaries, budget, seed, num_medians)
+        sketch = cls(boundaries, budget, seed, num_medians, family)
         if counts.shape != (sketch.domain_size,):
             raise ValueError(
                 f"counts shape {counts.shape} != ({sketch.domain_size},)"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .basic import AGMSSketch, estimate_self_join_size, median_of_means
+from .basic import AGMSSketch, estimate_self_join_size, median, median_of_means
 
 #: Below this many atomic sketches per median group, per-value frequency
 #: estimates are too noisy to identify dense values — skimming a hallucinated
@@ -72,7 +72,7 @@ def estimate_frequencies(sketch: AGMSSketch, sign_matrix: NDArray[Any]) -> NDArr
         raise ValueError("frequency skimming is defined for single-attribute sketches")
     per_value = sign_matrix.T * sketch.atoms  # (n, S)
     groups = per_value.reshape(-1, sketch.num_medians, sketch.num_means)
-    return np.median(groups.mean(axis=2), axis=1)
+    return median(groups.mean(axis=2), axis=1)
 
 
 def _project(sign_matrix: NDArray[Any], dense: NDArray[Any]) -> NDArray[Any]:

@@ -37,6 +37,7 @@ Supported estimation methods mirror the paper's experimental cast:
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence, TypeVar, cast
@@ -46,6 +47,7 @@ from numpy.typing import NDArray
 
 from ..core.join import estimate_multijoin_size as cosine_multijoin
 from ..obs.accuracy import AccuracyTracker
+from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import Telemetry
 from ..core.basis import GridKind
 from ..core.normalization import Domain, embed_counts
@@ -206,6 +208,10 @@ class ContinuousQueryEngine:
         self._families: weakref.WeakValueDictionary[tuple[int, int, int], SignFamily] = (
             weakref.WeakValueDictionary()
         )
+        #: The engine's sign family for ``(domain_size, num_functions,
+        #: seed)``.  Partitioned sketches keep it to rebuild their families
+        #: on restore, so it holds the table rather than the engine.
+        self._family = partial(_shared_family, self._families)
         #: The engine's telemetry hub (metrics registry + span tracer).
         #: Pass ``Telemetry.disabled()`` for a zero-overhead engine, or a
         #: shared hub to aggregate several engines into one registry.
@@ -220,6 +226,12 @@ class ContinuousQueryEngine:
         #: Degraded-answer policy once :meth:`enable_fault_isolation` has
         #: been called; ``None`` means isolation is off (faults raise).
         self._fault_policy: str | None = None
+        #: The relations' fault handler while isolation is on.  It holds
+        #: the engine's tables, not the engine, so no relation keeps its
+        #: engine alive.
+        self._quarantine = partial(
+            _quarantine, self._queries, self._shared, self.telemetry.registry
+        )
         #: Bounded buffer of rejected rows once
         #: :meth:`enable_dead_lettering` has been called; ``None`` means
         #: malformed batches raise, as before.
@@ -339,7 +351,7 @@ class ContinuousQueryEngine:
             relation.stats = self._stats
             relation.tracer = self.telemetry.tracer
         if self._fault_policy is not None:
-            relation.fault_handler = self._handle_observer_fault
+            relation.fault_handler = self._quarantine
 
     def process(self, relation_name: str, op: StreamOp) -> None:
         """Route one stream operation to its relation (and its observers)."""
@@ -557,9 +569,9 @@ class ContinuousQueryEngine:
             (join_query.relations[rel_pos], axis)
             for rel_pos, axis in join_query.slot_pairs(schemas)[0]
         ]
-
-        def marginal(rel_name: str, axis: int) -> NDArray[Any]:
-            return self._history(self.relations[rel_name], [axis], [unified[rel_name][axis]])
+        marginals = [
+            (self.relations[rel_name], axis, unified[rel_name][axis]) for rel_name, axis in sides
+        ]
 
         def build() -> _QueryState:
             synopses = [
@@ -571,7 +583,10 @@ class ContinuousQueryEngine:
                 return estimate_band_join_size(synopses[0], synopses[1], width)
 
             def exact() -> float:
-                a, b = (marginal(rel_name, axis).astype(float) for rel_name, axis in sides)
+                a, b = (
+                    _history(relation, [axis], [domain]).astype(float)
+                    for relation, axis, domain in marginals
+                )
                 n = a.shape[0]
                 prefix = np.concatenate([[0.0], np.cumsum(b)])
                 hi = np.minimum(np.arange(n) + width + 1, n)
@@ -872,7 +887,7 @@ class ContinuousQueryEngine:
             )
         self._fault_policy = policy
         for relation in self.relations.values():
-            relation.fault_handler = self._handle_observer_fault
+            relation.fault_handler = self._quarantine
 
     def degraded_queries(self) -> dict[str, str]:
         """Currently degraded queries, mapped to their fault reason."""
@@ -881,36 +896,6 @@ class ContinuousQueryEngine:
             for name, state in self._queries.items()
             if state.degraded is not None
         }
-
-    def _handle_observer_fault(
-        self, relation: StreamRelation, observer: StreamObserver, exc: BaseException
-    ) -> bool:
-        """Relation fault-handler hook: quarantine and account, never raise."""
-        try:
-            relation.detach(observer)
-        except ValueError:  # already detached (e.g. fault during replay)
-            pass
-        method = getattr(observer, "stats_key", type(observer).__name__)
-        reason = f"{type(exc).__name__}: {exc}"
-        # The quarantined observer leaves the shared table (later
-        # registrations build a fresh one) and degrades every query holding it.
-        self._shared = {
-            key: share for key, share in self._shared.items() if share.observer is not observer
-        }
-        for state in self._queries.values():
-            if state.degraded is None and any(obs is observer for _, obs in state.attachments):
-                state.degraded = reason
-        registry = self.telemetry.registry
-        registry.counter(
-            "repro_observer_faults_total",
-            "Observer exceptions absorbed by fault isolation, per method.",
-            labelnames=("method",),
-        ).labels(method).inc()
-        registry.gauge(
-            "repro_queries_degraded",
-            "Registered queries currently degraded by a quarantined observer.",
-        ).set(len(self.degraded_queries()))
-        return True
 
     def enable_dead_lettering(self, capacity: int = 1024) -> DeadLetterBuffer:
         """Divert malformed ingest rows into a bounded dead-letter buffer.
@@ -978,7 +963,8 @@ class ContinuousQueryEngine:
                 name: {
                     "attributes": list(relation.attributes),
                     "domains": [domain_to_spec(d) for d in relation.domains],
-                    "counts": relation.counts.copy(),
+                    # pickled in place: the write finishes before ingest resumes
+                    "counts": relation.counts,
                 }
                 for name, relation in self.relations.items()
             },
@@ -1070,13 +1056,6 @@ class ContinuousQueryEngine:
             axes[query.relations[rel_b]].append(ax_b)
         return {r: sorted(a) for r, a in axes.items()}
 
-    def _history(
-        self, relation: StreamRelation, axes: Sequence[int], domains: Sequence[Domain]
-    ) -> NDArray[Any]:
-        """The relation's live counts on ``axes``, embedded into ``domains``."""
-        marginal = _marginalize(relation.counts, keep_axes=axes)
-        return embed_counts_tensor(marginal, [relation.domains[a] for a in axes], domains)
-
     def _cosine(
         self,
         use: str,
@@ -1099,7 +1078,7 @@ class ContinuousQueryEngine:
         def build() -> _CosineObserver:
             synopsis = CosineSynopsis.from_counts(
                 domains,
-                self._history(relation, axes, domains),
+                _history(relation, axes, domains),
                 budget=budget,
                 truncation=truncation,
                 grid=grid,
@@ -1123,19 +1102,11 @@ class ContinuousQueryEngine:
 
         def build() -> _SketchObserver:
             families = [self._family(d.size, s1 * s2, seed) for d, seed in zip(domains, seeds)]
-            history = self._history(relation, axes, domains)
+            history = _history(relation, axes, domains)
             return _SketchObserver(AGMSSketch.from_counts(families, history, s1, s2), domains, axes)
 
         key = ("agms", rel_name, tuple(axes), tuple(domains), tuple(seeds), s1, s2)
         return self._share(relation, key, build).sketch
-
-    def _family(self, domain_size: int, num_functions: int, seed: int) -> SignFamily:
-        """The engine's sign family for ``(domain_size, num_functions, seed)``."""
-        key = (domain_size, num_functions, seed)
-        family = self._families.get(key)
-        if family is None:
-            family = self._families[key] = SignFamily(domain_size, num_functions, seed)
-        return family
 
     def _histogram(
         self, rel_name: str, axis: int, domain: Domain, budget: int
@@ -1144,7 +1115,7 @@ class ContinuousQueryEngine:
         relation = self.relations[rel_name]
 
         def build() -> _HistogramObserver:
-            history = self._history(relation, [axis], [domain])
+            history = _history(relation, [axis], [domain])
             return _HistogramObserver(EquiWidthHistogram.from_counts(domain, history, budget), axis)
 
         key = ("histogram", rel_name, axis, domain, budget)
@@ -1158,7 +1129,7 @@ class ContinuousQueryEngine:
 
         def build() -> DegreeObserver:
             sketch = DegreeSketch(domain.size)
-            sketch.load_counts(self._history(relation, [axis], [domain]))
+            sketch.load_counts(_history(relation, [axis], [domain]))
             return DegreeObserver(sketch, domain, axis)
 
         return self._share(relation, ("degree", rel_name, axis, domain), build).sketch
@@ -1250,7 +1221,7 @@ class ContinuousQueryEngine:
             )
             domains = [unified[rel_name][ax] for ax in axes]
             # Replay history distributionally: binomial thinning per cell.
-            history = self._history(relation, axes, domains)
+            history = _history(relation, axes, domains)
             sample = BernoulliSample.from_counts(history, probability, rng)
             self._attach(relation, _SampleObserver(sample, domains, axes))
             samples.append(sample)
@@ -1344,7 +1315,7 @@ class ContinuousQueryEngine:
             rel_name = query.relations[rel_pos]
             relation = self.relations[rel_name]
             sketch = PartitionedSketch.from_counts(
-                marginal, boundaries, budget, seed=self._seed
+                marginal, boundaries, budget, seed=self._seed, family=self._family
             )
             self._attach(relation, _PartitionedObserver(sketch, unified[rel_name][axis], axis))
             sketches.append(sketch)
@@ -1549,6 +1520,62 @@ class _HistogramObserver(StreamObserver):
 # ---------------------------------------------------------------------- #
 # helpers
 # ---------------------------------------------------------------------- #
+
+
+def _quarantine(
+    queries: Mapping[str, _QueryState],
+    shared: dict[Hashable, _Share],
+    registry: MetricsRegistry,
+    relation: StreamRelation,
+    observer: StreamObserver,
+    exc: BaseException,
+) -> bool:
+    """Relation fault-handler hook: quarantine and account, never raise."""
+    try:
+        relation.detach(observer)
+    except ValueError:  # already detached (e.g. fault during replay)
+        pass
+    method = getattr(observer, "stats_key", type(observer).__name__)
+    reason = f"{type(exc).__name__}: {exc}"
+    # The quarantined observer leaves the shared table (later
+    # registrations build a fresh one) and degrades every query holding it.
+    for key in [key for key, share in shared.items() if share.observer is observer]:
+        del shared[key]
+    for state in queries.values():
+        if state.degraded is None and any(obs is observer for _, obs in state.attachments):
+            state.degraded = reason
+    registry.counter(
+        "repro_observer_faults_total",
+        "Observer exceptions absorbed by fault isolation, per method.",
+        labelnames=("method",),
+    ).labels(method).inc()
+    registry.gauge(
+        "repro_queries_degraded",
+        "Registered queries currently degraded by a quarantined observer.",
+    ).set(sum(state.degraded is not None for state in queries.values()))
+    return True
+
+
+def _shared_family(
+    families: weakref.WeakValueDictionary[tuple[int, int, int], SignFamily],
+    domain_size: int,
+    num_functions: int,
+    seed: int,
+) -> SignFamily:
+    """The live family of ``families`` for ``(domain_size, num_functions, seed)``, or a new one."""
+    key = (domain_size, num_functions, seed)
+    family = families.get(key)
+    if family is None:
+        family = families[key] = SignFamily(domain_size, num_functions, seed)
+    return family
+
+
+def _history(
+    relation: StreamRelation, axes: Sequence[int], domains: Sequence[Domain]
+) -> NDArray[Any]:
+    """The relation's live counts on ``axes``, embedded into ``domains``."""
+    marginal = _marginalize(relation.counts, keep_axes=axes)
+    return embed_counts_tensor(marginal, [relation.domains[a] for a in axes], domains)
 
 
 def _marginalize(tensor: NDArray[Any], keep_axes: Sequence[int]) -> NDArray[Any]:

@@ -410,7 +410,16 @@ class StreamRelation:
             self.counts[cells] -= delta.counts
             self._count -= idx.shape[0]
         else:
-            np.add.at(self.counts, tuple(idx.T), 1)
+            # One flat index per row: np.add.at's tuple-index path is
+            # several times slower on multi-attribute tensors.  The counts
+            # tensor is C-contiguous (np.zeros, or load_counts' copy), so
+            # the reshape is a view.
+            flat = (
+                idx[:, 0]
+                if idx.shape[1] == 1
+                else np.ravel_multi_index(tuple(idx.T), self.counts.shape)
+            )
+            np.add.at(self.counts.reshape(-1), flat, 1)
             self._count += idx.shape[0]
         self._batch = (arr, idx, kind)
         self._delta = delta

@@ -23,6 +23,10 @@ creation site is kept only for human-readable reports.
 from __future__ import annotations
 
 import _thread
+# The resource tracker builds its module-level RLock on import and later
+# calls methods the tracked proxy lacks; imported here, before any patch,
+# it keeps a real lock for spawn-started workers.
+import multiprocessing.resource_tracker  # noqa: F401
 import sys
 import threading
 from contextlib import contextmanager

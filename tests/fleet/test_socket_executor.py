@@ -73,6 +73,21 @@ class TestEngineParity:
             fleet.close()
             control.close()
 
+    def test_spawned_workers_match_serial_fleet(self):
+        # spawn starts multiprocessing's resource tracker, whose lock must
+        # predate the lock sanitizer this package runs under
+        batches = make_batches()
+        control = build_fleet(num_shards=2)
+        fleet = build_socket_fleet(num_shards=2, mp_context="spawn")
+        try:
+            for name, rows in batches:
+                control.ingest_batch(name, rows)
+                fleet.ingest_batch(name, rows)
+            assert_fleet_answers_equal(fleet, control.answers())
+        finally:
+            fleet.close()
+            control.close()
+
     def test_checkpoint_roundtrip_over_sockets(self, tmp_path):
         from repro.sharding import ShardedStreamEngine
 

@@ -1,6 +1,7 @@
 """Checkpoint file format, integrity checking, rotation, and write retries."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.errors import CheckpointError, CheckpointIntegrityError
 from repro.resilience.retry import RetryPolicy
+from repro.streams import JoinQuery, StreamEngine
 
 
 def sample_payload() -> dict:
@@ -47,6 +49,29 @@ class TestWriteRead:
         assert header["magic"] == FORMAT_MAGIC
         assert header["version"] == FORMAT_VERSION
         assert len(header["sha256"]) == 64
+
+    def test_engine_checkpoint_holds_one_copy_of_its_state(self, tmp_path):
+        # the pickled payload is the one whole-state copy: the counts are
+        # pickled in place and the header is written ahead of the payload
+        engine = StreamEngine(seed=0)
+        a, b = Domain.of_size(1024), Domain.of_size(256)
+        engine.create_relation("R1", ["A"], [a])
+        engine.create_relation("R2", ["A", "B"], [a, b])
+        rng = np.random.default_rng(0)
+        engine.ingest_batch("R1", rng.integers(0, 1024, (4096, 1)))
+        engine.ingest_batch("R2", np.stack([rng.integers(0, 1024, 4096),
+                                            rng.integers(0, 256, 4096)], 1))
+        pair = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
+        engine.register_query("q", pair, method="cosine", budget=64, bounds=True)
+        engine.save_checkpoint(tmp_path / "warm.ckpt")
+        tracemalloc.start()
+        try:
+            size = engine.save_checkpoint(tmp_path / "x.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 2 << 20  # the 1024 x 256 int64 tensor dominates
+        assert peak <= 2 * size
 
     def test_overwrite_is_atomic_no_temp_left_behind(self, tmp_path):
         path = tmp_path / "x.ckpt"

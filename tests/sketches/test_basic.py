@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.normalization import Domain
 from repro.sketches.basic import (
@@ -11,6 +14,7 @@ from repro.sketches.basic import (
     estimate_multijoin_size,
     estimate_self_join_size,
     make_sketch_families,
+    median,
     median_of_means,
     slice_sketch,
     split_budget,
@@ -126,6 +130,20 @@ class TestEstimation:
         est = median_of_means(products, num_means=4, num_medians=3)
         # groups [0..3],[4..7],[8..11] -> means 1.5, 5.5, 9.5 -> median 5.5
         assert est == 5.5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=9),
+            elements=st.floats(allow_infinity=False, width=64),
+        )
+    )
+    def test_median_is_np_median_bit_for_bit(self, values):
+        # np.median is the reference; NaNs propagate the same way
+        for axis in range(values.ndim):
+            np.testing.assert_array_equal(median(values, axis=axis), np.median(values, axis=axis))
 
     def test_median_of_means_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -245,3 +245,23 @@ class TestEngineFamilies:
         gc.collect()
         assert family() is None
         assert len(engine._families) == 0
+
+    def test_partitioned_sides_share_families_across_a_checkpoint(self, tmp_path):
+        engine = chain_engine()
+        pair = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
+        engine.register_query("part", pair, method="partitioned_sketch", budget=64, partitions=4)
+
+        def sides(engine):
+            return [observer.sketch for _, observer in engine._queries["part"].attachments]
+
+        left, right = sides(engine)
+        assert left.num_partitions == 4
+        for a, b in zip(left.sketches, right.sketches):
+            assert a.families[0] is b.families[0]
+        answer = engine.answer("part")
+        engine.save_checkpoint(tmp_path / "part.ckpt")
+        restored = StreamEngine.load_checkpoint(tmp_path / "part.ckpt")
+        left, right = sides(restored)
+        for a, b in zip(left.sketches, right.sketches):
+            assert a.families[0] is b.families[0]
+        assert restored.answer("part") == answer
