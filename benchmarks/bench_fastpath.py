@@ -14,6 +14,12 @@ of that claim:
   every coefficient update and batch build runs, vs
   ``phi_block_reference(order, positions) @ w``, with the projection's
   tracemalloc peak.  The gate holds it to the same floor.
+* **transform** — one batch's coefficient change at the process fleet's
+  shard shape (domain 16,384, order 1,024, 8,192 uniform rows): the
+  midpoint-grid DCT, ``phi_block(order, cells, weights=w, midpoint=n)``,
+  vs the recurrence's projection form over the batch's distinct cells,
+  the path it replaced for one-attribute synopses.  The gate holds it to
+  a >= 10x floor, self-normalizing like the others.
 * **ingest** — end-to-end single-thread cosine ingest (tuples/s) with the
   active backend vs with the ``reference`` backend, recorded into the CI
   benchmark trajectory (``BENCH_trajectory.json``) so the floor has a
@@ -35,12 +41,17 @@ import numpy as np
 
 from repro.core.normalization import Domain
 from repro.fastpath import backend_name, phi_block, phi_block_reference, set_backend
+from repro.fastpath.recurrence import phi_project_numpy
 from repro.obs import Telemetry
 from repro.streams import JoinQuery, StreamEngine
 
 ORDER = 1_024
 COLS = 4_096  # wide enough to amortize the per-row python loop (see recurrence.py)
 SPEEDUP_FLOOR = 5.0  # recurrence vs reference basis construction, best round
+TRANSFORM_DOMAIN = 16_384  # the process fleet's shard shape
+TRANSFORM_ORDER = 1_024
+TRANSFORM_ROWS = 8_192
+TRANSFORM_FLOOR = 10.0  # DCT vs the recurrence's projection, best round
 INGEST_TUPLES = 32_768
 INGEST_BUDGET = 200
 INGEST_DOMAIN = 2_000
@@ -57,7 +68,9 @@ def _best_seconds(fn, rounds: int) -> float:
     return best
 
 
-def _speedup_table(order: int, cols: int, rounds: int, reference, fast) -> dict:
+def _speedup_table(
+    order: int, cols: int, rounds: int, reference, fast, floor: float = SPEEDUP_FLOOR
+) -> dict:
     """Best-round seconds of two callables computing the same thing, and their ratio."""
     # Warm both paths once so allocator/cache effects hit neither side.
     reference()
@@ -72,7 +85,7 @@ def _speedup_table(order: int, cols: int, rounds: int, reference, fast) -> dict:
         "reference_seconds_best": reference_s,
         "fastpath_seconds_best": fast_s,
         "speedup": reference_s / fast_s,
-        "speedup_floor": SPEEDUP_FLOOR,
+        "speedup_floor": floor,
     }
 
 
@@ -106,6 +119,29 @@ def kernel_projection(order: int = ORDER, cols: int = COLS, rounds: int = ROUNDS
         table["peak_bytes"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return table
+
+
+def transform_table(rounds: int = ROUNDS) -> dict:
+    """One uniform batch at the fleet shape: the DCT vs the recurrence's projection.
+
+    ``reference_seconds_best`` is the recurrence here (the path the DCT
+    replaced for one-attribute midpoint synopses), not the 1.5.0 kernel.
+    """
+    n, order = TRANSFORM_DOMAIN, TRANSFORM_ORDER
+    rows = np.random.default_rng(0).integers(0, n, TRANSFORM_ROWS)
+    cells, counts = np.unique(rows, return_counts=True)
+    weights = counts.astype(float)
+    positions = (2.0 * cells + 1.0) / (2.0 * n)
+    table = _speedup_table(
+        order,
+        cells.shape[0],
+        rounds,
+        lambda: phi_project_numpy(order, positions, weights),
+        lambda: phi_block(order, cells, weights=weights, midpoint=n),
+        floor=TRANSFORM_FLOOR,
+    )
+    table["domain"] = n
     return table
 
 
@@ -158,6 +194,7 @@ def fastpath_report(
         "backend": backend_name(),
         "kernel": kernel_table(order=order, cols=cols, rounds=rounds),
         "projection": kernel_projection(order=order, cols=cols, rounds=rounds),
+        "transform": transform_table(rounds=rounds),
         "ingest": ingest_table(tuples=tuples, rounds=rounds),
     }
 
@@ -177,6 +214,17 @@ def _print_report(report: dict) -> None:
             f"  (floor {table['speedup_floor']:.0f}x)"
         )
     print(f"    peak       {projection['peak_bytes'] / 2**20:>9.2f} MB (tracemalloc)")
+    transform = report["transform"]
+    print(
+        f"  transform (n={transform['domain']}, order={transform['order']},"
+        f" {transform['cols']} distinct cells, best of {transform['rounds']}):"
+    )
+    print(f"    recurrence {transform['reference_seconds_best'] * 1e3:>9.3f} ms")
+    print(f"    DCT        {transform['fastpath_seconds_best'] * 1e3:>9.3f} ms")
+    print(
+        f"    speedup    {transform['speedup']:>9.2f}x"
+        f"  (floor {transform['speedup_floor']:.0f}x)"
+    )
     print(
         f"  cosine ingest (2 x {ingest['tuples_per_relation']:,} tuples,"
         f" budget {ingest['budget']}):"
@@ -206,6 +254,18 @@ def test_projection_speedup_above_floor(benchmark, capsys):
         print(
             f"  projection speedup {table['speedup']:.2f}x"
             f" (floor {table['speedup_floor']:.0f}x, peak {table['peak_bytes'] / 2**20:.2f} MB)"
+        )
+    assert table["speedup"] >= table["speedup_floor"]
+
+
+def test_transform_speedup_above_floor(benchmark, capsys):
+    """The midpoint DCT must beat the recurrence's projection by >= 10x at the fleet shape."""
+    table = benchmark.pedantic(lambda: transform_table(rounds=3), iterations=1, rounds=1)
+    with capsys.disabled():
+        print()
+        print(
+            f"  transform speedup {table['speedup']:.2f}x"
+            f" (floor {table['speedup_floor']:.0f}x, {table['cols']} cells)"
         )
     assert table["speedup"] >= table["speedup_floor"]
 
@@ -248,11 +308,12 @@ def main(argv=None) -> int:
             json.dump(report, handle, indent=1)
         print(f"wrote {args.json}")
     failed = False
-    for title in ("kernel", "projection"):
-        if report[title]["speedup"] < SPEEDUP_FLOOR:
+    for title in ("kernel", "projection", "transform"):
+        table = report[title]
+        if table["speedup"] < table["speedup_floor"]:
             print(
-                f"FAIL: fastpath {title} speedup {report[title]['speedup']:.2f}x"
-                f" is below the {SPEEDUP_FLOOR:.0f}x floor in every round"
+                f"FAIL: fastpath {title} speedup {table['speedup']:.2f}x"
+                f" is below the {table['speedup_floor']:.0f}x floor in every round"
             )
             failed = True
     return 1 if failed else 0

@@ -7,13 +7,18 @@ its JSON result to this script.  The script
    restored across runs via ``actions/cache`` and re-uploaded as an
    artifact) or bootstraps an empty one,
 2. appends one entry — commit, CI run id, kernel speedup, projection
-   speedup and tracemalloc peak, ingest throughput — so the benchmark
-   history of the branch is a first-class artifact rather than a
-   pass/fail bit, and
+   speedup and tracemalloc peak, transform speedup, ingest throughput —
+   so the benchmark history of the branch is a first-class artifact
+   rather than a pass/fail bit, and
 3. fails the build when the fastpath kernel speedup, or the speedup of
-   its projection form (the one every cosine update and batch build
-   runs), drops below the floor (>= 5x vs the 1.5.0 per-entry reference,
-   measured in the same run so a slow runner cannot fake a regression).
+   its projection form (what multi-attribute and endpoint-grid cosine
+   updates and batch builds run), drops below the floor (>= 5x vs the
+   1.5.0 per-entry reference), or when the midpoint-grid DCT (what every
+   one-attribute update past the crossover, registration and
+   reconstruction runs) is under ``TRANSFORM_FLOOR`` (10x) the
+   recurrence's projection at the process fleet's shard shape.  Each
+   ratio is measured in one run, so a slow runner cannot fake a
+   regression.
 
 The optional ``--telemetry-result`` / ``--otel-result`` /
 ``--fleet-result`` / ``--bounds-result`` inputs take the JSON written by
@@ -44,6 +49,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 DEFAULT_FLOOR = 5.0
+TRANSFORM_FLOOR = 10.0  # the DCT vs the recurrence's projection, same run
 TAIL = 10  # trajectory entries echoed into the CI log
 
 
@@ -94,6 +100,7 @@ def make_entry(
         "kernel_cols": kernel["cols"],
         "projection_speedup": round(projection["speedup"], 3),
         "projection_peak_mb": round(projection["peak_bytes"] / 2**20, 3),
+        "transform_speedup": round(result["transform"]["speedup"], 3),
         "fastpath_tps": round(ingest["fastpath_tps_best"]),
         "reference_tps": round(ingest["reference_tps_best"]),
         "ingest_ratio": round(ingest["ingest_ratio"], 3),
@@ -125,13 +132,14 @@ def _speedup_cell(entry: dict, key: str) -> str:
 def _print_tail(entries: list) -> None:
     print(f"benchmark trajectory ({len(entries)} entries, last {TAIL}):")
     print(
-        f"  {'commit':<13} {'speedup':>8} {'project':>8} {'ingest tps':>12} {'ratio':>6}"
+        f"  {'commit':<13} {'speedup':>8} {'project':>8} {'dct':>8} {'ingest tps':>12} {'ratio':>6}"
         f" {'telem':>7} {'otlp':>7} {'fleet':>7} {'bound':>7}  backend"
     )
     for entry in entries[-TAIL:]:
         print(
             f"  {entry['commit']:<13} {entry['kernel_speedup']:>7.2f}x"
             f" {_speedup_cell(entry, 'projection_speedup')}"
+            f" {_speedup_cell(entry, 'transform_speedup')}"
             f" {entry['fastpath_tps']:>12,} {entry['ingest_ratio']:>5.2f}x"
             f" {_overhead_cell(entry, 'telemetry_overhead')}"
             f" {_overhead_cell(entry, 'otel_overhead')}"
@@ -205,12 +213,19 @@ def main(argv=None) -> int:
                 f" the {args.floor:.0f}x floor vs the 1.5.0 reference"
             )
             failed = True
+    if entry["transform_speedup"] < TRANSFORM_FLOOR:
+        print(
+            f"FAIL: fastpath transform speedup {entry['transform_speedup']:.2f}x is below"
+            f" the {TRANSFORM_FLOOR:.0f}x floor vs the recurrence's projection"
+        )
+        failed = True
     if failed:
         return 1
     print(
         f"bench gate OK: kernel {entry['kernel_speedup']:.2f}x and projection"
         f" {entry['projection_speedup']:.2f}x >= {args.floor:.0f}x floor"
         f" (projection peak {entry['projection_peak_mb']:.2f} MB),"
+        f" transform {entry['transform_speedup']:.2f}x >= {TRANSFORM_FLOOR:.0f}x floor,"
         f" ingest at {entry['fastpath_tps']:,} tuples/s"
         f" ({entry['ingest_ratio']:.2f}x the reference backend)"
     )

@@ -51,7 +51,7 @@ from .streams import (
     relative_error,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "CosineSynopsis",

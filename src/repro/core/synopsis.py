@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..fastpath import phi_block
+from ..fastpath import phi_block, phi_expand
 from .basis import GridKind
 from .normalization import Domain, distinct_cells
 from .triangular import (
@@ -38,7 +38,8 @@ from .triangular import (
 
 #: Batch rows per chunk of a multi-attribute update, which still builds one
 #: (order x rows) table per attribute.  One-attribute updates and batch
-#: builds use the kernel's projection form, which blocks on its own.
+#: builds use the kernel's projection form, which blocks on its own (or is
+#: one DCT on the midpoint grid).
 _CHUNK_ROWS = 2048
 
 
@@ -153,17 +154,24 @@ class CosineSynopsis:
         distinct tuple), which is where batch updates beat per-tuple ones
         on realistic skewed streams.
         """
+        cells: NDArray[Any] | None = None
         if multiplicity is None:
             indices = np.stack(
                 [d.indices_of(rows[:, j]) for j, d in enumerate(self.domains)], axis=1
             )
-            _, first, multiplicity = distinct_cells(indices, [d.size for d in self.domains])
+            cells, first, multiplicity = distinct_cells(indices, [d.size for d in self.domains])
             rows = rows[first]
         weights = np.asarray(multiplicity, dtype=float)
         if self.ndim == 1:
             # 1-d fast path: the retained orders are exactly 0..m-1, so the
             # contribution is the kernel's projection of the weights.
-            positions = self.domains[0].positions_of(rows[:, 0], self.grid)
+            domain = self.domains[0]
+            if self.grid == "midpoint":
+                # one attribute: the distinct flat cells are the domain indices
+                if cells is None:
+                    cells = domain.indices_of(rows[:, 0])
+                return phi_block(self.order, cells, weights=weights, midpoint=domain.size)
+            positions = domain.positions_of(rows[:, 0], self.grid)
             return phi_block(self.order, positions, weights=weights)
         total = np.zeros(self.indices.shape[0], dtype=float)
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
@@ -266,16 +274,21 @@ class CosineSynopsis:
             raise ValueError("counts must be non-negative in aggregate")
         if not counts.any():
             return syn  # contracting zeros needs no basis table
-        tensor = counts
-        # Project each value axis onto the basis (the kernel's projection
-        # form, never the order x n_j table); after d steps the tensor holds
-        # the unnormalized coefficient grid.
-        for j, domain in enumerate(syn.domains):
-            moved = np.moveaxis(tensor, j, 0)
-            weights = moved.reshape(moved.shape[0], -1)
-            projected = phi_block(syn.order, domain.grid(grid), weights=weights)
-            tensor = np.moveaxis(projected.reshape((syn.order,) + moved.shape[1:]), 0, j)
-        syn._sums = tensor[tuple(syn.indices[:, j] for j in range(syn.ndim))].copy()
+        if syn.ndim == 1 and grid == "midpoint":
+            # the nonzero counts are one batch's weights: per-cell or one DCT
+            cells = np.flatnonzero(counts)
+            syn._sums = phi_block(syn.order, cells, weights=counts[cells], midpoint=counts.size)
+        else:
+            # Project each value axis onto the basis (the kernel's projection
+            # form, never the order x n_j table); after d steps the tensor
+            # holds the unnormalized coefficient grid.
+            tensor = counts
+            for j, domain in enumerate(syn.domains):
+                moved = np.moveaxis(tensor, j, 0)
+                weights = moved.reshape(moved.shape[0], -1)
+                projected = phi_block(syn.order, domain.grid(grid), weights=weights)
+                tensor = np.moveaxis(projected.reshape((syn.order,) + moved.shape[1:]), 0, j)
+            syn._sums = tensor[tuple(syn.indices[:, j] for j in range(syn.ndim))].copy()
         syn._count = int(round(total))
         return syn
 
@@ -353,9 +366,13 @@ class CosineSynopsis:
         """Approximate joint frequency tensor implied by the synopsis.
 
         Inverts the truncated transform on the grid; with a full coefficient
-        set on the midpoint grid the reconstruction is exact.  Mostly a
-        diagnostic / teaching aid (and the basis of range-query estimation).
+        set on the midpoint grid the reconstruction is exact.  Band,
+        inequality and CDF estimates read it; on one midpoint-grid attribute
+        it is one inverse DCT.
         """
+        if self.ndim == 1 and self.grid == "midpoint":
+            n = self.domains[0].size
+            return phi_expand(self.coefficients, n) / n * self._count
         tensor = scatter_to_dense(self.indices, self.coefficients, self.order)
         for j, domain in enumerate(self.domains):
             table = phi_block(self.order, domain.grid(self.grid))

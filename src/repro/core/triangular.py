@@ -76,6 +76,8 @@ def order_for_budget(budget: int, ndim: int, truncation: str = "triangular") -> 
 
     This is how a paper-style space budget ("number of coefficients") is
     converted into a transform order.  Raises if even ``m = 1`` does not fit.
+    The count grows with the order, so the search doubles an upper bound
+    and then bisects: ``O(log m)`` counts rather than one per order.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -84,10 +86,16 @@ def order_for_budget(budget: int, ndim: int, truncation: str = "triangular") -> 
         raise ValueError(f"unknown truncation: {truncation!r}")
     if counter(1, ndim) > budget:
         raise ValueError(f"budget {budget} cannot hold even a single coefficient")
-    order = 1
-    while counter(order + 1, ndim) <= budget:
-        order += 1
-    return order
+    fits, over = 1, 2  # invariant: counter(fits) <= budget < counter(over)
+    while counter(over, ndim) <= budget:
+        fits, over = over, 2 * over
+    while over - fits > 1:
+        middle = (fits + over) // 2
+        if counter(middle, ndim) <= budget:
+            fits = middle
+        else:
+            over = middle
+    return fits
 
 
 def scatter_to_dense(

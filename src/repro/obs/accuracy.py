@@ -21,6 +21,7 @@ and one integer comparison.
 from __future__ import annotations
 
 import math
+import weakref
 from time import perf_counter
 from typing import TYPE_CHECKING, Mapping, Sequence, cast
 
@@ -62,7 +63,9 @@ class AccuracyTracker:
     ) -> None:
         if every_ops < 1:
             raise ValueError("every_ops must be >= 1")
-        self.engine = engine
+        # Weak: the engine holds its tracker, and a strong reference back
+        # would keep a dropped engine alive until the cyclic collector ran.
+        self._engine = weakref.ref(engine)
         self.every_ops = every_ops
         self.queries = tuple(queries) if queries is not None else None
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -92,6 +95,14 @@ class AccuracyTracker:
         )
         self._last_error: dict[str, float] = {}
         self._last_sampled_at = 0
+
+    @property
+    def engine(self) -> "ContinuousQueryEngine":
+        """The tracked engine; ``ReferenceError`` once it has been freed."""
+        engine = self._engine()
+        if engine is None:
+            raise ReferenceError("the tracked engine has been freed")
+        return engine
 
     # ------------------------------------------------------------------ #
     # sampling

@@ -102,6 +102,17 @@ class TestBudget:
         with pytest.raises(ValueError, match="unknown truncation"):
             order_for_budget(10, 2, truncation="circular")
 
+    @pytest.mark.parametrize("truncation", ["triangular", "full"])
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    def test_search_matches_the_linear_scan(self, ndim, truncation):
+        """The doubling-and-bisection search returns the one-step scan's order."""
+        counter = triangular_count if truncation == "triangular" else full_count
+        order = 1  # the one-step scan, kept as the reference, over budgets 1, 2, ...
+        for budget in [*range(1, 3000), 4096, 10_000, 65_536]:
+            while counter(order + 1, ndim) <= budget:
+                order += 1
+            assert order_for_budget(budget, ndim, truncation) == order, budget
+
     @settings(max_examples=50, deadline=None)
     @given(budget=st.integers(min_value=1, max_value=5000), ndim=st.integers(1, 4))
     def test_order_for_budget_is_maximal(self, budget, ndim):

@@ -4,7 +4,8 @@ An engine process has no use for the metrics HTTP server (``http.server``
 with ``email``, ``ssl`` and ``mimetypes``), the fleet's ``asyncio`` and
 ``multiprocessing``, the section 5 harness or ``numpy.ma``; a fleet
 client needs none of the daemon; the CLI loads a subcommand's modules
-only when it dispatches to it.  Each check runs in a fresh interpreter,
+only when it dispatches to it.  An engine never loads scipy (its FFT adds
+over 20 MB; the kernel's transforms run on ``numpy.fft``).  Each check runs in a fresh interpreter,
 so nothing another test imported can hide a regression.
 """
 
@@ -88,7 +89,13 @@ class TestImportSets:
             "repro.fleet",
             "repro.experiments",
             "numpy.ma",
+            "scipy",
         ) == []
+
+    def test_kernel_loads_numpy_fft(self):
+        # Shard workers fork from a coordinator that has imported the
+        # kernel; they inherit numpy.fft only if the import loads it.
+        assert "numpy.fft" in modules_after("import repro.fastpath")
 
     def test_fleet_client(self):
         modules = modules_after("from repro.fleet.client import FleetClient")

@@ -140,6 +140,19 @@ class TestLifecycle:
         del engine
         assert ref() is None, "kept alive by a reference cycle"
 
+    def test_accuracy_tracking(self):
+        engine = schema(StreamEngine(seed=5))
+        engine.register_query("q", PAIR, method="cosine", budget=16)
+        tracker = engine.track_accuracy(every_ops=100)
+        ingest(engine)
+        assert tracker.report()["q"]["samples"] >= 1
+        assert engine.accuracy is tracker and tracker.engine is engine
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None, "kept alive by a reference cycle"
+        with pytest.raises(ReferenceError, match="freed"):
+            tracker.maybe_sample()
+
     def test_engine_from_checkpoint(self, tmp_path):
         engine = full_engine()
         engine.enable_fault_isolation("nan")

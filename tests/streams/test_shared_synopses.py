@@ -350,13 +350,16 @@ class TestRegistrationReplay:
         import repro.core.synopsis as synopsis_module
 
         calls = []
-        real = synopsis_module.phi_block
+        # Every kernel entry point the synopsis calls: the basis projection
+        # (per-cell or the DCT) and the inverse transform.
+        for name in ("phi_block", "phi_expand"):
+            real = getattr(synopsis_module, name)
 
-        def counting(order, positions, out=None, weights=None):
-            calls.append((order, len(positions)))
-            return real(order, positions, out, weights=weights)
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(synopsis_module, "phi_block", counting)
+            monkeypatch.setattr(synopsis_module, name, counting)
         engine = make_engine()
         engine.register_query("q", QUERY, method="cosine", budget=BUDGET, bounds=True)
         engine.register_range_query("range", "R", "A", 1, 7, budget=BUDGET)
