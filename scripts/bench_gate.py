@@ -7,18 +7,20 @@ its JSON result to this script.  The script
    restored across runs via ``actions/cache`` and re-uploaded as an
    artifact) or bootstraps an empty one,
 2. appends one entry — commit, CI run id, kernel speedup, projection
-   speedup and tracemalloc peak, transform speedup, ingest throughput —
-   so the benchmark history of the branch is a first-class artifact
-   rather than a pass/fail bit, and
+   speedup and tracemalloc peak, transform speedup, the two ingest
+   kernels' speedups, ingest throughput — so the benchmark history of
+   the branch is a first-class artifact rather than a pass/fail bit, and
 3. fails the build when the fastpath kernel speedup, or the speedup of
    its projection form (what multi-attribute and endpoint-grid cosine
    updates and batch builds run), drops below the floor (>= 5x vs the
-   1.5.0 per-entry reference), or when the midpoint-grid DCT (what every
+   1.5.0 per-entry reference), when the midpoint-grid DCT (what every
    one-attribute update past the crossover, registration and
    reconstruction runs) is under ``TRANSFORM_FLOOR`` (10x) the
-   recurrence's projection at the process fleet's shard shape.  Each
-   ratio is measured in one run, so a slow runner cannot fake a
-   regression.
+   recurrence's projection at the process fleet's shard shape, or when
+   a cold sign fill or ``distinct_cells`` on a Zipf batch is under
+   ``INGEST_KERNEL_FLOOR`` (2x) its reference (the result's
+   ``ingest_kernels`` table).  Each ratio is measured in one run, so a
+   slow runner cannot fake a regression.
 
 The optional ``--telemetry-result`` / ``--otel-result`` /
 ``--fleet-result`` / ``--bounds-result`` inputs take the JSON written by
@@ -50,6 +52,8 @@ from pathlib import Path
 
 DEFAULT_FLOOR = 5.0
 TRANSFORM_FLOOR = 10.0  # the DCT vs the recurrence's projection, same run
+INGEST_KERNEL_FLOOR = 2.0  # sign fill vs Horner, distinct_cells vs np.unique, same run
+INGEST_KERNELS = ("sign_fill", "distinct_cells")
 TAIL = 10  # trajectory entries echoed into the CI log
 
 
@@ -101,6 +105,10 @@ def make_entry(
         "projection_speedup": round(projection["speedup"], 3),
         "projection_peak_mb": round(projection["peak_bytes"] / 2**20, 3),
         "transform_speedup": round(result["transform"]["speedup"], 3),
+        **{
+            f"{title}_speedup": round(result["ingest_kernels"][title]["speedup"], 3)
+            for title in INGEST_KERNELS
+        },
         "fastpath_tps": round(ingest["fastpath_tps_best"]),
         "reference_tps": round(ingest["reference_tps_best"]),
         "ingest_ratio": round(ingest["ingest_ratio"], 3),
@@ -132,14 +140,17 @@ def _speedup_cell(entry: dict, key: str) -> str:
 def _print_tail(entries: list) -> None:
     print(f"benchmark trajectory ({len(entries)} entries, last {TAIL}):")
     print(
-        f"  {'commit':<13} {'speedup':>8} {'project':>8} {'dct':>8} {'ingest tps':>12} {'ratio':>6}"
-        f" {'telem':>7} {'otlp':>7} {'fleet':>7} {'bound':>7}  backend"
+        f"  {'commit':<13} {'speedup':>8} {'project':>8} {'dct':>8} {'signs':>8} {'cells':>8}"
+        f" {'ingest tps':>12} {'ratio':>6} {'telem':>7} {'otlp':>7} {'fleet':>7} {'bound':>7}"
+        "  backend"
     )
     for entry in entries[-TAIL:]:
         print(
             f"  {entry['commit']:<13} {entry['kernel_speedup']:>7.2f}x"
             f" {_speedup_cell(entry, 'projection_speedup')}"
             f" {_speedup_cell(entry, 'transform_speedup')}"
+            f" {_speedup_cell(entry, 'sign_fill_speedup')}"
+            f" {_speedup_cell(entry, 'distinct_cells_speedup')}"
             f" {entry['fastpath_tps']:>12,} {entry['ingest_ratio']:>5.2f}x"
             f" {_overhead_cell(entry, 'telemetry_overhead')}"
             f" {_overhead_cell(entry, 'otel_overhead')}"
@@ -219,6 +230,13 @@ def main(argv=None) -> int:
             f" the {TRANSFORM_FLOOR:.0f}x floor vs the recurrence's projection"
         )
         failed = True
+    for title in INGEST_KERNELS:
+        if entry[f"{title}_speedup"] < INGEST_KERNEL_FLOOR:
+            print(
+                f"FAIL: ingest kernel {title} speedup {entry[f'{title}_speedup']:.2f}x is below"
+                f" the {INGEST_KERNEL_FLOOR:.0f}x floor vs its reference"
+            )
+            failed = True
     if failed:
         return 1
     print(
@@ -226,6 +244,8 @@ def main(argv=None) -> int:
         f" {entry['projection_speedup']:.2f}x >= {args.floor:.0f}x floor"
         f" (projection peak {entry['projection_peak_mb']:.2f} MB),"
         f" transform {entry['transform_speedup']:.2f}x >= {TRANSFORM_FLOOR:.0f}x floor,"
+        f" sign fill {entry['sign_fill_speedup']:.2f}x and distinct cells"
+        f" {entry['distinct_cells_speedup']:.2f}x >= {INGEST_KERNEL_FLOOR:.0f}x floor,"
         f" ingest at {entry['fastpath_tps']:,} tuples/s"
         f" ({entry['ingest_ratio']:.2f}x the reference backend)"
     )

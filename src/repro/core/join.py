@@ -29,7 +29,7 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..fastpath import phi_block
+from ..fastpath import phi_block, phi_expand
 from .synopsis import CosineSynopsis
 
 #: An attribute slot: (relation position in the synopsis list, axis index).
@@ -246,11 +246,13 @@ def estimate_join_size_by_group(
     tensor = tensor[:, :join_order]
     contracted = tensor @ other.coefficients[:join_order]  # over group orders
     group_domain = grouped.domains[group_axis]
-    table = phi_block(grouped.order, group_domain.grid(grouped.grid))
     n_group = group_domain.size
     n_join = grouped.domains[join_axis].size
     scale = grouped.count * other.count / (n_group * n_join)
-    return scale * (contracted @ table)
+    if grouped.grid == "midpoint":
+        # orders past the group axis's size hold no coefficients
+        return scale * phi_expand(contracted[:n_group], n_group)
+    return scale * (contracted @ phi_block(grouped.order, group_domain.grid(grouped.grid)))
 
 
 def estimate_chain_join_size(synopses: Sequence[CosineSynopsis]) -> float:

@@ -168,25 +168,52 @@ class Domain:
         return idx / (self.size - 1.0)
 
 
+#: :func:`distinct_cells` counts a batch over its whole grid when the grid
+#: has at most this many cells per batch row, and sorts the batch
+#: otherwise.  Measured from 16 to 65,536 rows: counting wins at 4 cells
+#: per row or fewer and loses from 8 on.
+COUNT_CELLS_PER_ROW = 4
+
+
 def distinct_cells(
-    indices: NDArray[Any], shape: Sequence[int]
+    indices: NDArray[Any], shape: Sequence[int], weights: NDArray[Any] | None = None
 ) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
     """Distinct rows of a ``(B, d)`` batch of domain indices over ``shape``.
 
     Returns ``(cells, first, counts)``: the sorted distinct cells as flat
     indices into ``shape``, the batch position of each cell's first row,
-    and how many rows hit it.  Flattening first makes this a 1-d unique,
-    far cheaper than ``np.unique(axis=0)`` on the rows themselves.  When
-    ``shape`` has more cells than an int64 can number, the cells are the
-    distinct rows themselves, in the same (lexicographic) order.
+    and how many rows hit it, or the sum of their positive integer
+    ``weights`` when given.  Flattening first makes this a 1-d problem, far
+    cheaper than ``np.unique(axis=0)`` on the rows themselves.  A grid of at
+    most :data:`COUNT_CELLS_PER_ROW` cells per row is counted in one pass
+    (``np.bincount``); a sparser batch is sorted.  Both give the same
+    arrays, dtypes included.  When ``shape`` has more cells than an int64
+    can number, the cells are the distinct rows themselves, in the same
+    (lexicographic) order, and rows are not weighted.
     """
     indices = np.asarray(indices)
-    if math.prod(shape) > np.iinfo(np.int64).max:
+    size = math.prod(shape)
+    if size > np.iinfo(np.int64).max:
+        if weights is not None:
+            raise ValueError("weights need a grid an int64 can number")
         rows, first, counts = np.unique(indices, axis=0, return_index=True, return_counts=True)
         return rows, first, counts
     flat = np.ravel_multi_index(tuple(indices.T), tuple(shape))
-    cells, first, counts = np.unique(flat, return_index=True, return_counts=True)
-    return cells, first, counts
+    num_rows = flat.shape[0]
+    if num_rows == 1:
+        counts = np.ones(1, dtype=np.intp) if weights is None else np.array(weights, np.int64)
+        return flat, np.zeros(1, dtype=np.intp), counts
+    if size <= COUNT_CELLS_PER_ROW * num_rows:
+        hits = np.bincount(flat, weights, minlength=size)
+        cells = np.flatnonzero(hits)
+        first = np.full(size, num_rows, dtype=np.intp)
+        np.minimum.at(first, flat, np.arange(num_rows))
+        return cells, first[cells], hits[cells].astype(np.int64, copy=False)
+    if weights is None:
+        cells, first, counts = np.unique(flat, return_index=True, return_counts=True)
+        return cells, first, counts
+    cells, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return cells, first, np.bincount(inverse, weights).astype(np.int64)
 
 
 def unify_domains(a: Domain, b: Domain) -> Domain:

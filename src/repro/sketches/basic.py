@@ -147,13 +147,14 @@ class AGMSSketch:
 
         The atoms move by ``weight * counts @ signs(cells)`` over the
         batch's distinct cells, so each distinct tuple is read once however
-        often it repeats, and a value's signs are hashed once per family.
-        ``multiplicity`` gives each row's count when the rows are already
-        distinct (a :class:`repro.streams.relation.BatchDelta`); without it
-        the rows are collapsed here.  The contraction runs in float64, where
-        every partial sum is an integer below ``2^53``, so the atoms are
-        identical to one ``update`` per tuple under any batch framing.
-        ``chunk`` bounds the ``(chunk, S)`` sign intermediates.
+        often it repeats.  A tabled family hashes the batch's new values
+        once, up front, and the contraction reads their signs from the
+        table.  ``multiplicity`` gives each row's count when the rows are
+        already distinct (a :class:`repro.streams.relation.BatchDelta`);
+        without it the rows are collapsed here.  The contraction runs in
+        float64, where every partial sum is an integer below ``2^53``, so the
+        atoms are identical to one ``update`` per tuple under any batch
+        framing.  ``chunk`` bounds the ``(chunk, S)`` sign intermediates.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim == 1:
@@ -166,6 +167,8 @@ class AGMSSketch:
             rows = rows[first]
         counts = np.asarray(multiplicity, dtype=np.int64)
         weights = weight * counts.astype(float)
+        for j, family in enumerate(self.families):
+            family.fill(rows[:, j])
         for start in range(0, rows.shape[0], chunk):
             part = slice(start, start + chunk)
             self.atoms += weights[part] @ self._row_signs(rows[part]).astype(float)

@@ -124,10 +124,8 @@ class BatchDelta:
         if cached is None:
             full = np.unravel_index(self.cells, self.shape)
             shape = tuple(self.shape[a] for a in key)
-            flat = np.ravel_multi_index(tuple(full[a] for a in key), shape)
-            cells, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-            counts = np.zeros(cells.shape[0], dtype=np.int64)
-            np.add.at(counts, inverse, self.counts)
+            projected = np.stack([full[a] for a in key], axis=1)
+            cells, first, counts = distinct_cells(projected, shape, self.counts)
             rows = self.rows[first][:, list(key)]
             cached = self._marginals[key] = BatchDelta(rows, cells, counts, shape, self.kind)
         return cached

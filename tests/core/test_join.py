@@ -14,6 +14,7 @@ from repro.core.join import (
 )
 from repro.core.normalization import Domain
 from repro.core.synopsis import CosineSynopsis
+from repro.fastpath import set_backend
 from repro.streams.exact import exact_multijoin_size, exact_self_join_size
 
 
@@ -220,6 +221,27 @@ class TestGroupByJoin:
         per_group = estimate_join_size_by_group(g, o)
         plain = estimate_multijoin_size([g, o], [((0, 1), (1, 0))])
         assert per_group.sum() == pytest.approx(plain, rel=1e-9)
+
+    @pytest.mark.parametrize("grid", ["midpoint", "endpoint"])
+    @pytest.mark.parametrize("group_axis", [0, 1])
+    def test_synthesis_matches_the_reference_kernel(self, rng, grid, group_axis):
+        # the midpoint grid synthesizes the groups with one inverse DCT, the
+        # endpoint grid with a basis table; the reference kernel tables both
+        shape = (300, 40) if group_axis == 0 else (40, 300)
+        t1 = rng.zipf(1.4, shape).astype(float) % 9
+        t2 = rng.integers(0, 5, 40).astype(float)
+        g = CosineSynopsis.from_counts(
+            [Domain.of_size(n) for n in shape], t1, budget=400, grid=grid
+        )
+        o = syn(t2, order=40, grid=grid)
+        fast = estimate_join_size_by_group(g, o, group_axis=group_axis)
+        previous = set_backend("reference")
+        try:
+            reference = estimate_join_size_by_group(g, o, group_axis=group_axis)
+        finally:
+            set_backend(previous)
+        assert fast.shape == (300,)
+        np.testing.assert_allclose(fast, reference, rtol=1e-9, atol=1e-9 * np.abs(reference).max())
 
     def test_arity_validation(self, rng):
         n = 8

@@ -1,9 +1,15 @@
 """Tests for attribute domains and section 4.1 domain unification."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.normalization import Domain, embed_counts, unify_domains
+from repro.core import normalization
+from repro.core.normalization import Domain, distinct_cells, embed_counts, unify_domains
 
 
 class TestDomainConstruction:
@@ -146,3 +152,71 @@ class TestEmbedCounts:
                 Domain.integer_range(0, 2),
                 Domain.integer_range(1, 5),
             )
+
+
+@st.composite
+def batches(draw):
+    """A 1-3-axis grid and a batch of rows on it, sparse or dense, with repeats."""
+    shape = tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    rows = draw(
+        st.one_of(
+            st.integers(0, 3),
+            st.integers(0, max(1, size // 8)),  # mostly sorted
+            st.integers(min(size // 4, 10_000), 10_000),  # mostly counted
+        )
+    )
+    pool = draw(st.integers(1, size))  # a few hot cells make duplicates
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(0, size, pool)[rng.integers(0, pool, rows)]
+    indices = np.stack(np.unravel_index(cells, shape), axis=1).reshape(rows, len(shape))
+    return shape, indices
+
+
+def cells_with(indices, shape, per_row, weights=None):
+    """``distinct_cells`` under a given counting threshold."""
+    with mock.patch.object(normalization, "COUNT_CELLS_PER_ROW", per_row):
+        return distinct_cells(indices, shape, weights)
+
+
+class TestDistinctCells:
+    @settings(max_examples=120, deadline=None)
+    @given(batches())
+    def test_counting_and_sorting_agree_with_np_unique(self, case):
+        shape, indices = case
+        flat = np.ravel_multi_index(tuple(indices.T), shape)
+        expected = np.unique(flat, return_index=True, return_counts=True)
+        for per_row in (0, normalization.COUNT_CELLS_PER_ROW, math.prod(shape)):
+            got = cells_with(indices, shape, per_row)
+            for want, have in zip(expected, got):
+                assert have.dtype == want.dtype
+                np.testing.assert_array_equal(have, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batches(), st.integers(0, 2**32 - 1))
+    def test_weighted_counts_sum_the_weights(self, case, seed):
+        shape, indices = case
+        weights = np.random.default_rng(seed).integers(1, 50, indices.shape[0])
+        flat = np.ravel_multi_index(tuple(indices.T), shape)
+        cells, first = np.unique(flat, return_index=True)
+        sums = np.zeros(cells.shape[0], dtype=np.int64)
+        np.add.at(sums, np.searchsorted(cells, flat), weights)
+        for per_row in (0, math.prod(shape)):
+            got = cells_with(indices, shape, per_row, weights)
+            for want, have in zip((cells, first, sums), got):
+                assert have.dtype == want.dtype
+                np.testing.assert_array_equal(have, want)
+
+    def test_one_row_skips_the_sort(self, monkeypatch):
+        monkeypatch.setattr(np, "unique", None)
+        cells, first, counts = distinct_cells(np.array([[3, 1]]), [5, 4])
+        assert (cells.tolist(), first.tolist(), counts.tolist()) == ([13], [0], [1])
+        assert cells.dtype == first.dtype == counts.dtype == np.intp
+        _, _, weighted = distinct_cells(np.array([[3, 1]]), [5, 4], np.array([7]))
+        assert weighted.tolist() == [7] and weighted.dtype == np.int64
+
+    @pytest.mark.parametrize("rows", [[[5]], [[1], [5]], [[-1], [0]]])
+    def test_out_of_grid_rows_raise_on_both_paths(self, rows):
+        for per_row in (0, 100):
+            with pytest.raises(ValueError, match="invalid entry"):
+                cells_with(np.array(rows), [5], per_row)

@@ -31,6 +31,18 @@ def direct_signs(family, indices):
     return (family.hash_values(indices) & np.uint64(1)).astype(np.int8) * 2 - 1
 
 
+def python_polynomials(family, values):
+    """``(S, B)`` polynomial values mod p, evaluated with Python integers."""
+    p = int(MERSENNE_P)
+    return np.array(
+        [
+            [(c0 * v**3 + c1 * v**2 + c2 * v + c3) % p for v in values.tolist()]
+            for c0, c1, c2, c3 in family._coeffs.tolist()
+        ],
+        dtype=np.uint64,
+    ).reshape(family.num_functions, len(values))
+
+
 @st.composite
 def fills(draw):
     n = draw(st.integers(1, 4096))
@@ -66,6 +78,27 @@ class TestParity:
             for c in family._coeffs
         ]
         np.testing.assert_array_equal(family.hash_values(values), np.array(expected))
+
+    @pytest.mark.parametrize("num_functions", [1, 2, 255, 10_000])
+    @pytest.mark.parametrize("coefficients", ["random", "all p - 1", "lead 1"])
+    def test_kernel_equals_python_integer_polynomials(self, num_functions, coefficients):
+        # The largest sums (every coefficient p - 1) come within a factor of
+        # 4/3 of 2^64; values near p sit on an untabled family's domain.
+        p = int(MERSENNE_P)
+        for n in (5, p - 1):
+            family = SignFamily(n, num_functions, seed=n + num_functions)
+            if coefficients == "all p - 1":
+                family._coeffs[:] = p - 1
+            elif coefficients == "lead 1":
+                family._coeffs[:, 0] = 1
+            values = np.array(sorted({0, 1, 2, n - 1, max(0, n - 2), n // 2}))
+            expected = python_polynomials(family, values)
+            np.testing.assert_array_equal(family.hash_values(values), expected)
+            signs = (expected & 1).astype(np.int8) * 2 - 1
+            np.testing.assert_array_equal(family.signs(values), signs)
+            assert (family._table is None) == (n == p - 1)
+            if family._table is not None:
+                np.testing.assert_array_equal(family.sign_matrix()[:, values], signs)
 
     def test_untabled_family_matches_tabled_one(self, monkeypatch):
         tabled = SignFamily(700, 90, seed=4)
@@ -160,6 +193,25 @@ class TestMemory:
         # per-call hashing in L2-sized blocks: about 22 MB, where one
         # (S, 4096)-chunk evaluation used to peak near 940 MB
         assert updated < 64 << 20
+
+    @pytest.mark.parametrize("n, s, step", [(4096, 255, 1), (4096, 255, 2), (100_000, 10_000, 24)])
+    def test_hashing_transient_stays_block_sized(self, n, s, step):
+        # Beyond the signs it hands back, hashing holds one block's two uint64
+        # buffers (512 KiB) and the batch's index arrays.  A run of values is
+        # hashed straight into the table; other values go through a (B, S) array.
+        family = SignFamily(n, s, seed=3)
+        values = np.arange(0, n, step)
+        tracemalloc.start()
+        try:
+            if family._table is None:
+                family.signs(values)
+            else:
+                family.fill(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        in_place = family._table is not None and step == 1
+        assert peak - (0 if in_place else values.size * s) < 768 << 10
 
 
 def chain_engine(seed=0):
