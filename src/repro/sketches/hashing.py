@@ -20,7 +20,7 @@ however many batches, registrations and answers read it.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,14 +35,6 @@ _POLY_DEGREE = 4  # 4 coefficients -> 4-wise independence
 #: stay near 512 KiB together (L2-sized): 128 values at ``S = 256``, a few
 #: at the paper's ``S = 10,000``.
 HASH_BLOCK_CELLS = 1 << 15
-
-#: numpy copies a ufunc's broadcast operands through its buffer (8,192
-#: elements by default) whenever a row is much shorter than the buffer.
-#: Families of at least this many functions, and of rows shorter than half
-#: the buffer, hash under a buffer of two rows instead, so the polynomial's
-#: broadcast products read their operands in place: 1.1-1.4x faster from
-#: 128 to 2,048 functions (measured), where shorter rows run faster buffered.
-UNBUFFERED_MIN_FUNCTIONS = 128
 
 #: Largest sign table, in bytes (one int8 per value and function), a family
 #: keeps.  Larger families, such as section 5.4's 100,000 values x 10,000
@@ -103,48 +95,46 @@ class SignFamily:
             raise ValueError("index outside the hashed domain")
         return idx.astype(np.intp, copy=False).reshape(-1)
 
-    def _sums(
-        self, idx: NDArray[Any], acc: NDArray[np.uint64], quotient: NDArray[np.uint64]
-    ) -> None:
-        """All ``S`` polynomials at in-domain ``idx``, unreduced, into ``(B, S)`` buffers.
+    def _blocks(
+        self, idx: NDArray[np.intp], acc: NDArray[np.uint64] | None = None
+    ) -> Iterator[tuple[slice, NDArray[np.uint64], NDArray[np.uint64]]]:
+        """Yield ``(rows, sums, quotients)`` for in-domain ``idx``, block by block.
 
-        ``acc`` gets ``c0 x^3 + c1 x^2 + c2 x + c3`` over the powers of
-        ``x`` mod ``p`` (below ``2^64``), and ``quotient`` gets ``acc // p``.
+        ``sums`` holds the ``S`` polynomials ``c0 x^3 + c1 x^2 + c2 x + c3``
+        at ``idx[rows]``, summed over the powers of ``x`` mod ``p`` (below
+        ``2^64``) and not reduced, and ``quotients`` holds ``sums // p``.
+        ``sums`` is a block of the ``(B, S)`` ``acc`` when one is given, and
+        otherwise one block buffer that every block reuses.
         """
-        x = idx.astype(np.uint64)[:, None]
-        square = x * x % MERSENNE_P
-        np.multiply(square * x % MERSENNE_P, self._coeffs[:, 0], out=acc)
-        for power, degree in ((square, 1), (x, 2)):
-            np.multiply(power, self._coeffs[:, degree], out=quotient)
-            acc += quotient
-        acc += self._coeffs[:, 3]
-        np.floor_divide(acc, MERSENNE_P, out=quotient)
+        width = max(1, HASH_BLOCK_CELLS // self.num_functions)
+        shape = (min(width, idx.shape[0]), self.num_functions)
+        quotient = np.empty(shape, dtype=np.uint64)
+        block_sums = np.empty(shape, dtype=np.uint64) if acc is None else None
+        for start in range(0, idx.shape[0], width):
+            rows = slice(start, start + width)
+            x = idx[rows].astype(np.uint64)[:, None]
+            sums = acc[rows] if block_sums is None else block_sums[: x.shape[0]]
+            quotients = quotient[: x.shape[0]]
+            square = x * x % MERSENNE_P
+            np.multiply(square * x % MERSENNE_P, self._coeffs[:, 0], out=sums)
+            for power, degree in ((square, 1), (x, 2)):
+                np.multiply(power, self._coeffs[:, degree], out=quotients)
+                sums += quotients
+            sums += self._coeffs[:, 3]
+            np.floor_divide(sums, MERSENNE_P, out=quotients)
+            yield rows, sums, quotients
 
     def _hash_rows(self, idx: NDArray[np.intp]) -> NDArray[np.int8]:
-        """``(B, S)`` ±1 signs of in-domain ``idx``, in a fresh array."""
+        """``(B, S)`` ±1 signs of in-domain ``idx``, hashed block by block."""
         out = np.empty((idx.shape[0], self.num_functions), dtype=np.int8)
-        self._hash_into(idx, out)
+        for rows, sums, quotients in self._blocks(idx):
+            # p is odd, so the low bit of acc ^ q is that of acc - q p = acc mod p
+            np.bitwise_xor(sums, quotients, out=sums)
+            block = out[rows]
+            np.bitwise_and(sums, 1, out=block, casting="unsafe")
+            block *= 2
+            block -= 1
         return out
-
-    def _hash_into(self, idx: NDArray[np.intp], out: NDArray[np.int8]) -> None:
-        """Write the ±1 signs of in-domain ``idx`` into ``(B, S)`` ``out``, block by block."""
-        width = max(1, HASH_BLOCK_CELLS // self.num_functions)
-        acc = np.empty((min(width, idx.shape[0]), self.num_functions), dtype=np.uint64)
-        quotient = np.empty_like(acc)
-        two_rows = 32 * -(-self.num_functions // 16)  # numpy wants a multiple of 16
-        with np.errstate():  # restores numpy's buffer size on exit
-            if idx.shape[0] > 1 and UNBUFFERED_MIN_FUNCTIONS <= self.num_functions:
-                np.setbufsize(min(two_rows, np.getbufsize()))
-            for start in range(0, idx.shape[0], width):
-                part = idx[start : start + width]
-                sums, quotients = acc[: part.shape[0]], quotient[: part.shape[0]]
-                self._sums(part, sums, quotients)
-                # p is odd, so the low bit of acc ^ q is that of acc - q p = acc mod p
-                np.bitwise_xor(sums, quotients, out=sums)
-                block = out[start : start + width]
-                np.bitwise_and(sums, 1, out=block, casting="unsafe")
-                block *= 2
-                block -= 1
 
     def _fill(self, table: NDArray[np.int8], idx: NDArray[np.intp]) -> None:
         """Hash the rows of ``idx`` the table does not hold yet, each once."""
@@ -153,11 +143,7 @@ class SignFamily:
             # Sort-based dedupe: a plain np.unique imports numpy.ma.
             missing = np.sort(missing)
             missing = missing[np.diff(missing, prepend=-1) != 0]
-            first, last = missing[0], missing[-1]
-            if last - first + 1 == missing.size:  # one run: hash in place
-                self._hash_into(missing, table[first : last + 1])
-            else:
-                table[missing] = self._hash_rows(missing)
+            table[missing] = self._hash_rows(missing)
 
     def _rows(self, idx: NDArray[np.intp]) -> NDArray[np.int8]:
         """``(B, S)`` signs of in-domain ``idx``: a fresh array, never the table."""
@@ -183,10 +169,9 @@ class SignFamily:
         """
         idx = self._checked(indices)
         acc = np.empty((idx.shape[0], self.num_functions), dtype=np.uint64)
-        quotient = np.empty_like(acc)
-        self._sums(idx, acc, quotient)
-        np.multiply(quotient, MERSENNE_P, out=quotient)
-        acc -= quotient
+        for _, sums, quotients in self._blocks(idx, acc):
+            quotients *= MERSENNE_P
+            sums -= quotients
         return acc.T
 
     def signs(self, indices: NDArray[Any]) -> NDArray[Any]:

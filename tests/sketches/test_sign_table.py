@@ -196,9 +196,8 @@ class TestMemory:
 
     @pytest.mark.parametrize("n, s, step", [(4096, 255, 1), (4096, 255, 2), (100_000, 10_000, 24)])
     def test_hashing_transient_stays_block_sized(self, n, s, step):
-        # Beyond the signs it hands back, hashing holds one block's two uint64
-        # buffers (512 KiB) and the batch's index arrays.  A run of values is
-        # hashed straight into the table; other values go through a (B, S) array.
+        # Beyond the (B, S) signs it hashes, hashing holds one block's two
+        # uint64 buffers (512 KiB) and the batch's index arrays.
         family = SignFamily(n, s, seed=3)
         values = np.arange(0, n, step)
         tracemalloc.start()
@@ -210,8 +209,19 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        in_place = family._table is not None and step == 1
-        assert peak - (0 if in_place else values.size * s) < 768 << 10
+        assert peak - values.size * s < 768 << 10
+
+    def test_hash_values_holds_one_batch_sized_buffer(self):
+        # The (B, S) uint64 values it returns, plus one block of quotients.
+        family = SignFamily(100_000, 10_000, seed=3)
+        values = np.arange(0, 100_000, 1_000)
+        tracemalloc.start()
+        try:
+            family.hash_values(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.size * 10_000 * 8 < 512 << 10
 
 
 def chain_engine(seed=0):
