@@ -26,6 +26,15 @@ of that claim:
   reference kept in this file, and ``distinct_cells`` on one Zipf batch
   (8,192 rows over 4,096 cells) vs the ``np.unique`` it replaced.  The
   gate holds each row to a >= 2x floor.
+* **sign contractions** — the two AGMS reads that project onto a whole
+  sign matrix, each against the dense formula it replaced, kept in this
+  file: registering a sketch on 16,384 values at ``S = 255``
+  (``AGMSSketch.from_counts``, the family's table already filled, so both
+  sides time the contraction alone) and a skimmed join over 4,096 values.
+  Each row reports best-round time and tracemalloc peak; the gate holds
+  each peak to at most 1/8 of its reference's, a skimmed join to no
+  slower and a registration, which casts as many signs as the dense
+  formula, to within 2.5x.
 * **ingest** — end-to-end single-thread cosine ingest (tuples/s) with the
   active backend vs with the ``reference`` backend, recorded into the CI
   benchmark trajectory (``BENCH_trajectory.json``) so the floor has a
@@ -49,7 +58,9 @@ from repro.core.normalization import Domain, distinct_cells
 from repro.fastpath import backend_name, phi_block, phi_block_reference, set_backend
 from repro.fastpath.recurrence import phi_project_numpy
 from repro.obs import Telemetry
+from repro.sketches.basic import AGMSSketch, median, median_of_means
 from repro.sketches.hashing import MERSENNE_P, SignFamily
+from repro.sketches.skimmed import estimate_join_size_skimmed, skim_threshold
 from repro.streams import JoinQuery, StreamEngine
 
 ORDER = 1_024
@@ -64,6 +75,15 @@ SIGN_FUNCTIONS = 255
 CELLS_DOMAIN = 4_096  # one Zipf ingest batch
 CELLS_ROWS = 8_192
 INGEST_KERNEL_FLOOR = 2.0  # power-basis signs and counted cells vs their references
+REGISTRATION_DOMAIN = 16_384
+SKIMMED_DOMAIN = 4_096
+CONTRACTION_FUNCTIONS = (51, 5)  # (s1, s2): S = 255
+# Blocked contractions vs the dense formulas, best round.  Each floor sits
+# below half the lowest measured ratio: a skimmed join is no slower
+# (2.3-3.0x measured); registration, which casts as many signs either way
+# (0.96-1.49x measured here), is held to within 2.5x.
+CONTRACTION_FLOORS = {"registration": 0.4, "skimmed_join": 1.0}
+CONTRACTION_PEAK_CEILING = 1 / 8  # blocked peak over the dense formula's, at most
 INGEST_TUPLES = 32_768
 INGEST_BUDGET = 200
 INGEST_DOMAIN = 2_000
@@ -228,6 +248,111 @@ def ingest_kernels(rounds: int = ROUNDS) -> dict:
     }
 
 
+def dense_registration(family: SignFamily, counts: np.ndarray) -> np.ndarray:
+    """A one-axis sketch's atoms through the whole-domain float copy of its signs.
+
+    The contraction ``AGMSSketch.from_counts`` ran before it was blocked.
+    """
+    return family.sign_matrix().astype(float) @ np.asarray(counts, dtype=float)
+
+
+def dense_skimmed_join(a: AGMSSketch, b: AGMSSketch) -> float:
+    """The skimmed join through the ``(n, S)`` element-wise products it replaced."""
+    s1, s2 = a.num_means, a.num_medians
+    signs = a.families[0].sign_matrix()
+    parts = []
+    for sketch in (a, b):
+        per_value = (signs.T * sketch.atoms).reshape(-1, s2, s1)
+        f_hat = median(per_value.mean(axis=2), axis=1)
+        dense = np.where(f_hat >= skim_threshold(sketch), np.maximum(np.rint(f_hat), 0.0), 0.0)
+        held = np.flatnonzero(dense)
+        projected = signs[:, held] @ dense[held]
+        parts.append((dense, projected, sketch.atoms - projected))
+    (dense_a, proj_a, residual_a), (dense_b, proj_b, residual_b) = parts
+    return (
+        float(dense_a @ dense_b)
+        + median_of_means(proj_a * residual_b, s1, s2)
+        + median_of_means(residual_a * proj_b, s1, s2)
+        + median_of_means(residual_a * residual_b, s1, s2)
+    )
+
+
+def _peak_bytes(fn) -> int:
+    """tracemalloc peak of one call, beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def sign_contractions(rounds: int = ROUNDS) -> dict:
+    """Blocked AGMS registration and skimmed join vs the dense formulas they replaced.
+
+    Both rows read a sign table filled before timing, so neither side pays
+    for hashing; each checks once that both sides agree.
+    """
+    s1, s2 = CONTRACTION_FUNCTIONS
+    rng = np.random.default_rng(0)
+    registered = SignFamily(REGISTRATION_DOMAIN, s1 * s2, seed=0)
+    registered.fill(np.arange(REGISTRATION_DOMAIN))
+    counts = rng.integers(0, 50, REGISTRATION_DOMAIN)
+
+    def reference_registration():
+        return dense_registration(registered, counts)
+
+    def fast_registration():
+        return AGMSSketch.from_counts(registered, counts, s1, s2).atoms
+
+    np.testing.assert_array_equal(fast_registration(), reference_registration())
+    joined = SignFamily(SKIMMED_DOMAIN, s1 * s2, seed=1)
+    joined.fill(np.arange(SKIMMED_DOMAIN))
+    ends = [rng.integers(0, 50, SKIMMED_DOMAIN) for _ in range(2)]
+    for end, heavy in zip(ends, (7, 9)):
+        end[heavy] = 100_000
+    a, b = (AGMSSketch.from_counts(joined, end, s1, s2) for end in ends)
+
+    def reference_join():
+        return dense_skimmed_join(a, b)
+
+    def fast_join():
+        return estimate_join_size_skimmed(a, b).estimate
+
+    assert fast_join() == reference_join()
+    rows = {}
+    for title, reference, fast, domain in (
+        ("registration", reference_registration, fast_registration, REGISTRATION_DOMAIN),
+        ("skimmed_join", reference_join, fast_join, SKIMMED_DOMAIN),
+    ):
+        row = _speedup_table(
+            rounds, reference, fast, CONTRACTION_FLOORS[title], domain=domain, functions=s1 * s2
+        )
+        row["reference_peak_bytes"] = _peak_bytes(reference)
+        row["fastpath_peak_bytes"] = _peak_bytes(fast)
+        row["peak_ratio"] = row["fastpath_peak_bytes"] / row["reference_peak_bytes"]
+        row["peak_ceiling"] = CONTRACTION_PEAK_CEILING
+        rows[title] = row
+    return rows
+
+
+def contraction_failures(rows: dict) -> list:
+    """One line per sign-contraction row over its peak ceiling or under its time floor."""
+    failures = []
+    for title, row in rows.items():
+        if row["peak_ratio"] > row["peak_ceiling"]:
+            failures.append(
+                f"sign contraction {title} peak {row['fastpath_peak_bytes'] / 2**20:.2f} MB is"
+                f" {row['peak_ratio']:.3f} of the dense formula's, above {row['peak_ceiling']:.3f}"
+            )
+        if row["speedup"] < row["speedup_floor"]:
+            failures.append(
+                f"sign contraction {title} speedup {row['speedup']:.2f}x is below"
+                f" the {row['speedup_floor']:.1f}x floor vs the dense formula"
+            )
+    return failures
+
+
 def _ingest_seconds(tuples: int, batch: int = BATCH) -> float:
     """Wall-clock seconds for single-thread cosine ingest of ``tuples`` rows."""
     engine = StreamEngine(seed=0, telemetry=Telemetry.disabled())
@@ -279,6 +404,7 @@ def fastpath_report(
         "projection": kernel_projection(order=order, cols=cols, rounds=rounds),
         "transform": transform_table(rounds=rounds),
         "ingest_kernels": ingest_kernels(rounds=rounds),
+        "sign_contractions": sign_contractions(rounds=rounds),
         "ingest": ingest_table(tuples=tuples, rounds=rounds),
     }
 
@@ -324,6 +450,17 @@ def _print_report(report: dict) -> None:
         f" counted {cells['fastpath_seconds_best'] * 1e6:.0f} us,"
         f" {cells['speedup']:.2f}x (floor {cells['speedup_floor']:.0f}x)"
     )
+    print(f"  sign contractions (best of {fill['rounds']}):")
+    for title, row in report["sign_contractions"].items():
+        print(
+            f"    {title} n={row['domain']:,} S={row['functions']}:"
+            f" dense {row['reference_seconds_best'] * 1e3:.3f} ms"
+            f" / {row['reference_peak_bytes'] / 2**20:.2f} MB,"
+            f" blocked {row['fastpath_seconds_best'] * 1e3:.3f} ms"
+            f" / {row['fastpath_peak_bytes'] / 2**20:.2f} MB,"
+            f" {row['speedup']:.2f}x (floor {row['speedup_floor']:.1f}x),"
+            f" peak {row['peak_ratio']:.3f} (ceiling {row['peak_ceiling']:.3f})"
+        )
     print(
         f"  cosine ingest (2 x {ingest['tuples_per_relation']:,} tuples,"
         f" budget {ingest['budget']}):"
@@ -380,6 +517,19 @@ def test_ingest_kernels_above_floor(benchmark, capsys):
         assert row["speedup"] >= row["speedup_floor"]
 
 
+def test_sign_contractions_within_bounds(benchmark, capsys):
+    """Blocked registration and skimmed joins: at most 1/8 the peak, within their floors."""
+    rows = benchmark.pedantic(lambda: sign_contractions(rounds=3), iterations=1, rounds=1)
+    with capsys.disabled():
+        print()
+        for title, row in rows.items():
+            print(
+                f"  {title} speedup {row['speedup']:.2f}x, peak {row['peak_ratio']:.3f}"
+                f" of the dense formula's"
+            )
+    assert contraction_failures(rows) == []
+
+
 def test_fastpath_ingest_not_slower_than_reference(benchmark, capsys):
     """End-to-end cosine ingest must not regress vs the reference backend."""
     table = benchmark.pedantic(
@@ -427,6 +577,9 @@ def main(argv=None) -> int:
                 f" is below the {table['speedup_floor']:.0f}x floor in every round"
             )
             failed = True
+    for failure in contraction_failures(report["sign_contractions"]):
+        print(f"FAIL: {failure}")
+        failed = True
     return 1 if failed else 0
 
 

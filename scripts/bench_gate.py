@@ -19,8 +19,13 @@ its JSON result to this script.  The script
    recurrence's projection at the process fleet's shard shape, or when
    a cold sign fill or ``distinct_cells`` on a Zipf batch is under
    ``INGEST_KERNEL_FLOOR`` (2x) its reference (the result's
-   ``ingest_kernels`` table).  Each ratio is measured in one run, so a
-   slow runner cannot fake a regression.
+   ``ingest_kernels`` table), or when a blocked AGMS registration or
+   skimmed join (the result's ``sign_contractions`` table) peaks above
+   ``CONTRACTION_PEAK_CEILING`` (1/8) of the dense formula's tracemalloc
+   peak or runs under its ``CONTRACTION_FLOORS`` speedup: a skimmed join
+   no slower than the dense formula, a registration within 2.5x of it.
+   The peak check is deterministic.  Each ratio is measured in one run,
+   so a slow runner cannot fake a regression.
 
 The optional ``--telemetry-result`` / ``--otel-result`` /
 ``--fleet-result`` / ``--bounds-result`` inputs take the JSON written by
@@ -54,6 +59,10 @@ DEFAULT_FLOOR = 5.0
 TRANSFORM_FLOOR = 10.0  # the DCT vs the recurrence's projection, same run
 INGEST_KERNEL_FLOOR = 2.0  # sign fill vs Horner, distinct_cells vs np.unique, same run
 INGEST_KERNELS = ("sign_fill", "distinct_cells")
+# Blocked registration and skimmed join vs the dense formulas, same run;
+# each floor is below half the lowest measured ratio (0.96x and 2.27x).
+CONTRACTION_FLOORS = {"registration": 0.4, "skimmed_join": 1.0}
+CONTRACTION_PEAK_CEILING = 1 / 8  # their tracemalloc peaks over the dense formulas
 TAIL = 10  # trajectory entries echoed into the CI log
 
 
@@ -109,6 +118,11 @@ def make_entry(
             f"{title}_speedup": round(result["ingest_kernels"][title]["speedup"], 3)
             for title in INGEST_KERNELS
         },
+        **{
+            f"{title}_{key}": round(result["sign_contractions"][title][key], 3)
+            for title in CONTRACTION_FLOORS
+            for key in ("speedup", "peak_ratio")
+        },
         "fastpath_tps": round(ingest["fastpath_tps_best"]),
         "reference_tps": round(ingest["reference_tps_best"]),
         "ingest_ratio": round(ingest["ingest_ratio"], 3),
@@ -141,6 +155,7 @@ def _print_tail(entries: list) -> None:
     print(f"benchmark trajectory ({len(entries)} entries, last {TAIL}):")
     print(
         f"  {'commit':<13} {'speedup':>8} {'project':>8} {'dct':>8} {'signs':>8} {'cells':>8}"
+        f" {'register':>8} {'skimmed':>8}"
         f" {'ingest tps':>12} {'ratio':>6} {'telem':>7} {'otlp':>7} {'fleet':>7} {'bound':>7}"
         "  backend"
     )
@@ -151,6 +166,8 @@ def _print_tail(entries: list) -> None:
             f" {_speedup_cell(entry, 'transform_speedup')}"
             f" {_speedup_cell(entry, 'sign_fill_speedup')}"
             f" {_speedup_cell(entry, 'distinct_cells_speedup')}"
+            f" {_speedup_cell(entry, 'registration_speedup')}"
+            f" {_speedup_cell(entry, 'skimmed_join_speedup')}"
             f" {entry['fastpath_tps']:>12,} {entry['ingest_ratio']:>5.2f}x"
             f" {_overhead_cell(entry, 'telemetry_overhead')}"
             f" {_overhead_cell(entry, 'otel_overhead')}"
@@ -237,6 +254,19 @@ def main(argv=None) -> int:
                 f" the {INGEST_KERNEL_FLOOR:.0f}x floor vs its reference"
             )
             failed = True
+    for title, floor in CONTRACTION_FLOORS.items():
+        if entry[f"{title}_peak_ratio"] > CONTRACTION_PEAK_CEILING:
+            print(
+                f"FAIL: sign contraction {title} peaks at {entry[f'{title}_peak_ratio']:.3f} of"
+                f" the dense formula's, above the {CONTRACTION_PEAK_CEILING:.3f} ceiling"
+            )
+            failed = True
+        if entry[f"{title}_speedup"] < floor:
+            print(
+                f"FAIL: sign contraction {title} speedup {entry[f'{title}_speedup']:.2f}x is"
+                f" below the {floor:.1f}x floor vs the dense formula"
+            )
+            failed = True
     if failed:
         return 1
     print(
@@ -246,6 +276,10 @@ def main(argv=None) -> int:
         f" transform {entry['transform_speedup']:.2f}x >= {TRANSFORM_FLOOR:.0f}x floor,"
         f" sign fill {entry['sign_fill_speedup']:.2f}x and distinct cells"
         f" {entry['distinct_cells_speedup']:.2f}x >= {INGEST_KERNEL_FLOOR:.0f}x floor,"
+        f" registration {entry['registration_speedup']:.2f}x and skimmed join"
+        f" {entry['skimmed_join_speedup']:.2f}x at {entry['registration_peak_ratio']:.3f}"
+        f" and {entry['skimmed_join_peak_ratio']:.3f} of the dense peaks"
+        f" (ceiling {CONTRACTION_PEAK_CEILING:.3f}),"
         f" ingest at {entry['fastpath_tps']:,} tuples/s"
         f" ({entry['ingest_ratio']:.2f}x the reference backend)"
     )

@@ -10,11 +10,15 @@ top of them.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
+
+from ..core.normalization import distinct_cells
+from ..sketches.hashing import HASH_BLOCK_CELLS
 
 
 class BernoulliSample:
@@ -38,6 +42,8 @@ class BernoulliSample:
             raise ValueError(f"sampling probability must be in (0, 1], got {probability}")
         self.probability = probability
         self.shape = tuple(int(n) for n in shape)
+        if math.prod(self.shape) > np.iinfo(np.int64).max:
+            raise ValueError(f"grid {self.shape} has more cells than an int64 can number")
         self._rng = np.random.default_rng(seed)
         self.cells: NDArray[Any] = np.zeros(0, dtype=np.int64)
         self.counts: NDArray[Any] = np.zeros(0, dtype=np.int64)
@@ -52,16 +58,22 @@ class BernoulliSample:
 
         Draws the sample's own seed from ``rng``, then thins every nonzero
         cell binomially — distributionally identical to one coin per tuple —
-        in one call, in C order.  The grid is ``counts.shape``.
+        in C order, one block of ``HASH_BLOCK_CELLS`` cells at a time.
+        ``rng`` draws the same binomials whatever the blocking.  The grid
+        is ``counts.shape``.
         """
         counts = np.asarray(counts)
         sample = cls(probability, counts.shape, seed=int(rng.integers(1 << 31)))
         flat = counts.ravel()
-        cells = np.flatnonzero(flat)
-        kept = rng.binomial(flat[cells].astype(np.int64, copy=False), probability)
-        held = kept > 0
-        sample.cells, sample.counts = cells[held], kept[held]
-        sample.sampled_size = int(kept.sum())
+        cells, kept = [sample.cells], [sample.counts]
+        for start in range(0, flat.shape[0], HASH_BLOCK_CELLS):
+            part = flat[start : start + HASH_BLOCK_CELLS]
+            held = np.flatnonzero(part)
+            draws = rng.binomial(part[held].astype(np.int64, copy=False), probability)
+            sample.sampled_size += int(draws.sum())
+            cells.append(held[draws > 0] + start)
+            kept.append(draws[draws > 0])
+        sample.cells, sample.counts = np.concatenate(cells), np.concatenate(kept)
         sample.stream_size = int(flat.sum())
         return sample
 
@@ -95,9 +107,9 @@ class BernoulliSample:
         self.stream_size += len(cells)
         kept = cells[mask].reshape(-1, self.ndim)
         if len(kept):
-            # ravel_multi_index raises on a cell off the grid.
-            flat = np.ravel_multi_index(tuple(kept.T), self.shape)
-            self._add(*np.unique(flat, return_counts=True))
+            # distinct_cells raises on a cell off the grid.
+            flat, _, counts = distinct_cells(kept, self.shape)
+            self._add(flat, counts)
             self.sampled_size += len(kept)
         return mask
 

@@ -20,13 +20,13 @@ number of coefficients.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..core.normalization import Domain, distinct_cells
-from .hashing import SignFamily
+from .hashing import SignFamily, _block_slices
 
 
 def split_budget(budget: int, num_medians: int | None = None) -> tuple[int, int]:
@@ -200,28 +200,38 @@ class AGMSSketch:
         """Build a sketch from a joint frequency tensor in one pass.
 
         Equivalent to streaming every tuple through :meth:`update`, computed
-        by contracting the count tensor with each attribute's sign matrix.
+        by contracting the count tensor with each attribute's signs, one
+        block of values at a time: no call holds more than one block of
+        signs in float64 beyond the family's own table.
         """
         sketch = cls(families, num_means, num_medians)
-        counts = np.asarray(counts, dtype=float)
+        counts = np.asarray(counts)
         expected = tuple(f.domain_size for f in sketch.families)
         if counts.shape != expected:
             raise ValueError(f"counts shape {counts.shape} does not match domains {expected}")
         if not counts.any():
-            return sketch  # contracting zeros needs no sign matrix
-        # Contract the value axes against the attributes' (S, n_j) sign
-        # matrices one by one, keeping S as a shared leading axis.  The first
-        # contraction is one BLAS matmul over the flattened remaining axes;
-        # each later one consumes axis 1, the next attribute in declaration
-        # order.  Every sum is an integer below 2^53, so the float result is
-        # exact in any summation order.
+            return sketch  # contracting zeros needs no signs
+        # Contract the value axes against the attributes' (S, n_j) signs one
+        # by one, keeping S as a shared leading axis.  The first axis adds one
+        # BLAS matmul per block over the flattened remaining axes; each later
+        # one consumes axis 1, the next attribute in declaration order.  Every
+        # sum is an integer below 2^53, so the float result is exact in any
+        # summation order and under any blocking.
         first, *rest = sketch.families
-        flat = first.sign_matrix().astype(float) @ counts.reshape(counts.shape[0], -1)
-        tensor = flat.reshape(flat.shape[:1] + counts.shape[1:])
+        size = sketch.num_atomic_sketches
+        tensor = np.zeros((size, counts[:1].size))
+        product = np.empty_like(tensor)
+        for values, signs in _domain_signs(first):
+            np.matmul(signs, counts[values].reshape(signs.shape[1], -1).astype(float), out=product)
+            tensor += product
+        tensor = tensor.reshape((size,) + counts.shape[1:])
         for fam in rest:
-            tensor = np.einsum("sj...,sj->s...", tensor, fam.sign_matrix().astype(float))
-        sketch.atoms = tensor.reshape(sketch.num_atomic_sketches).astype(float).copy()
-        sketch._count = int(round(counts.sum()))
+            contracted = np.zeros((size,) + tensor.shape[2:])
+            for values, signs in _domain_signs(fam):
+                contracted += np.einsum("sj...,sj->s...", tensor[:, values], signs)
+            tensor = contracted
+        sketch.atoms = tensor
+        sketch._count = int(counts.sum())
         return sketch
 
     # ------------------------------------------------------------------ #
@@ -238,6 +248,18 @@ class AGMSSketch:
             and self.num_medians == other.num_medians
             and self.families[self_axis].compatible_with(other.families[other_axis])
         )
+
+
+def _domain_signs(family: SignFamily) -> Iterator[tuple[slice, NDArray[np.float64]]]:
+    """Yield ``(values, signs)`` over the family's domain, one hashing block each.
+
+    ``signs`` is the ``(S, len(values))`` float64 copy of the block's signs,
+    read from the table when the family keeps one (filled in one pass
+    first) and hashed otherwise.
+    """
+    family.fill(np.arange(family.domain_size))
+    for values in _block_slices(family.domain_size, family.num_functions):
+        yield values, family.signs(np.arange(values.start, values.stop)).astype(float)
 
 
 def median(values: NDArray[Any], axis: int = -1) -> NDArray[Any]:

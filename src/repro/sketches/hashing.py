@@ -42,6 +42,16 @@ HASH_BLOCK_CELLS = 1 << 15
 SIGN_TABLE_MAX_BYTES = 16 << 20
 
 
+def _block_slices(length: int, row_cells: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(length)``, rows of ``row_cells`` cells each.
+
+    A slice spans about :data:`HASH_BLOCK_CELLS` cells: 128 values' rows of
+    ``S = 255`` signs, the width every sign contraction walks a domain in.
+    """
+    width = max(1, HASH_BLOCK_CELLS // row_cells)
+    return (slice(start, min(start + width, length)) for start in range(0, length, width))
+
+
 class SignFamily:
     """``S`` independent 4-wise ±1 hash functions over a domain of size ``n``.
 
@@ -110,8 +120,7 @@ class SignFamily:
         shape = (min(width, idx.shape[0]), self.num_functions)
         quotient = np.empty(shape, dtype=np.uint64)
         block_sums = np.empty(shape, dtype=np.uint64) if acc is None else None
-        for start in range(0, idx.shape[0], width):
-            rows = slice(start, start + width)
+        for rows in _block_slices(idx.shape[0], self.num_functions):
             x = idx[rows].astype(np.uint64)[:, None]
             sums = acc[rows] if block_sums is None else block_sums[: x.shape[0]]
             quotients = quotient[: x.shape[0]]
@@ -124,33 +133,47 @@ class SignFamily:
             np.floor_divide(sums, MERSENNE_P, out=quotients)
             yield rows, sums, quotients
 
-    def _hash_rows(self, idx: NDArray[np.intp]) -> NDArray[np.int8]:
-        """``(B, S)`` ±1 signs of in-domain ``idx``, hashed block by block."""
-        out = np.empty((idx.shape[0], self.num_functions), dtype=np.int8)
+    def _sign_blocks(
+        self, idx: NDArray[np.intp]
+    ) -> Iterator[tuple[slice, NDArray[np.int8]]]:
+        """Yield ``(rows, signs)``: the ``(len(rows), S)`` ±1 signs of ``idx[rows]``.
+
+        ``signs`` is one int8 block buffer that every block reuses.
+        """
+        out = None
         for rows, sums, quotients in self._blocks(idx):
+            if out is None:
+                out = np.empty(sums.shape, dtype=np.int8)
+            block = out[: sums.shape[0]]
             # p is odd, so the low bit of acc ^ q is that of acc - q p = acc mod p
             np.bitwise_xor(sums, quotients, out=sums)
-            block = out[rows]
             np.bitwise_and(sums, 1, out=block, casting="unsafe")
             block *= 2
             block -= 1
-        return out
+            yield rows, block
 
     def _fill(self, table: NDArray[np.int8], idx: NDArray[np.intp]) -> None:
-        """Hash the rows of ``idx`` the table does not hold yet, each once."""
+        """Hash the rows of ``idx`` the table does not hold yet, each once.
+
+        Each hashed block goes straight into the table.
+        """
         missing = idx[table[idx, 0] == 0]
         if missing.size:
             # Sort-based dedupe: a plain np.unique imports numpy.ma.
             missing = np.sort(missing)
             missing = missing[np.diff(missing, prepend=-1) != 0]
-            table[missing] = self._hash_rows(missing)
+            for rows, signs in self._sign_blocks(missing):
+                table[missing[rows]] = signs
 
     def _rows(self, idx: NDArray[np.intp]) -> NDArray[np.int8]:
         """``(B, S)`` signs of in-domain ``idx``: a fresh array, never the table."""
-        if self._table is None:
-            return self._hash_rows(idx)
-        self._fill(self._table, idx)
-        return self._table[idx]
+        if self._table is not None:
+            self._fill(self._table, idx)
+            return self._table[idx]
+        out = np.empty((idx.shape[0], self.num_functions), dtype=np.int8)
+        for rows, signs in self._sign_blocks(idx):
+            out[rows] = signs
+        return out
 
     def fill(self, indices: NDArray[Any]) -> None:
         """Hash every value of ``indices`` the table does not hold yet, each once.
@@ -192,7 +215,7 @@ class SignFamily:
         """
         idx = np.arange(self.domain_size)
         if self._table is None:
-            matrix = self._hash_rows(idx).T
+            matrix = self._rows(idx).T
         else:
             self._fill(self._table, idx)
             matrix = self._table.T

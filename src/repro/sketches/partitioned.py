@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .basic import AGMSSketch, median_of_means, split_budget
+from .basic import AGMSSketch, median, split_budget
 from .hashing import SignFamily
 
 
@@ -213,7 +213,7 @@ class PartitionedSketch:
         family: Callable[[int, int, int], SignFamily] = SignFamily,
     ) -> "PartitionedSketch":
         """Build from a frequency vector in one pass."""
-        counts = np.asarray(counts, dtype=float)
+        counts = np.asarray(counts)
         sketch = cls(boundaries, budget, seed, num_medians, family)
         if counts.shape != (sketch.domain_size,):
             raise ValueError(
@@ -242,7 +242,12 @@ def estimate_join_size(a: PartitionedSketch, b: PartitionedSketch) -> float:
         raise ValueError(
             "partitioned sketches must share boundaries and sign families"
         )
+    # One reduction over every partition's (s2, s1) grid of atom products;
+    # the per-partition medians are then added in partition order, as one
+    # median_of_means call per partition would.
+    products = np.stack([sk_a.atoms * sk_b.atoms for sk_a, sk_b in zip(a.sketches, b.sketches)])
+    medians = median(products.reshape(a.num_partitions, a._s2, a._s1).mean(axis=2), axis=1)
     total = 0.0
-    for sk_a, sk_b in zip(a.sketches, b.sketches):
-        total += median_of_means(sk_a.atoms * sk_b.atoms, a._s1, a._s2)
+    for value in medians.tolist():
+        total += value
     return total

@@ -32,6 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .basic import AGMSSketch, estimate_self_join_size, median, median_of_means
+from .hashing import _block_slices
 
 #: Below this many atomic sketches per median group, per-value frequency
 #: estimates are too noisy to identify dense values — skimming a hallucinated
@@ -65,20 +66,35 @@ def estimate_frequencies(sketch: AGMSSketch, sign_matrix: NDArray[Any]) -> NDArr
     ``E[X_i * xi_i(v)] = f(v)``; the median of group means over the sketch
     grid makes the estimate robust.  ``sign_matrix`` is the family's dense
     ``(S, n)`` ±1 matrix, the int8 view :meth:`SignFamily.sign_matrix`
-    returns or any numeric copy of it; ±1 products and integer sums are
-    exact, so every dtype gives the same estimates.
+    returns or any numeric copy of it.  Values are read one hashing block
+    at a time: each median group's ``s1`` atoms multiply the group's
+    ``(s1, block)`` signs in one batched matmul.  ±1 products and integer
+    sums are exact, so every dtype and blocking gives the same estimates
+    as the element-wise ``mean`` of ``X_i * xi_i(v)``.
     """
     if sketch.ndim != 1:
         raise ValueError("frequency skimming is defined for single-attribute sketches")
-    per_value = sign_matrix.T * sketch.atoms  # (n, S)
-    groups = per_value.reshape(-1, sketch.num_medians, sketch.num_means)
-    return median(groups.mean(axis=2), axis=1)
+    s1, s2 = sketch.num_means, sketch.num_medians
+    atoms = sketch.atoms.reshape(s2, 1, s1)
+    group_sums = np.empty((s2, sign_matrix.shape[1]))
+    for values in _block_slices(group_sums.shape[1], atoms.size):
+        signs = sign_matrix[:, values].astype(float).reshape(s2, s1, -1)
+        np.matmul(atoms, signs, out=group_sums[:, None, values])
+    group_sums /= s1
+    return median(group_sums, axis=0)
 
 
 def _project(sign_matrix: NDArray[Any], dense: NDArray[Any]) -> NDArray[Any]:
-    """``sign_matrix @ dense``, summed over the skimmed (nonzero) values only."""
+    """``sign_matrix @ dense``, summed over the skimmed (nonzero) values only.
+
+    The skimmed values' signs are read one hashing block at a time.
+    """
     held = np.flatnonzero(dense)
-    return sign_matrix[:, held] @ dense[held]
+    projected = np.zeros(sign_matrix.shape[0])
+    for block in _block_slices(held.shape[0], sign_matrix.shape[0]):
+        values = held[block]
+        projected += sign_matrix[:, values].astype(float) @ dense[values]
+    return projected
 
 
 def skim_threshold(sketch: AGMSSketch, factor: float = 2.0) -> float:
@@ -129,8 +145,6 @@ def estimate_join_size_skimmed(
         raise ValueError("the skimmed sketch handles single-attribute joins")
     if not a.compatible_with(b, 0, 0):
         raise ValueError("sketches do not share a sign family; joins are undefined")
-    signs = a.families[0].sign_matrix()
-
     if a.num_means < MIN_MEANS_FOR_SKIMMING:
         # Too little averaging to trust per-value frequency estimates: the
         # skim would extract noise.  Degrade gracefully to the basic AGMS
@@ -146,6 +160,7 @@ def estimate_join_size_skimmed(
             dense_values_b=0,
         )
 
+    signs = a.families[0].sign_matrix()
     dense_a, residual_a = skim_dense_frequencies(a, signs, threshold_factor=threshold_factor)
     dense_b, residual_b = skim_dense_frequencies(b, signs, threshold_factor=threshold_factor)
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sampling.reservoir import BernoulliSample, ReservoirSample
+from repro.sketches.hashing import HASH_BLOCK_CELLS
 
 
 def sample_items(sample):
@@ -94,6 +97,125 @@ class TestFromCounts:
         cells = np.arange(300)
         assert np.array_equal(restored.insert_batch(cells), sample.insert_batch(cells))
         assert sample_items(restored) == sample_items(sample)
+
+
+def one_shot_from_counts(counts, probability, rng):
+    """``from_counts`` as one ``flatnonzero`` and one ``binomial`` call over the tensor."""
+    counts = np.asarray(counts)
+    sample = BernoulliSample(probability, counts.shape, seed=int(rng.integers(1 << 31)))
+    flat = counts.ravel()
+    cells = np.flatnonzero(flat)
+    kept = rng.binomial(flat[cells].astype(np.int64, copy=False), probability)
+    held = kept > 0
+    sample.cells, sample.counts = cells[held], kept[held]
+    sample.sampled_size = int(kept.sum())
+    sample.stream_size = int(flat.sum())
+    return sample
+
+
+def unique_insert_batch(sample, cells):
+    """``insert_batch`` collapsing the kept cells with ``np.unique``."""
+    cells = np.asarray(cells, dtype=np.int64)
+    if not len(cells):
+        return np.zeros(0, dtype=bool)
+    mask = sample._rng.random(len(cells)) < sample.probability
+    sample.stream_size += len(cells)
+    kept = cells[mask].reshape(-1, sample.ndim)
+    if len(kept):
+        flat = np.ravel_multi_index(tuple(kept.T), sample.shape)
+        sample._add(*np.unique(flat, return_counts=True))
+        sample.sampled_size += len(kept)
+    return mask
+
+
+def assert_same_sample(got, want):
+    assert got.cells.tobytes() == want.cells.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.cells.dtype == want.cells.dtype == np.int64
+    assert got.counts.dtype == want.counts.dtype == np.int64
+    assert (got.sampled_size, got.stream_size) == (want.sampled_size, want.stream_size)
+    assert got._rng.bit_generator.state == want._rng.bit_generator.state
+
+
+class TestBlockedReplay:
+    @pytest.mark.parametrize("probability", [1.0, 0.05, 0.002])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (HASH_BLOCK_CELLS - 1,),
+            (HASH_BLOCK_CELLS,),
+            (HASH_BLOCK_CELLS + 1,),
+            (3 * HASH_BLOCK_CELLS + 5,),
+            (181, 363),
+            (17, 31, 129),
+        ],
+    )
+    def test_equals_the_one_shot_replay(self, probability, shape):
+        data = np.random.default_rng(len(shape) + shape[0])
+        for density in (1.0, 0.01, 0.0):
+            counts = data.integers(1, 40, shape) * (data.random(shape) < density)
+            counts.reshape(-1)[-1] = 3  # a value in the last cell of the last block
+            rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+            sample = BernoulliSample.from_counts(counts, probability, rng)
+            assert_same_sample(sample, one_shot_from_counts(counts, probability, reference))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert sample.shape == shape
+
+    def test_all_zero_tensor(self):
+        rng = np.random.default_rng(1)
+        sample = BernoulliSample.from_counts(np.zeros((40, 900), dtype=np.int64), 0.5, rng)
+        assert sample.cells.size == sample.counts.size == 0
+        assert sample.cells.dtype == sample.counts.dtype == np.int64
+        assert sample.sampled_size == sample.stream_size == 0
+
+    def test_grid_too_large_to_number_is_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            BernoulliSample(0.5, (2**31, 2**31, 4))
+
+
+@st.composite
+def offered_batches(draw):
+    """A 1-3-axis grid and batches of one row, of many rows over few cells, and sparse ones."""
+    shape = tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=3)))
+    rows = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    batches = draw(
+        st.lists(
+            st.one_of(
+                st.lists(rows, min_size=1, max_size=1),
+                st.lists(st.sampled_from([tuple(0 for _ in shape), tuple(n - 1 for n in shape)]),
+                         min_size=2, max_size=300),
+                st.lists(rows, min_size=0, max_size=200),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return shape, draw(st.sampled_from([1.0, 0.5, 0.05])), draw(st.integers(0, 2**32 - 1)), batches
+
+
+class TestDistinctCellsInsert:
+    @settings(max_examples=60, deadline=None)
+    @given(offered_batches())
+    def test_equals_the_unique_path(self, case):
+        shape, probability, seed, batches = case
+        got = BernoulliSample(probability, shape, seed=seed)
+        want = BernoulliSample(probability, shape, seed=seed)
+        for batch in batches:
+            cells = np.array(batch, dtype=np.int64).reshape(-1, len(shape))
+            if len(shape) == 1 and len(batch) % 2:
+                cells = cells[:, 0]  # the (B,) form a 1-d grid also takes
+            np.testing.assert_array_equal(
+                got.insert_batch(cells), unique_insert_batch(want, cells)
+            )
+            assert_same_sample(got, want)
+
+    def test_one_row_inserts_equal_the_unique_path(self):
+        got = BernoulliSample(0.7, (32, 32), seed=4)
+        want = BernoulliSample(0.7, (32, 32), seed=4)
+        for cell in np.random.default_rng(4).integers(0, 32, (500, 2)):
+            got.insert(cell.tolist())
+            unique_insert_batch(want, np.reshape(cell, (1, -1)))
+        assert_same_sample(got, want)
 
 
 class TestReservoir:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sketches.basic import AGMSSketch
+from repro.sketches.basic import AGMSSketch, median_of_means
 from repro.sketches.basic import estimate_join_size as basic_join
 from repro.sketches.hashing import SignFamily
 from repro.sketches.partitioned import (
@@ -142,3 +142,35 @@ class TestEstimation:
         c = PartitionedSketch.from_counts(counts, [0, 5, 20], budget=20, seed=1)
         with pytest.raises(ValueError, match="share"):
             estimate_join_size(a, c)
+
+
+def per_partition_loop(a, b):
+    """Dobra's sum as one ``median_of_means`` call per partition."""
+    total = 0.0
+    for sk_a, sk_b in zip(a.sketches, b.sketches):
+        total += median_of_means(sk_a.atoms * sk_b.atoms, a._s1, a._s2)
+    return total
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize("num_partitions", [1, 2, 8])
+    @pytest.mark.parametrize("budget", [8, 64, 256, 1000])
+    def test_equals_the_per_partition_loop(self, num_partitions, budget):
+        rng = np.random.default_rng(num_partitions * budget)
+        n = 300
+        c1, c2 = rng.integers(0, 9, n), rng.integers(0, 9, n)
+        c1[rng.integers(0, n, 4)] = rng.integers(1_000, 50_000, 4)
+        boundaries = equi_mass_partition(c1 + c2, num_partitions)
+        for seed in range(5):
+            a = PartitionedSketch.from_counts(c1, boundaries, budget, seed=seed)
+            b = PartitionedSketch.from_counts(c2, boundaries, budget, seed=seed)
+            assert estimate_join_size(a, b) == per_partition_loop(a, b)
+
+    @pytest.mark.parametrize("boundaries", [[0, 1, 300], [0, 299, 300], [0, 3, 4, 90, 91, 300]])
+    def test_uneven_partitions_equal_the_per_partition_loop(self, boundaries):
+        rng = np.random.default_rng(len(boundaries))
+        c1, c2 = rng.integers(0, 30, 300), rng.integers(0, 30, 300)
+        a = PartitionedSketch.from_counts(c1, boundaries, budget=120, seed=3)
+        b = PartitionedSketch.from_counts(c2, boundaries, budget=120, seed=3)
+        b.update_batch(rng.integers(0, 300, 500))
+        assert estimate_join_size(a, b) == per_partition_loop(a, b)

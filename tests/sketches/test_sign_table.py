@@ -175,7 +175,122 @@ class TestContractionParity:
         assert batched.count == per_tuple.count
 
 
+def dense_from_counts(families, counts, s1, s2):
+    """The whole-domain contraction ``from_counts`` ran before it was blocked."""
+    counts = np.asarray(counts, dtype=float)
+    if not counts.any():
+        return np.zeros(s1 * s2), 0
+    first, *rest = families
+    flat = first.sign_matrix().astype(float) @ counts.reshape(counts.shape[0], -1)
+    tensor = flat.reshape(flat.shape[:1] + counts.shape[1:])
+    for fam in rest:
+        tensor = np.einsum("sj...,sj->s...", tensor, fam.sign_matrix().astype(float))
+    return tensor.reshape(s1 * s2).astype(float).copy(), int(round(counts.sum()))
+
+
+#: Function counts ``S`` and their ``(s1, s2)`` grids; a block holds 128 and 8 values.
+GEOMETRIES = {255: (51, 5), 4095: (819, 5)}
+
+
+def block_shapes(width):
+    """Axis sizes at a block width, one below and one above it, on 1-3 axes."""
+    return [
+        (width - 1,),
+        (width,),
+        (width + 1,),
+        (width + 1, width - 1),
+        (width, 2, width + 1),
+        (3, width + 1, width),
+    ]
+
+
+class TestBlockedContraction:
+    @pytest.mark.parametrize("tabled", [True, False])
+    @pytest.mark.parametrize("num_functions", sorted(GEOMETRIES))
+    def test_from_counts_equals_the_dense_contraction(self, monkeypatch, tabled, num_functions):
+        if not tabled:
+            monkeypatch.setattr(hashing, "SIGN_TABLE_MAX_BYTES", 0)
+        s1, s2 = GEOMETRIES[num_functions]
+        width = hashing.HASH_BLOCK_CELLS // num_functions
+        rng = np.random.default_rng(num_functions)
+        for shape in block_shapes(width):
+            families = [SignFamily(n, num_functions, seed=20 + j) for j, n in enumerate(shape)]
+            assert all((f._table is not None) == tabled for f in families)
+            cases = {
+                "zeros": np.zeros(shape, dtype=np.int64),
+                "sparse": rng.integers(0, 2, shape) * rng.integers(0, 10**6, shape),
+                "dense": rng.integers(0, 7, shape),
+                "last value only": np.zeros(shape, dtype=np.int64),
+            }
+            cases["last value only"][-1] = 5
+            for name, counts in cases.items():
+                built = AGMSSketch.from_counts(families, counts, s1, s2)
+                atoms, count = dense_from_counts(families, counts, s1, s2)
+                assert built.atoms.tobytes() == atoms.tobytes(), (shape, name)
+                assert built.atoms.dtype == np.float64 and built.atoms.shape == (s1 * s2,)
+                assert built.count == count == int(counts.sum())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_tensors_equal_the_dense_contraction(self, data):
+        num_functions = data.draw(st.sampled_from(sorted(GEOMETRIES)))
+        s1, s2 = GEOMETRIES[num_functions]
+        width = hashing.HASH_BLOCK_CELLS // num_functions
+        shape = (data.draw(st.integers(1, 2 * width + 1)),) + tuple(
+            data.draw(st.lists(st.integers(1, 9), max_size=2))
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, shape) * rng.integers(0, 1000, shape)
+        families = [SignFamily(n, num_functions, seed=seed + j) for j, n in enumerate(shape)]
+        built = AGMSSketch.from_counts(families, counts, s1, s2)
+        atoms, count = dense_from_counts(families, counts, s1, s2)
+        assert built.atoms.tobytes() == atoms.tobytes()
+        assert built.count == count
+
+    def test_float_and_integer_tensors_build_the_same_sketch(self):
+        families = [SignFamily(300, 255, seed=1), SignFamily(7, 255, seed=2)]
+        counts = np.random.default_rng(3).integers(0, 9, (300, 7))
+        as_int = AGMSSketch.from_counts(families, counts, 51, 5)
+        as_float = AGMSSketch.from_counts(families, counts.astype(float), 51, 5)
+        assert as_int.atoms.tobytes() == as_float.atoms.tobytes()
+        assert as_int.count == as_float.count == int(counts.sum())
+
+
 class TestMemory:
+    @pytest.mark.parametrize("n, bound_mb", [(16_384, 2), (65_536, 4)])
+    def test_registration_holds_one_block_of_signs(self, n, bound_mb):
+        # The family's table is allocated before tracing starts, so the peak
+        # is what registration holds beyond it; the whole-domain float copy
+        # of the signs it replaced took 32 MB at n = 16,384 and 128 MB at
+        # n = 65,536.
+        family = SignFamily(n, 255, seed=4)
+        counts = np.random.default_rng(4).integers(0, 50, n)
+        tracemalloc.start()
+        try:
+            AGMSSketch.from_counts(family, counts, 51, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert family._table is not None
+        assert peak < bound_mb << 20
+
+    def test_full_domain_fill_scatters_block_by_block(self):
+        # Hashed blocks go straight into the table: beyond it, a fill of the
+        # whole domain holds the index arrays and one block's buffers
+        # (934 KiB at n = 16,384, where a (n, S) int8 copy made 4.9 MB).
+        family = SignFamily(16_384, 255, seed=5)
+        tracemalloc.start()
+        try:
+            family.sign_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1536 << 10
+        np.testing.assert_array_equal(
+            family.sign_matrix()[:, ::997], direct_signs(family, np.arange(0, 16_384, 997))
+        )
+
     def test_family_above_the_bound_allocates_no_table(self):
         # section 5.4's shape: 100,000 values x 10,000 functions (~1 GB of signs)
         s1, s2 = split_budget(10_000)

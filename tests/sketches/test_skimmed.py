@@ -1,10 +1,16 @@
 """Tests for the skimmed sketch."""
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sketches.basic import AGMSSketch, estimate_join_size
-from repro.sketches.hashing import SignFamily
+from repro.sketches import skimmed
+from repro.sketches.basic import AGMSSketch, estimate_join_size, median
+from repro.sketches.hashing import HASH_BLOCK_CELLS, SignFamily
 from repro.sketches.skimmed import (
     estimate_frequencies,
     estimate_join_size_skimmed,
@@ -240,3 +246,122 @@ class TestSkimmedMultiJoin:
                             rng.integers(0, 3, 50).astype(float))
         with pytest.raises(ValueError, match="at least two"):
             estimate_multijoin_size_skimmed([a])
+
+
+def elementwise_frequencies(sketch, sign_matrix):
+    """``f_hat`` as the median of the element-wise group means of ``X_i xi_i(v)``."""
+    per_value = sign_matrix.T * sketch.atoms  # (n, S)
+    groups = per_value.reshape(-1, sketch.num_medians, sketch.num_means)
+    return median(groups.mean(axis=2), axis=1)
+
+
+def elementwise_project(sign_matrix, dense):
+    """``sign_matrix @ dense`` over the skimmed values in one product."""
+    held = np.flatnonzero(dense)
+    return sign_matrix[:, held] @ dense[held]
+
+
+@contextlib.contextmanager
+def elementwise_reads():
+    """Run the skimmed estimators on the element-wise formulas instead."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(skimmed, "estimate_frequencies", elementwise_frequencies)
+        patch.setattr(skimmed, "_project", elementwise_project)
+        yield
+
+
+@contextlib.contextmanager
+def float_sign_matrices():
+    """Make every family hand out a float64 copy of its sign matrix."""
+    int8_view = SignFamily.sign_matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SignFamily, "sign_matrix", lambda self: int8_view(self).astype(float))
+        yield
+
+
+@st.composite
+def skimmed_cases(draw):
+    """A geometry whose block width is a few dozen values, and heavy-tailed counts.
+
+    Returns ``(s1, s2, seed, ends, inner)``: two count vectors over a
+    domain of ``n`` values, the last relation's counts over 7 values, and
+    a chain's inner ``(n, 7)`` tensor.
+    """
+    s1 = draw(st.integers(16, 60))
+    s2 = draw(st.sampled_from([1, 2, 3, 5]))
+    width = HASH_BLOCK_CELLS // (s1 * s2)
+    n = draw(st.integers(1, 3 * width + 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    ends = [rng.integers(0, 5, size) for size in (n, n, 7)]
+    for c in ends:
+        c[rng.integers(0, c.shape[0], 3)] = rng.integers(1_000, 100_000, 3)
+    return s1, s2, seed, ends, rng.integers(0, 3, (n, 7))
+
+
+class TestBlockedReads:
+    @settings(max_examples=40, deadline=None)
+    @given(skimmed_cases(), st.booleans())
+    def test_frequencies_and_skims_equal_the_elementwise_formula(self, case, as_float):
+        s1, s2, seed, (counts, _, _), _ = case
+        family = SignFamily(counts.shape[0], s1 * s2, seed=seed)
+        signs = family.sign_matrix().astype(float) if as_float else family.sign_matrix()
+        sketch = AGMSSketch.from_counts(family, counts, s1, s2)
+        f_hat = estimate_frequencies(sketch, signs)
+        assert f_hat.tobytes() == elementwise_frequencies(sketch, signs).tobytes()
+        for factor in (0.5, 2.0):
+            dense, residual = skim_dense_frequencies(sketch, signs, threshold_factor=factor)
+            with elementwise_reads():
+                want_dense, want_residual = skim_dense_frequencies(
+                    sketch, signs, threshold_factor=factor
+                )
+            assert dense.tobytes() == want_dense.tobytes()
+            assert residual.tobytes() == want_residual.tobytes()
+            projected = skimmed._project(signs, dense)
+            assert projected.tobytes() == elementwise_project(signs, dense).tobytes()
+        # every value held: the projection crosses every block boundary
+        held = counts.astype(float)
+        assert skimmed._project(signs, held).tobytes() == elementwise_project(signs, held).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(skimmed_cases(), st.booleans())
+    def test_joins_equal_the_elementwise_formula(self, case, as_float):
+        s1, s2, seed, (c1, c2, c3), inner = case
+        with float_sign_matrices() if as_float else contextlib.nullcontext():
+            first = SignFamily(c1.shape[0], s1 * s2, seed=seed)
+            second = SignFamily(7, s1 * s2, seed=seed + 1)
+            a = AGMSSketch.from_counts(first, c1, s1, s2)
+            b = AGMSSketch.from_counts(first, c2, s1, s2)
+            chain = [
+                a,
+                AGMSSketch.from_counts([first, second], inner, s1, s2),
+                AGMSSketch.from_counts(second, c3, s1, s2),
+            ]
+            for factor in (0.5, 2.0):
+                pair = estimate_join_size_skimmed(a, b, threshold_factor=factor)
+                path = estimate_multijoin_size_skimmed(chain, threshold_factor=factor)
+                with elementwise_reads():
+                    assert pair == estimate_join_size_skimmed(a, b, threshold_factor=factor)
+                    assert path == estimate_multijoin_size_skimmed(chain, threshold_factor=factor)
+
+
+class TestMemory:
+    def test_skimmed_join_reads_signs_block_by_block(self):
+        # At n = 16,384 and S = 255, the (n, S) float64 products of the
+        # element-wise formula took 33.6 MB; the blocked reads hold the
+        # group means, one block of float signs and the median's copies.
+        n = 16_384
+        family = SignFamily(n, 255, seed=6)
+        rng = np.random.default_rng(6)
+        c1, c2 = rng.integers(0, 50, n), rng.integers(0, 50, n)
+        c1[7], c2[9] = 100_000, 80_000
+        a = AGMSSketch.from_counts(family, c1, 51, 5)
+        b = AGMSSketch.from_counts(family, c2, 51, 5)
+        tracemalloc.start()
+        try:
+            result = estimate_join_size_skimmed(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.dense_values_a >= 1 and result.dense_values_b >= 1
+        assert peak < 3 << 20
