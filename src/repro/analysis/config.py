@@ -73,9 +73,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "paths": ["src/repro"],
     },
     "hot-path": {
-        # Per-tuple hot-path methods defined under these path prefixes
-        # are checked for allocation-heavy idioms.
-        "paths": ["src/repro/streams"],
         # Batch coefficient-maintenance code: basis tables must come from
         # the repro.fastpath seam (Chebyshev recurrence / compiled
         # kernels), never per-entry trig evaluation.

@@ -30,8 +30,8 @@ from typing import Any, Dict
 import numpy as np
 from numpy.typing import NDArray
 
-from ..streams.relation import StreamObserver
-from ..streams.tuples import OpKind, StreamOp
+from ..streams.relation import IndexMap, StreamObserver
+from ..streams.tuples import OpKind
 
 __all__ = ["DegreeObserver", "DegreeSketch"]
 
@@ -141,13 +141,15 @@ class DegreeObserver(StreamObserver):
     One observer per (relation, join-attribute) pair; ``axis`` is the
     attribute's position in the relation schema and ``domain`` the
     *unified* domain for that join slot, so sketches on both sides of a
-    predicate index the same value space.
+    predicate index the same value space.  The first batch builds the
+    relation's :meth:`~repro.streams.relation.StreamRelation.index_maps`
+    entry into ``domain`` that every batch's cells go through.
     """
 
     # Structural fields are rebuilt from the query spec at registration;
     # only the frequency vector (reached through ``sketch``) is
     # checkpoint state.
-    _checkpoint_exempt = ("domain", "axis")
+    _checkpoint_exempt = ("domain", "axis", "_maps")
 
     # register_query attributes per-observer time to the query's method;
     # degree maintenance is bounds work regardless of method, so flag it
@@ -158,14 +160,13 @@ class DegreeObserver(StreamObserver):
         self.sketch = sketch
         self.domain = domain
         self.axis = axis
-
-    def on_op(self, relation: Any, op: StreamOp) -> None:
-        index = self.domain.index_of(op.values[self.axis])
-        self.sketch.update(index, op.weight)
+        self._maps: list[IndexMap] | None = None
 
     def on_ops(self, relation: Any, rows: NDArray[Any], kind: OpKind) -> None:
+        if self._maps is None:
+            self._maps = relation.index_maps([self.axis], [self.domain])
         delta = relation.batch_delta(rows, kind).marginal([self.axis])
-        indices = self.domain.indices_of(delta.rows[:, 0])
+        indices = delta.indices(self._maps)[:, 0]
         self.sketch.update_batch(indices, delta.weight, multiplicity=delta.counts)
 
     def state_dict(self) -> Dict[str, Any]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Hashable, Sequence
 
 import numpy as np
@@ -76,13 +77,23 @@ class Domain:
             return None
         return self.low + self.size - 1
 
+    @cached_property
+    def _lookup(self) -> dict[Hashable, int]:
+        """``{category: index}``, built on the first categorical lookup."""
+        return {v: i for i, v in enumerate(self._categories or ())}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The lookup is derived from the categories; pickles and copies
+        # rebuild it on their first lookup instead of carrying it.
+        return {k: v for k, v in self.__dict__.items() if k != "_lookup"}
+
     def indices_of(self, values: NDArray[Any] | Sequence[Hashable]) -> NDArray[Any]:
         """Map raw attribute values to domain indices ``0..size-1``.
 
         Raises ``ValueError`` on any value outside the domain.
         """
         if self._categories is not None:
-            lookup = {v: i for i, v in enumerate(self._categories)}
+            lookup = self._lookup
             try:
                 return np.array([lookup[v] for v in values], dtype=np.int64)
             except KeyError as exc:
@@ -93,14 +104,16 @@ class Domain:
             # Zero-copy fast path: int64 values over a 0-based domain are
             # already their own indices — bounds-check and return the
             # caller's array unchanged (callers treat indices as read-only).
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.size):
+            # Read as uint64, a negative value is above every domain size.
+            if arr.size and int(arr.view(np.uint64).max()) >= self.size:
                 bad = arr[(arr < 0) | (arr >= self.size)]
                 raise ValueError(
                     f"values outside integer domain [{self.low}, {self.high}]: {bad[:5]}"
                 )
             return arr
         idx = arr.astype(np.int64) - self.low
-        if np.any(arr != idx + self.low):
+        # integer dtypes hold integers; anything else must round-trip
+        if arr.dtype.kind not in "iu" and np.any(arr != idx + self.low):
             raise ValueError("non-integer values in an integer-range domain")
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             bad = arr[(idx < 0) | (idx >= self.size)]
@@ -122,7 +135,7 @@ class Domain:
         ``False``.
         """
         if self._categories is not None:
-            known = set(self._categories)
+            known = self._lookup
 
             def member(v: Any) -> bool:
                 try:
@@ -168,11 +181,52 @@ class Domain:
         return idx / (self.size - 1.0)
 
 
+def as_rows(rows: Any) -> NDArray[Any]:
+    """``np.asarray(rows)``, keeping each value's own type in mixed rows.
+
+    numpy turns a row such as ``("austin", 30)`` into strings (``"30"``),
+    and so a categorical value list such as ``[1.5, "a"]``.  When that
+    happens to values that were not all strings, the rows come back as an
+    object array of the original values instead.  An array is returned as
+    it is.
+    """
+    arr = np.asarray(rows)
+    if isinstance(rows, np.ndarray):
+        return arr
+    if arr.dtype.kind in "US":
+        values = np.asarray(rows, dtype=object)
+        if not all(issubclass(kind, (str, bytes)) for kind in set(map(type, values.flat))):
+            return values
+    return arr
+
+
+def index_map(original: Domain, unified: Domain) -> NDArray[Any]:
+    """The index in ``unified`` of each index of ``original`` (section 4.1).
+
+    ``unified`` must contain every value of ``original``.
+    """
+    if original.is_categorical or unified.is_categorical:
+        assert original._categories is not None
+        return unified.indices_of(original._categories)
+    assert original.low is not None and unified.low is not None
+    offset = original.low - unified.low
+    if offset < 0 or offset + original.size > unified.size:
+        raise ValueError("original domain does not fit inside the unified domain")
+    return np.arange(offset, offset + original.size, dtype=np.int64)
+
+
 #: :func:`distinct_cells` counts a batch over its whole grid when the grid
 #: has at most this many cells per batch row, and sorts the batch
 #: otherwise.  Measured from 16 to 65,536 rows: counting wins at 4 cells
 #: per row or fewer and loses from 8 on.
 COUNT_CELLS_PER_ROW = 4
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: ``first`` and ``counts`` of a one-row batch, shared read-only.
+_ZERO = np.zeros(1, dtype=np.intp)
+_ONE = np.ones(1, dtype=np.intp)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
 def distinct_cells(
@@ -193,16 +247,15 @@ def distinct_cells(
     """
     indices = np.asarray(indices)
     size = math.prod(shape)
-    if size > np.iinfo(np.int64).max:
+    if size > _INT64_MAX:
         if weights is not None:
             raise ValueError("weights need a grid an int64 can number")
         rows, first, counts = np.unique(indices, axis=0, return_index=True, return_counts=True)
         return rows, first, counts
-    flat = np.ravel_multi_index(tuple(indices.T), tuple(shape))
+    flat = np.ravel_multi_index(indices.T, tuple(shape))
     num_rows = flat.shape[0]
     if num_rows == 1:
-        counts = np.ones(1, dtype=np.intp) if weights is None else np.array(weights, np.int64)
-        return flat, np.zeros(1, dtype=np.intp), counts
+        return flat, _ZERO, _ONE if weights is None else np.array(weights, np.int64)
     if size <= COUNT_CELLS_PER_ROW * num_rows:
         hits = np.bincount(flat, weights, minlength=size)
         cells = np.flatnonzero(hits)
@@ -246,16 +299,6 @@ def embed_counts(counts: NDArray[Any], original: Domain, unified: Domain) -> NDA
         raise ValueError(
             f"counts length {counts.shape[0]} does not match domain size {original.size}"
         )
-    if original.is_categorical or unified.is_categorical:
-        assert original._categories is not None
-        out = np.zeros(unified.size, dtype=counts.dtype)
-        idx = unified.indices_of(original._categories)
-        out[idx] = counts
-        return out
-    assert original.low is not None and unified.low is not None
-    offset = original.low - unified.low
-    if offset < 0 or offset + original.size > unified.size:
-        raise ValueError("original domain does not fit inside the unified domain")
     out = np.zeros(unified.size, dtype=counts.dtype)
-    out[offset : offset + original.size] = counts
+    out[index_map(original, unified)] = counts
     return out

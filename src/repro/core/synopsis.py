@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from ..fastpath import phi_block, phi_expand
 from .basis import GridKind
-from .normalization import Domain, distinct_cells
+from .normalization import Domain, as_rows, distinct_cells
 from .triangular import (
     full_indices,
     order_for_budget,
@@ -226,8 +226,8 @@ class CosineSynopsis:
     def _as_rows(self, values: Any) -> NDArray[Any]:
         """Coerce tuple / sequence-of-tuples input into a ``(B, ndim)`` array."""
         if self.ndim == 1 and np.isscalar(values):
-            return np.asarray([[values]])
-        arr = np.asarray(values)
+            return as_rows([[values]])
+        arr = as_rows(values)
         if arr.ndim == 1:
             if self.ndim == 1:
                 # Ambiguity: a 1-d array over a 1-attribute synopsis is a batch
@@ -444,7 +444,7 @@ class CosineSynopsis:
 
 def _row_count(rows: NDArray[Any], multiplicity: NDArray[Any] | None) -> int:
     """Tuples a batch stands for: its rows, or the sum of their multiplicities."""
-    return rows.shape[0] if multiplicity is None else int(np.sum(multiplicity))
+    return rows.shape[0] if multiplicity is None else int(np.asarray(multiplicity).sum())
 
 
 def synopses_for_budget(

@@ -80,11 +80,20 @@ class EquiWidthHistogram:
         ``multiplicity`` counts each value that many times (the distinct
         values of a :class:`repro.streams.relation.BatchDelta`).
         """
-        indices = self.domain.indices_of(values)
-        buckets = np.searchsorted(self.boundaries, indices, side="right") - 1
+        self.update_indices(self.domain.indices_of(values), weight, multiplicity)
+
+    def update_indices(
+        self,
+        indices: NDArray[Any],
+        weight: int = 1,
+        multiplicity: NDArray[Any] | None = None,
+    ) -> None:
+        """:meth:`update_batch` over domain indices instead of raw values."""
+        # bucket b holds [boundaries[b], boundaries[b + 1]): the upper bounds at or below
+        buckets = np.searchsorted(self.boundaries[1:], indices, side="right")
         added = np.bincount(buckets, weights=multiplicity, minlength=self.num_buckets)
         self.counts += weight * added
-        tuples = len(indices) if multiplicity is None else int(np.sum(multiplicity))
+        tuples = len(indices) if multiplicity is None else int(np.asarray(multiplicity).sum())
         self._count += weight * tuples
 
     def state_dict(self) -> dict[str, Any]:

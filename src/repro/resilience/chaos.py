@@ -89,7 +89,7 @@ class FlakyObserver(StreamObserver):
     def on_op(self, relation: Any, op: Any) -> None:
         self._tick()
         if self.inner is not None:
-            self.inner.on_op(relation, op)
+            self.inner.on_ops(relation, relation.rows_array([op.values]), op.kind)
 
     def on_ops(self, relation: Any, rows: Any, kind: Any) -> None:
         self._tick()

@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.normalization import as_rows
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
     from ..streams.relation import StreamRelation
@@ -261,7 +263,7 @@ def validate_rows(
     ndim = relation.ndim
     arr: NDArray[Any] | None
     try:
-        arr = np.asarray(rows)
+        arr = as_rows(rows)
     except ValueError:  # ragged nested sequences refuse to coerce at all
         arr = None
     if (
@@ -295,7 +297,7 @@ def validate_rows(
             good.append(row)
     if not good:
         return np.empty((0, ndim), dtype=np.int64), rejects
-    good_arr = np.asarray(good)
+    good_arr = as_rows(good)
     if good_arr.dtype == object or good_arr.ndim != 2:
         good_arr = np.empty((len(good), ndim), dtype=object)
         for i, row in enumerate(good):

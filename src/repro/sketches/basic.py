@@ -154,7 +154,8 @@ class AGMSSketch:
         without it the rows are collapsed here.  The contraction runs in
         float64, where every partial sum is an integer below ``2^53``, so the
         atoms are identical to one ``update`` per tuple under any batch
-        framing.  ``chunk`` bounds the ``(chunk, S)`` sign intermediates.
+        framing.  ``chunk`` bounds the ``(chunk, S)`` sign intermediates; a
+        batch of one chunk hashes its new values as it reads their signs.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim == 1:
@@ -166,9 +167,10 @@ class AGMSSketch:
             _, first, multiplicity = distinct_cells(rows, sizes)
             rows = rows[first]
         counts = np.asarray(multiplicity, dtype=np.int64)
-        weights = weight * counts.astype(float)
-        for j, family in enumerate(self.families):
-            family.fill(rows[:, j])
+        weights = counts * float(weight)
+        if rows.shape[0] > chunk:
+            for j, family in enumerate(self.families):
+                family.fill(rows[:, j])
         for start in range(0, rows.shape[0], chunk):
             part = slice(start, start + chunk)
             self.atoms += weights[part] @ self._row_signs(rows[part]).astype(float)

@@ -141,14 +141,32 @@ class PartitionedSketch:
         p = self.partition_of(index)
         self.sketches[p].update(int(index - self.boundaries[p]), weight=weight)
 
-    def update_batch(self, indices: NDArray[Any], weight: int = 1) -> None:
+    def update_batch(
+        self, indices: NDArray[Any], weight: int = 1, multiplicity: NDArray[Any] | None = None
+    ) -> None:
+        """Route a batch of arrivals/deletions to the partitions it spans.
+
+        ``multiplicity`` counts each index that many times, as in
+        :meth:`AGMSSketch.update_batch`.
+        """
         indices = np.asarray(indices, dtype=np.int64)
-        partitions = np.searchsorted(self.boundaries, indices, side="right") - 1
-        for p in range(self.num_partitions):
+        if not indices.size:
+            return
+        # partition p holds [b_p, b_{p+1}): the inner boundaries at or below
+        partitions = np.searchsorted(self.boundaries[1:], indices, side="right")
+        first, last = int(partitions.min()), int(partitions.max())
+        if first == last:  # one partition, as every one-row batch is
+            self.sketches[first].update_batch(
+                indices - self.boundaries[first], weight=weight, multiplicity=multiplicity
+            )
+            return
+        for p in range(first, last + 1):
             mask = partitions == p
             if mask.any():
                 self.sketches[p].update_batch(
-                    indices[mask] - self.boundaries[p], weight=weight
+                    indices[mask] - self.boundaries[p],
+                    weight=weight,
+                    multiplicity=None if multiplicity is None else multiplicity[mask],
                 )
 
     def state_dict(self) -> dict[str, Any]:

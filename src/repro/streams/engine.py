@@ -50,7 +50,7 @@ from ..obs.accuracy import AccuracyTracker
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import Telemetry
 from ..core.basis import GridKind
-from ..core.normalization import Domain, embed_counts
+from ..core.normalization import Domain, index_map
 from ..resilience.checkpoint import (
     domain_from_spec,
     domain_to_spec,
@@ -70,7 +70,7 @@ from ..sketches.hashing import SignFamily
 from ..sketches.skimmed import estimate_multijoin_size_skimmed
 from .exact import exact_multijoin_size
 from .queries import JoinQuery
-from .relation import StreamObserver, StreamRelation
+from .relation import IndexMap, StreamObserver, StreamRelation
 from .stats import EngineStats
 from .tuples import OpKind, StreamOp
 
@@ -95,9 +95,9 @@ def embed_counts_tensor(
         if orig == uni:
             continue
         moved = np.moveaxis(out, axis, 0)
-        flat = moved.reshape(orig.size, -1)
-        embedded = np.stack([embed_counts(col, orig, uni) for col in flat.T], axis=1)
-        out = np.moveaxis(embedded.reshape((uni.size,) + moved.shape[1:]), 0, axis)
+        embedded = np.zeros((uni.size,) + moved.shape[1:], dtype=out.dtype)
+        embedded[index_map(orig, uni)] = moved
+        out = np.moveaxis(embedded, 0, axis)
     return out
 
 
@@ -866,9 +866,9 @@ class ContinuousQueryEngine:
     def enable_fault_isolation(self, policy: str = "raise") -> None:
         """Quarantine observers that raise instead of aborting ingest.
 
-        With isolation enabled, an observer raising from ``on_op`` /
-        ``on_ops`` is detached from its relation, its owning query is
-        marked degraded, and ingest continues for every other observer —
+        With isolation enabled, an observer raising from ``on_ops`` is
+        detached from its relation, its owning query is marked degraded,
+        and ingest continues for every other observer —
         the exact tensors are already updated before observers run, so
         ground truth is never corrupted by a synopsis fault.  Faults are
         counted in ``repro_observer_faults_total`` (per method) and the
@@ -1103,7 +1103,8 @@ class ContinuousQueryEngine:
         def build() -> _SketchObserver:
             families = [self._family(d.size, s1 * s2, seed) for d, seed in zip(domains, seeds)]
             history = _history(relation, axes, domains)
-            return _SketchObserver(AGMSSketch.from_counts(families, history, s1, s2), domains, axes)
+            sketch = AGMSSketch.from_counts(families, history, s1, s2)
+            return _SketchObserver(sketch, relation.index_maps(axes, domains), axes)
 
         key = ("agms", rel_name, tuple(axes), tuple(domains), tuple(seeds), s1, s2)
         return self._share(relation, key, build).sketch
@@ -1116,7 +1117,9 @@ class ContinuousQueryEngine:
 
         def build() -> _HistogramObserver:
             history = _history(relation, [axis], [domain])
-            return _HistogramObserver(EquiWidthHistogram.from_counts(domain, history, budget), axis)
+            histogram = EquiWidthHistogram.from_counts(domain, history, budget)
+            (table,) = relation.index_maps([axis], [domain])
+            return _HistogramObserver(histogram, table, axis)
 
         key = ("histogram", rel_name, axis, domain, budget)
         return self._share(relation, key, build).histogram
@@ -1223,7 +1226,8 @@ class ContinuousQueryEngine:
             # Replay history distributionally: binomial thinning per cell.
             history = _history(relation, axes, domains)
             sample = BernoulliSample.from_counts(history, probability, rng)
-            self._attach(relation, _SampleObserver(sample, domains, axes))
+            maps = relation.index_maps(axes, domains)
+            self._attach(relation, _SampleObserver(sample, maps, axes))
             samples.append(sample)
 
         def estimate() -> float:
@@ -1269,7 +1273,8 @@ class ContinuousQueryEngine:
             embedded = embed_counts_tensor(relation.counts, relation.domains, unified[rel_name])
             marginal = _marginalize(embedded, keep_axes=[axis]).astype(float)
             synopsis = HaarSynopsis.from_counts(domain, marginal, budget)
-            self._attach(relation, _WaveletObserver(synopsis, axis))
+            (table,) = relation.index_maps([axis], [domain])
+            self._attach(relation, _WaveletObserver(synopsis, table, axis))
             synopses.append(synopsis)
 
         def estimate() -> float:
@@ -1317,7 +1322,8 @@ class ContinuousQueryEngine:
             sketch = PartitionedSketch.from_counts(
                 marginal, boundaries, budget, seed=self._seed, family=self._family
             )
-            self._attach(relation, _PartitionedObserver(sketch, unified[rel_name][axis], axis))
+            (table,) = relation.index_maps([axis], [unified[rel_name][axis]])
+            self._attach(relation, _PartitionedObserver(sketch, table, axis))
             sketches.append(sketch)
 
         def estimate() -> float:
@@ -1355,14 +1361,6 @@ class _CosineObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.synopsis.load_state(state)
 
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        # Per-op slow path; the batched on_ops reads the shared batch delta.
-        values = [op.values[ax] for ax in self.axes]  # repro: noqa[REP006]
-        if op.kind is OpKind.INSERT:
-            self.synopsis.insert(values)
-        else:
-            self.synopsis.delete(values)
-
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         delta = relation.batch_delta(rows, kind).marginal(self.axes)
         if kind is OpKind.INSERT:
@@ -1372,16 +1370,14 @@ class _CosineObserver(StreamObserver):
 
 
 class _SketchObserver(StreamObserver):
-    """Feeds joined-attribute indices into an AGMS sketch."""
+    """Feeds joined-attribute unified indices into an AGMS sketch."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axes", "domains")
+    _checkpoint_exempt = ("axes", "maps")
 
-    def __init__(
-        self, sketch: AGMSSketch, domains: Sequence[Domain], axes: Sequence[int]
-    ) -> None:
+    def __init__(self, sketch: AGMSSketch, maps: Sequence[IndexMap], axes: Sequence[int]) -> None:
         self.sketch = sketch
-        self.domains = list(domains)
+        self.maps = list(maps)
         self.axes = list(axes)
 
     def state_dict(self) -> dict[str, Any]:
@@ -1390,32 +1386,24 @@ class _SketchObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.sketch.load_state(state)
 
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        # Per-op slow path; the allocation-free route is the batched on_ops.
-        indices = [  # repro: noqa[REP006]
-            d.index_of(op.values[ax]) for d, ax in zip(self.domains, self.axes)
-        ]
-        self.sketch.update(indices, weight=op.weight)
-
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         delta = relation.batch_delta(rows, kind).marginal(self.axes)
-        indices = np.stack(
-            [d.indices_of(delta.rows[:, j]) for j, d in enumerate(self.domains)], axis=1
+        self.sketch.update_batch(
+            delta.indices(self.maps), weight=delta.weight, multiplicity=delta.counts
         )
-        self.sketch.update_batch(indices, weight=delta.weight, multiplicity=delta.counts)
 
 
 class _SampleObserver(StreamObserver):
     """Feeds joined-attribute unified indices, in chain order, into a Bernoulli sample."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axes", "domains")
+    _checkpoint_exempt = ("axes", "maps")
 
     def __init__(
-        self, sample: BernoulliSample, domains: Sequence[Domain], axes: Sequence[int]
+        self, sample: BernoulliSample, maps: Sequence[IndexMap], axes: Sequence[int]
     ) -> None:
         self.sample = sample
-        self.domains = list(domains)
+        self.maps = list(maps)
         self.axes = list(axes)
 
     def state_dict(self) -> dict[str, Any]:
@@ -1424,33 +1412,27 @@ class _SampleObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.sample.load_state(state)
 
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        if op.kind is OpKind.DELETE:
-            self.sample.delete(op.values)  # raises: documented sampling limitation
-            return
-        # Per-op slow path; the batched on_ops maps whole columns.
-        cell = [  # repro: noqa[REP006]
-            d.index_of(op.values[ax]) for d, ax in zip(self.domains, self.axes)
-        ]
-        self.sample.insert(cell)
-
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         if kind is OpKind.DELETE:
             self.sample.delete(tuple(rows[0]))  # raises: documented limitation
             return
-        columns = [d.indices_of(rows[:, ax]) for d, ax in zip(self.domains, self.axes)]
-        self.sample.insert_batch(np.stack(columns, axis=1))
+        indices = relation.batch_indices(rows)
+        columns = [
+            indices[:, ax] if table is None else table[indices[:, ax]]
+            for table, ax in zip(self.maps, self.axes)
+        ]
+        self.sample.insert_batch(columns[0] if len(columns) == 1 else np.stack(columns, axis=1))
 
 
 class _PartitionedObserver(StreamObserver):
-    """Feeds one attribute's domain indices into a partitioned sketch."""
+    """Feeds one attribute's unified indices into a partitioned sketch."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axis", "domain")
+    _checkpoint_exempt = ("axis", "table")
 
-    def __init__(self, sketch: "PartitionedSketch", domain: Domain, axis: int) -> None:
+    def __init__(self, sketch: "PartitionedSketch", table: IndexMap, axis: int) -> None:
         self.sketch = sketch
-        self.domain = domain
+        self.table = table
         self.axis = axis
 
     def state_dict(self) -> dict[str, Any]:
@@ -1459,23 +1441,22 @@ class _PartitionedObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.sketch.load_state(state)
 
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        index = self.domain.index_of(op.values[self.axis])
-        self.sketch.update(index, weight=op.weight)
-
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        indices = self.domain.indices_of(rows[:, self.axis])
-        self.sketch.update_batch(indices, weight=kind.value)
+        delta = relation.batch_delta(rows, kind).marginal([self.axis])
+        self.sketch.update_batch(
+            delta.indices([self.table])[:, 0], weight=delta.weight, multiplicity=delta.counts
+        )
 
 
 class _WaveletObserver(StreamObserver):
-    """Feeds one attribute's raw values into a Haar wavelet synopsis."""
+    """Feeds one attribute's unified indices into a Haar wavelet synopsis."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axis",)
+    _checkpoint_exempt = ("axis", "table")
 
-    def __init__(self, synopsis: "HaarSynopsis", axis: int) -> None:
+    def __init__(self, synopsis: "HaarSynopsis", table: IndexMap, axis: int) -> None:
         self.synopsis = synopsis
+        self.table = table
         self.axis = axis
 
     def state_dict(self) -> dict[str, Any]:
@@ -1484,21 +1465,22 @@ class _WaveletObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.synopsis.load_state(state)
 
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        self.synopsis.update(op.values[self.axis], weight=op.weight)
-
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        self.synopsis.update_batch(rows[:, self.axis], weight=kind.value)
+        delta = relation.batch_delta(rows, kind).marginal([self.axis])
+        self.synopsis.update_indices(
+            delta.indices([self.table])[:, 0], weight=delta.weight, multiplicity=delta.counts
+        )
 
 
 class _HistogramObserver(StreamObserver):
-    """Feeds one attribute's raw values into an equi-width histogram."""
+    """Feeds one attribute's unified indices into an equi-width histogram."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axis",)
+    _checkpoint_exempt = ("axis", "table")
 
-    def __init__(self, histogram: EquiWidthHistogram, axis: int) -> None:
+    def __init__(self, histogram: EquiWidthHistogram, table: IndexMap, axis: int) -> None:
         self.histogram = histogram
+        self.table = table
         self.axis = axis
 
     def state_dict(self) -> dict[str, Any]:
@@ -1507,13 +1489,10 @@ class _HistogramObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.histogram.load_state(state)
 
-    def on_op(self, relation: StreamRelation, op: StreamOp) -> None:
-        self.histogram.update(op.values[self.axis], weight=op.weight)
-
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         delta = relation.batch_delta(rows, kind).marginal([self.axis])
-        self.histogram.update_batch(
-            delta.rows[:, 0], weight=delta.weight, multiplicity=delta.counts
+        self.histogram.update_indices(
+            delta.indices([self.table])[:, 0], weight=delta.weight, multiplicity=delta.counts
         )
 
 

@@ -10,30 +10,33 @@ relation whose tuples arrive (and possibly depart) one at a time.  It keeps
   happens, exactly as the paper updates cosine coefficients and atomic
   sketches "whenever a tuple arrives" (section 5.1).
 
-Beyond the paper's per-tuple model, relations also accept *batches*:
-:meth:`StreamRelation.insert_rows` / :meth:`StreamRelation.delete_rows`
-update the exact tensor with one vectorized scatter-add and notify each
-observer once per batch.  Observers that implement ``on_ops(relation, rows,
-kind)`` get the whole batch (and can use their synopsis' vectorized
-kernels); anything exposing only ``on_op`` is fed tuple-by-tuple, so the
-two protocols coexist on one relation.
+Every operation reaches the observers as a *batch*: one arriving tuple is a
+batch of one, which the paper's batch update turns into exactly the
+per-tuple result (Eqs. 3.4-3.5, section 3.2).  :meth:`StreamRelation.process`
+and :meth:`StreamRelation.insert_rows` / :meth:`StreamRelation.delete_rows`
+all update the exact tensor with one vectorized scatter-add and call each
+observer's ``on_ops(relation, rows, kind)`` once.  Duck-typed observers
+exposing only ``on_op`` are fed the batch tuple by tuple.
 
 Synopses that are linear in the frequency vector (cosine sums, AGMS atoms,
 histogram buckets, degree vectors) need only the batch's *delta*: its
 distinct cells and their multiplicities.  :meth:`StreamRelation.batch_delta`
 computes that :class:`BatchDelta` once per batch, the first time an
 observer asks for it, and hands the same object to every later observer.
+The delta's cells are the relation's own domain indices, so an observer
+over unified domains maps them through an :func:`index_map` table instead
+of mapping raw values again.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Iterable, Sequence, TYPE_CHECKING
+from typing import Any, Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.normalization import Domain, distinct_cells
+from ..core.normalization import Domain, as_rows, distinct_cells, index_map
 from .tuples import OpKind, StreamOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -43,15 +46,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Refuse to materialize exact count tensors above this many cells.
 MAX_EXACT_CELLS = 200_000_000
 
+#: One axis' :func:`index_map` table into another domain; ``None`` when the
+#: axis is already on that domain (see :meth:`StreamRelation.index_maps`).
+IndexMap = Optional[NDArray[Any]]
+
 
 class StreamObserver:
     """Base class for synopses that watch a relation's operations live.
 
-    Subclasses must implement :meth:`on_op`; batch-aware subclasses
-    additionally override :meth:`on_ops`, whose default simply replays the
-    batch tuple-by-tuple so per-op observers stay correct under batched
-    ingestion.  Attachment is duck-typed — any object with an ``on_op``
-    method works — but inheriting picks up the batch fallback for free.
+    The relation calls :meth:`on_ops` once per same-kind batch, a single
+    arriving tuple included.  Subclasses override :meth:`on_ops`, or
+    implement :meth:`on_op` and inherit the default, which replays the
+    batch tuple by tuple.  Attachment is duck-typed: any object with an
+    ``on_ops`` or ``on_op`` method works.
     """
 
     #: Stats attribution key (the owning query's method), set by the
@@ -59,7 +66,7 @@ class StreamObserver:
     stats_key: str
 
     def on_op(self, relation: "StreamRelation", op: StreamOp) -> None:
-        """Called once per stream operation, after exact state is updated."""
+        """Called once per tuple by the default :meth:`on_ops`."""
         raise NotImplementedError
 
     def on_ops(self, relation: "StreamRelation", rows: NDArray[Any], kind: OpKind) -> None:
@@ -82,9 +89,10 @@ class BatchDelta:
 
     ``cells`` are the batch's distinct cells as sorted flat indices into
     ``shape``, ``counts`` how many rows hit each, and ``rows`` one raw
-    tuple per cell (its first occurrence in the batch), so synopses over
-    other (unified) domains can map the values themselves.  The tensor
-    changes by ``weight * counts`` at ``cells``.
+    tuple per cell (its first occurrence in the batch), for synopses that
+    read raw values.  Synopses over other (unified) domains read the cells
+    through :meth:`indices`.  The tensor changes by ``weight * counts`` at
+    ``cells``.
     """
 
     def __init__(
@@ -101,6 +109,7 @@ class BatchDelta:
         self.shape = shape
         self.kind = kind
         self._marginals: dict[tuple[int, ...], BatchDelta] = {}
+        self._axes = tuple(range(len(shape)))
 
     @classmethod
     def of(
@@ -115,10 +124,18 @@ class BatchDelta:
         """``+1`` for an insert batch, ``-1`` for a delete batch."""
         return self.kind.value
 
+    def indices(self, maps: Sequence[IndexMap]) -> NDArray[Any]:
+        """The ``(D, k)`` cells as indices of other domains, one map per axis."""
+        if len(self.shape) == 1:
+            table = maps[0]
+            return (self.cells if table is None else table[self.cells])[:, None]
+        axes = np.unravel_index(self.cells, self.shape)
+        return np.stack([a if t is None else t[a] for t, a in zip(maps, axes)], axis=1)
+
     def marginal(self, axes: Sequence[int]) -> "BatchDelta":
         """The delta of the projection onto ``axes`` (cached per batch)."""
         key = tuple(axes)
-        if key == tuple(range(len(self.shape))):
+        if key == self._axes:
             return self
         cached = self._marginals.get(key)
         if cached is None:
@@ -156,6 +173,8 @@ class StreamRelation:
         self.attributes = tuple(attributes)
         self.domains = tuple(domains)
         self.counts = np.zeros(tuple(d.size for d in domains), dtype=np.int64)
+        #: Whether raw int64 values are their own indices (0-based ranges).
+        self._raw_indices = all(not d.is_categorical and d.low == 0 for d in domains)
         self._count = 0
         self._observers: list[StreamObserver] = []
         #: Optional counters shared with an owning engine (see
@@ -195,21 +214,22 @@ class StreamRelation:
 
     # ------------------------------------------------------------------ #
 
-    def indices_of(self, values: Sequence[Any]) -> tuple[int, ...]:
-        """Map one raw tuple to per-attribute domain indices."""
-        if len(values) != self.ndim:
-            raise ValueError(
-                f"{self.name} has {self.ndim} attributes, tuple has {len(values)}"
-            )
-        return tuple(d.index_of(v) for d, v in zip(self.domains, values))
+    def index_maps(self, axes: Sequence[int], domains: Sequence[Domain]) -> list[IndexMap]:
+        """Per axis, the :data:`IndexMap` from its domain into ``domains``."""
+        return [
+            None if self.domains[a] == d else index_map(self.domains[a], d)
+            for a, d in zip(axes, domains)
+        ]
 
     def rows_array(self, rows: Sequence[Sequence[Any]] | NDArray[Any]) -> NDArray[Any]:
         """Coerce a batch of raw tuples into a ``(B, ndim)`` array.
 
         A 1-d input is accepted for single-attribute relations (a batch of
         scalars); multi-attribute relations require one row per tuple.
+        Rows mixing strings with other values keep each value's own type
+        (an object array; see :func:`as_rows`).
         """
-        arr = np.asarray(rows)
+        arr = as_rows(rows)
         if arr.size == 0 and arr.ndim <= 1:
             # An empty batch has no rows to carry shape information; make
             # it an explicit well-formed no-op instead of a shape error.
@@ -238,9 +258,7 @@ class StreamRelation:
         ``tests/fastpath/test_zero_copy.py``).
         """
         arr = self.rows_array(rows)
-        if arr.dtype == np.int64 and all(
-            not d.is_categorical and d.low == 0 for d in self.domains
-        ):
+        if arr.dtype == np.int64 and self._raw_indices:
             for j, d in enumerate(self.domains):
                 d.indices_of(arr[:, j])  # bounds check only; returns the view
             return arr
@@ -248,65 +266,23 @@ class StreamRelation:
         return np.stack(columns, axis=1)
 
     # ------------------------------------------------------------------ #
-    # per-tuple path
+    # ingest
     # ------------------------------------------------------------------ #
 
     def process(self, op: StreamOp) -> None:
-        """Apply one stream operation and notify observers.
+        """Apply one stream operation as a one-row batch, counted per tuple.
 
-        With a tracer attached *and 1-in-N sampling enabled*, the apply is
-        recorded as a sampled ``process_op`` span: a sampled-out tuple pays
-        one integer decrement instead of two clock reads.  Without
-        ``sample_every`` the per-tuple path stays span-free, as before —
-        recording every tuple would cost exactly the per-tuple overhead
-        the sampling item exists to remove (``sample_every=1`` opts into
-        tracing every tuple explicitly).
+        A tracer records it only under 1-in-N sampling (``sample_every``;
+        ``1`` traces every tuple): recording every tuple would cost the
+        per-tuple overhead sampling exists to remove.  A sampled operation
+        records the batch spans, ``ingest_batch`` with count 1 and its
+        ``observer_update`` events.
         """
-        tracer = self.tracer
-        if tracer is not None and tracer.sample_every is not None and tracer.take():
-            start = perf_counter()
-            try:
-                self._process_inner(op)
-            finally:
-                tracer.record(
-                    "process_op",
-                    perf_counter() - start,
-                    start=start,
-                    relation=self.name,
-                    kind=op.kind.name.lower(),
-                )
-            return
-        self._process_inner(op)
-
-    def _process_inner(self, op: StreamOp) -> None:
-        idx = self.indices_of(op.values)
-        if op.kind is OpKind.DELETE and self.counts[idx] == 0:
-            raise ValueError(f"deleting tuple {op.values} that {self.name} does not hold")
-        self.counts[idx] += op.weight
-        self._count += op.weight
-        stats = self.stats
-        handler = self.fault_handler
-        if stats is None and handler is None:
-            for observer in self._observers:
-                observer.on_op(self, op)
-            return
-        if stats is not None:
-            stats.record_ops(1, op.kind, batched=False, relation=self.name)
-        # Copy only when a fault handler is attached: it may quarantine
-        # (detach) the failing observer while we are walking the list.
-        if handler is None:
-            observers = self._observers
-        else:
-            observers = list(self._observers)  # repro: noqa[REP006]
-        for observer in observers:
-            start = perf_counter() if stats is not None else 0.0
-            try:
-                observer.on_op(self, op)
-            except Exception as exc:
-                if handler is None or not handler(self, observer, exc):
-                    raise
-            if stats is not None:
-                stats.record_observer(_stats_key(observer), perf_counter() - start, 1)
+        if len(op.values) != self.ndim:
+            raise ValueError(
+                f"{self.name} has {self.ndim} attributes, tuple has {len(op.values)}"
+            )
+        self._apply_rows(self.rows_array([op.values]), op.kind, batched=False)
 
     def insert(self, values: Sequence[Any]) -> None:
         """Convenience: process an insertion of one raw tuple."""
@@ -315,10 +291,6 @@ class StreamRelation:
     def delete(self, values: Sequence[Any]) -> None:
         """Convenience: process a deletion of one raw tuple."""
         self.process(StreamOp(tuple(values), OpKind.DELETE))
-
-    # ------------------------------------------------------------------ #
-    # batch path
-    # ------------------------------------------------------------------ #
 
     def insert_rows(self, rows: Sequence[Sequence[Any]] | NDArray[Any]) -> None:
         """Process a batch of insertions with one scatter-add and one notify.
@@ -355,17 +327,19 @@ class StreamRelation:
             assert run_kind is not None
             self._apply_rows(self.rows_array(run), run_kind)
 
-    def _apply_rows(self, arr: NDArray[Any], kind: OpKind) -> None:
+    def _apply_rows(self, arr: NDArray[Any], kind: OpKind, batched: bool = True) -> None:
         """Vectorized core: update exact counts, then notify once.
 
         With a :attr:`tracer` attached, the whole apply is wrapped in an
         ``ingest_batch`` span and each observer update is emitted as an
         ``observer_update`` event (reusing the duration the stats layer
-        measured, so tracing adds no extra clock reads per observer).
+        measured, so tracing adds no extra clock reads per observer).  A
+        per-tuple apply (``batched=False``) is traced only under 1-in-N
+        sampling.
         """
         tracer = self.tracer
-        if tracer is None:
-            self._apply_rows_inner(arr, kind)
+        if tracer is None or not (batched or tracer.sample_every is not None):
+            self._apply_rows_inner(arr, kind, None, batched)
         else:
             with tracer.span(
                 "ingest_batch",
@@ -373,7 +347,7 @@ class StreamRelation:
                 relation=self.name,
                 kind=kind.name.lower(),
             ):
-                self._apply_rows_inner(arr, kind)
+                self._apply_rows_inner(arr, kind, tracer, batched)
 
     def batch_delta(self, rows: NDArray[Any], kind: OpKind) -> BatchDelta:
         """The :class:`BatchDelta` of a same-kind batch of raw ``rows``.
@@ -390,7 +364,20 @@ class StreamRelation:
             self._delta = BatchDelta.of(batch[0], batch[1], self.counts.shape, kind)
         return self._delta
 
-    def _apply_rows_inner(self, arr: NDArray[Any], kind: OpKind) -> None:
+    def batch_indices(self, rows: NDArray[Any]) -> NDArray[Any]:
+        """The ``(B, ndim)`` domain indices of a batch of raw ``rows``.
+
+        While a batch is being applied, its rows' indices are the ones the
+        apply computed; any other ``rows`` are mapped afresh.
+        """
+        batch = self._batch
+        if batch is None or rows is not batch[0]:
+            return self.indices_of_rows(rows)
+        return batch[1]
+
+    def _apply_rows_inner(
+        self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool
+    ) -> None:
         idx = self.indices_of_rows(arr)
         delta: BatchDelta | None = None
         if kind is OpKind.DELETE:
@@ -401,7 +388,7 @@ class StreamRelation:
             cells = np.unravel_index(delta.cells, self.counts.shape)
             short = delta.counts > self.counts[cells]
             if short.any():
-                bad = tuple(v.item() for v in delta.rows[np.argmax(short)])
+                bad = tuple(delta.rows[np.argmax(short)].tolist())
                 raise ValueError(
                     f"deleting tuple {bad} that {self.name} does not hold"
                 )
@@ -415,24 +402,25 @@ class StreamRelation:
             flat = (
                 idx[:, 0]
                 if idx.shape[1] == 1
-                else np.ravel_multi_index(tuple(idx.T), self.counts.shape)
+                else np.ravel_multi_index(idx.T, self.counts.shape)
             )
             np.add.at(self.counts.reshape(-1), flat, 1)
             self._count += idx.shape[0]
         self._batch = (arr, idx, kind)
         self._delta = delta
         try:
-            self._notify(arr, kind)
+            self._notify(arr, kind, tracer, batched)
         finally:
             self._batch = None
             self._delta = None
 
-    def _notify(self, arr: NDArray[Any], kind: OpKind) -> None:
+    def _notify(
+        self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool
+    ) -> None:
         """Hand one applied batch to every attached observer."""
         stats = self.stats
-        tracer = self.tracer
         if stats is not None:
-            stats.record_ops(arr.shape[0], kind, batched=True, relation=self.name)
+            stats.record_ops(arr.shape[0], kind, batched=batched, relation=self.name)
         # One sampling decision covers the whole batch: a sampled-out batch
         # with no stats attached skips every per-observer clock read.
         traced = tracer is not None and tracer.take()
@@ -445,9 +433,8 @@ class StreamRelation:
             try:
                 if handler is not None:
                     handler(self, arr, kind)
-                else:
-                    for row in arr:
-                        observer.on_op(self, StreamOp(tuple(row), kind))
+                else:  # duck-typed, on_op only
+                    StreamObserver.on_ops(observer, self, arr, kind)
             except Exception as exc:
                 if fault_handler is None or not fault_handler(self, observer, exc):
                     raise

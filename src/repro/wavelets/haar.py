@@ -21,12 +21,38 @@ the comparison is reproducible:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.normalization import Domain
+from ..core.normalization import Domain, distinct_cells
+
+#: (pass, value) entries a scatter-add block of
+#: :meth:`HaarSynopsis.update_indices` may hold even when that is more than
+#: three quarters of a pass's worth.  Beyond those bounds, its arrays and the
+#: ufunc buffers numpy allocates to broadcast them outgrow the per-pass
+#: loop's peak (tracemalloc, 256 to 65,536 rows).
+_BLOCK_ENTRIES = 2048
+
+
+@lru_cache(maxsize=None)
+def _levels(size: int) -> tuple[Any, ...]:
+    """``(sqrt(size), bits, shifts, halves, scales, -scales)`` of a transform.
+
+    Pass ``l`` (finest first) adds a unit at ``j`` to coefficient
+    ``halves[l] + (j >> shifts[l])`` with magnitude ``1 / scales[l]`` and the
+    sign of ``j & bits[l]`` (see :meth:`HaarSynopsis.update`).  Each array is
+    a read-only ``(passes, 1)`` column.
+    """
+    levels = np.arange(size.bit_length() - 1)[:, None]
+    halves = size >> (levels + 1)
+    scales = np.sqrt(size / halves)
+    arrays = (1 << levels, levels + 1, halves, scales, -scales)
+    for array in arrays:
+        array.flags.writeable = False
+    return (np.sqrt(size), *arrays)
 
 
 def _padded_size(n: int) -> int:
@@ -169,34 +195,56 @@ class HaarSynopsis:
             length = half
         self._count += weight
 
-    def update_batch(self, values: Sequence[Any] | NDArray[Any], weight: int = 1) -> None:
+    def update_batch(
+        self,
+        values: Sequence[Any] | NDArray[Any],
+        weight: int = 1,
+        multiplicity: NDArray[Any] | None = None,
+    ) -> None:
         """Process a batch of insertions (``weight=1``) or deletions (-1).
 
         Identical final state to calling :meth:`update` per value (up to
-        float summation order): duplicates are aggregated first, then each
-        resolution level's touched coefficients get one scatter-add, so the
-        work is O(distinct values x log n) instead of O(values x log n).
+        float summation order): duplicates are aggregated first
+        (``multiplicity`` counts each value that many times), then every
+        pass's detail shares go in with one scatter-add per block of
+        distinct values: O(distinct values x log n) work.  Passes touch
+        disjoint coefficients and a block holds consecutive sorted values,
+        so each coefficient gets its shares in ascending value order, as a
+        pass-by-pass loop adds them.  A block holds at most one pass's worth
+        of entries: three quarters of it, or ``_BLOCK_ENTRIES`` if more.
         """
-        indices = self.domain.indices_of(values)
+        self.update_indices(self.domain.indices_of(values), weight, multiplicity)
+
+    def update_indices(
+        self, indices: NDArray[Any], weight: int = 1, multiplicity: NDArray[Any] | None = None
+    ) -> None:
+        """:meth:`update_batch` over domain indices instead of raw values."""
         if indices.size == 0:
             return
-        unique, multiplicity = np.unique(indices, return_counts=True)
-        mass = weight * multiplicity.astype(float)
-        size = self._size
-        self._coefficients[0] += mass.sum() / np.sqrt(size)
-        length = size
-        position = unique.copy()
-        while length > 1:
-            half = length // 2
-            sign = np.where(position % 2 == 0, 1.0, -1.0)
-            np.add.at(
-                self._coefficients,
-                half + position // 2,
-                mass * sign / np.sqrt(size / half),
-            )
-            position //= 2
-            length = half
-        self._count += weight * int(indices.shape[0])
+        if multiplicity is None:
+            unique, counts = np.unique(indices, return_counts=True)
+        else:
+            unique, _, counts = distinct_cells(indices[:, None], (self.domain.size,), multiplicity)
+        mass = counts * float(weight)
+        del counts  # the blocks below are the peak; hold only what they read
+        root, bits, shifts, halves, scales, negated = _levels(self._size)
+        passes = max(1, bits.shape[0])
+        entries = max(_BLOCK_ENTRIES, 3 * unique.shape[0] // 4)
+        block = min(-(-unique.shape[0] // passes), max(1, entries // passes))
+        start = 0
+        while start < unique.shape[0]:
+            stop = start + block
+            # mass / -scale is -(mass / scale) exactly: the sign of update's
+            # (weight * sign) / scale
+            shares = mass[start:stop] / np.where(unique[start:stop] & bits, negated, scales)
+            targets = unique[start:stop] >> shifts
+            targets += halves
+            np.add.at(self._coefficients, targets.ravel(), shares.ravel())
+            start = stop
+        # the overall average: no pass above touches coefficient 0
+        total = mass.sum()
+        self._coefficients[0] += total / root
+        self._count += int(total)
 
     def top_coefficients(self) -> tuple[NDArray[Any], NDArray[Any]]:
         """(indices, values) of the ``budget`` largest-|.| coefficients."""

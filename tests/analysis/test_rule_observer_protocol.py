@@ -1,10 +1,12 @@
-"""REP005: observer batch protocol and read-path purity."""
+"""REP005: observer read-path purity."""
 
 from .conftest import findings_for
 
 
 class TestBatchProtocol:
-    def test_on_ops_without_on_op_is_flagged(self, project):
+    def test_on_ops_only_observer_is_fine(self, project):
+        # Relations deliver every operation through on_ops, a single
+        # tuple included, so an observer needs no on_op.
         root = project(
             {
                 "src/pkg/a.py": '''
@@ -16,9 +18,7 @@ class TestBatchProtocol:
                 ''',
             }
         )
-        findings = findings_for(root, "REP005")
-        assert len(findings) == 1
-        assert "on_op" in findings[0].message
+        assert findings_for(root, "REP005") == []
 
     def test_both_hooks_defined_is_fine(self, project):
         root = project(
@@ -50,29 +50,6 @@ class TestBatchProtocol:
             }
         )
         assert findings_for(root, "REP005") == []
-
-    def test_indirect_subclass_without_on_op_is_flagged(self, project):
-        root = project(
-            {
-                "src/pkg/middle.py": '''
-                    from repro.streams import StreamObserver
-
-                    class Middle(StreamObserver):
-                        pass
-                ''',
-                "src/pkg/leaf.py": '''
-                    from .middle import Middle
-
-                    class Leaf(Middle):
-                        def on_ops(self, relation, rows, kind):
-                            pass
-                ''',
-            }
-        )
-        findings = findings_for(root, "REP005")
-        assert len(findings) == 1
-        assert findings[0].path == "src/pkg/leaf.py"
-        assert "Leaf defines the batched on_ops" in findings[0].message
 
     def test_inherited_on_op_is_fine(self, project):
         root = project(

@@ -319,9 +319,11 @@ class TestSampling:
         engine.delete("R1", (3,))
         tracer = engine.telemetry.tracer
         assert tracer.sample_every == 1
-        events = tracer.events("process_op")
+        events = tracer.events("ingest_batch")
         assert [e.attrs["kind"] for e in events] == ["insert", "delete"]
         assert all(e.attrs["relation"] == "R1" for e in events)
+        assert all(e.count == 1 for e in events)
+        assert len(tracer.events("observer_update")) == 2  # one cosine observer
 
     def test_engine_sampling_thins_observer_updates(self):
         engine = make_engine(trace_sample_every=64)
