@@ -18,40 +18,83 @@ Quickstart::
     a.insert_batch(np.random.default_rng(0).integers(0, 1000, size=(5000, 1)))
     b.insert_batch(np.random.default_rng(1).integers(0, 1000, size=(5000, 1)))
     print(estimate_join_size(a, b))
+
+Every name is imported from its subpackage on first use, so ``import
+repro`` loads neither numpy nor any estimator: a process such as the
+``serve`` daemon can configure numpy's environment before it loads.
 """
 
-from .core import (
-    CosineSynopsis,
-    DecayedCosineSynopsis,
-    Domain,
-    SlidingWindowSynopsis,
-    JoinPredicate,
-    estimate_band_join_size,
-    estimate_chain_join_size,
-    estimate_decayed_join_size,
-    estimate_inequality_join_size,
-    estimate_join_size,
-    estimate_selected_join_size,
-    estimate_multijoin_size,
-    estimate_point_count,
-    estimate_range_count,
-    estimate_self_join_size,
-    estimate_theta_join_size,
-    synopses_for_budget,
-    unify_domains,
-)
-from .obs import Telemetry
-from .streams import (
-    ContinuousQueryEngine,
-    JoinQuery,
-    StreamEngine,
-    StreamRelation,
-    exact_join_size,
-    exact_multijoin_size,
-    relative_error,
-)
+from typing import TYPE_CHECKING
 
-__version__ = "1.23.0"
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .core import (
+        CosineSynopsis,
+        DecayedCosineSynopsis,
+        Domain,
+        SlidingWindowSynopsis,
+        JoinPredicate,
+        estimate_band_join_size,
+        estimate_chain_join_size,
+        estimate_decayed_join_size,
+        estimate_inequality_join_size,
+        estimate_join_size,
+        estimate_selected_join_size,
+        estimate_multijoin_size,
+        estimate_point_count,
+        estimate_range_count,
+        estimate_self_join_size,
+        estimate_theta_join_size,
+        synopses_for_budget,
+        unify_domains,
+    )
+    from .obs import Telemetry
+    from .streams import (
+        ContinuousQueryEngine,
+        JoinQuery,
+        StreamEngine,
+        StreamRelation,
+        exact_join_size,
+        exact_multijoin_size,
+        relative_error,
+    )
+
+_EXPORTS = {
+    ".core": (
+        "CosineSynopsis",
+        "DecayedCosineSynopsis",
+        "Domain",
+        "SlidingWindowSynopsis",
+        "JoinPredicate",
+        "estimate_band_join_size",
+        "estimate_chain_join_size",
+        "estimate_decayed_join_size",
+        "estimate_inequality_join_size",
+        "estimate_join_size",
+        "estimate_selected_join_size",
+        "estimate_multijoin_size",
+        "estimate_point_count",
+        "estimate_range_count",
+        "estimate_self_join_size",
+        "estimate_theta_join_size",
+        "synopses_for_budget",
+        "unify_domains",
+    ),
+    ".obs": ("Telemetry",),
+    ".streams": (
+        "ContinuousQueryEngine",
+        "JoinQuery",
+        "StreamEngine",
+        "StreamRelation",
+        "exact_join_size",
+        "exact_multijoin_size",
+        "relative_error",
+    ),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__version__ = "1.24.0"
 
 __all__ = [
     "CosineSynopsis",

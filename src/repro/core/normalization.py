@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Hashable, Sequence
+from itertools import chain, repeat
+from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -187,17 +188,19 @@ def as_rows(rows: Any) -> NDArray[Any]:
     numpy turns a row such as ``("austin", 30)`` into strings (``"30"``),
     and so a categorical value list such as ``[1.5, "a"]``.  When that
     happens to values that were not all strings, the rows come back as an
-    object array of the original values instead.  An array is returned as
-    it is.
+    object array of the original values instead.  The values' types are
+    read from ``rows`` itself, so all-string rows are converted once.  An
+    array is returned as it is.
     """
     arr = np.asarray(rows)
-    if isinstance(rows, np.ndarray):
+    if isinstance(rows, np.ndarray) or arr.dtype.kind not in "US":
         return arr
-    if arr.dtype.kind in "US":
-        values = np.asarray(rows, dtype=object)
-        if not all(issubclass(kind, (str, bytes)) for kind in set(map(type, values.flat))):
-            return values
-    return arr
+    values: Iterable[Any] = rows
+    for _ in range(arr.ndim - 1):
+        values = chain.from_iterable(values)
+    if all(map(isinstance, values, repeat((str, bytes)))):
+        return arr
+    return np.asarray(rows, dtype=object)
 
 
 def index_map(original: Domain, unified: Domain) -> NDArray[Any]:

@@ -69,9 +69,7 @@ _EXPORTS = {
         "skew_sweep",
     ),
 }
-__getattr__ = lazy_exports(
-    __name__, {name: module for module, names in _EXPORTS.items() for name in names}
-)
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "FIGURES",

@@ -26,19 +26,18 @@ any batch boundary and, after the supervised restart + journal replay,
 every estimation method answers identically to an engine that never
 crashed.
 
-Only :class:`FleetClient` is imported with the package.  The other names
-are imported on first use: the executor and supervisor load
+Every name is imported on first use: the executor and supervisor load
 ``multiprocessing`` and the serve daemon ``asyncio``, none of which a
-client needs.
+client needs, and the daemon never needs the client.
 """
 
 from typing import TYPE_CHECKING
 
 from .._lazy import lazy_exports
-from .client import FleetClient
 
 if TYPE_CHECKING:
     from ..sharding.executor import WorkerGone
+    from .client import FleetClient
     from .executor import SocketExecutor
     from .serve import FleetServer
     from .supervisor import ShardSupervisor
@@ -46,10 +45,11 @@ if TYPE_CHECKING:
 __getattr__ = lazy_exports(
     __name__,
     {
-        "FleetServer": ".serve",
-        "ShardSupervisor": ".supervisor",
-        "SocketExecutor": ".executor",
-        "WorkerGone": "..sharding.executor",
+        ".client": ("FleetClient",),
+        ".serve": ("FleetServer",),
+        ".supervisor": ("ShardSupervisor",),
+        ".executor": ("SocketExecutor",),
+        "..sharding.executor": ("WorkerGone",),
     },
 )
 

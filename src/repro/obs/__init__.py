@@ -22,33 +22,52 @@ Quickstart::
     print(tracker.summary())                     # streaming relative error
     print(prometheus_text(engine.telemetry.registry))   # /metrics payload
 
-:class:`~repro.obs.server.MetricsServer` is imported on first use: it
-loads ``http.server`` (and with it ``email``, ``ssl`` and
-``mimetypes``), which a process that serves no ``/metrics`` never needs.
+Every name is imported from its submodule on first use.
+:class:`~repro.obs.server.MetricsServer` loads ``http.server`` (and with
+it ``email``, ``ssl`` and ``mimetypes``), which a process that serves no
+``/metrics`` never needs, and the exporters load the resilience layer's
+retry policy, which an engine never needs.
 """
 
 from typing import TYPE_CHECKING
 
 from .._lazy import lazy_exports
-from .accuracy import AccuracyTracker, relative_error_of
-from .exporters import JsonlSnapshotWriter, prometheus_text, render_dashboard
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    RELATIVE_ERROR_BUCKETS,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricFamily,
-    MetricsRegistry,
-    catalog_mismatches,
-)
-from .telemetry import Telemetry
-from .tracing import DEFAULT_TRACE_CAPACITY, SpanEvent, TraceContext, Tracer
 
 if TYPE_CHECKING:
+    from .accuracy import AccuracyTracker, relative_error_of
+    from .exporters import JsonlSnapshotWriter, prometheus_text, render_dashboard
+    from .metrics import (
+        DEFAULT_LATENCY_BUCKETS,
+        RELATIVE_ERROR_BUCKETS,
+        Counter,
+        Gauge,
+        LatencyHistogram,
+        MetricFamily,
+        MetricsRegistry,
+        catalog_mismatches,
+    )
     from .server import MetricsServer
+    from .telemetry import Telemetry
+    from .tracing import DEFAULT_TRACE_CAPACITY, SpanEvent, TraceContext, Tracer
 
-__getattr__ = lazy_exports(__name__, {"MetricsServer": ".server"})
+_EXPORTS = {
+    ".accuracy": ("AccuracyTracker", "relative_error_of"),
+    ".exporters": ("JsonlSnapshotWriter", "prometheus_text", "render_dashboard"),
+    ".metrics": (
+        "DEFAULT_LATENCY_BUCKETS",
+        "RELATIVE_ERROR_BUCKETS",
+        "Counter",
+        "Gauge",
+        "LatencyHistogram",
+        "MetricFamily",
+        "MetricsRegistry",
+        "catalog_mismatches",
+    ),
+    ".server": ("MetricsServer",),
+    ".telemetry": ("Telemetry",),
+    ".tracing": ("DEFAULT_TRACE_CAPACITY", "SpanEvent", "TraceContext", "Tracer"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AccuracyTracker",

@@ -28,32 +28,67 @@ supplies the mechanisms, each independent and individually testable:
 * **Chaos harness** (:mod:`~repro.resilience.chaos`): deterministic
   fault injectors (flaky observers, failing filesystems, crash-at-N)
   powering the ``tests/resilience`` suite's recovery properties.
+
+Every name is imported from its submodule on first use.
 """
 
-from .chaos import (
-    ChaosError,
-    CrashingIngest,
-    FailingFilesystem,
-    FlakyIO,
-    FlakyObserver,
-    SimulatedCrash,
-)
-from .checkpoint import (
-    FORMAT_MAGIC,
-    FORMAT_VERSION,
-    CheckpointStore,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .deadletter import DeadLetter, DeadLetterBuffer, ReplayReport, validate_rows
-from .errors import (
-    CheckpointError,
-    CheckpointIntegrityError,
-    DegradedQueryError,
-    ResilienceError,
-)
-from .journal import CommandJournal, JournalEntry
-from .retry import RetryPolicy, retry_io
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .chaos import (
+        ChaosError,
+        CrashingIngest,
+        FailingFilesystem,
+        FlakyIO,
+        FlakyObserver,
+        SimulatedCrash,
+    )
+    from .checkpoint import (
+        FORMAT_MAGIC,
+        FORMAT_VERSION,
+        CheckpointStore,
+        read_checkpoint,
+        write_checkpoint,
+    )
+    from .deadletter import DeadLetter, DeadLetterBuffer, ReplayReport, validate_rows
+    from .errors import (
+        CheckpointError,
+        CheckpointIntegrityError,
+        DegradedQueryError,
+        ResilienceError,
+    )
+    from .journal import CommandJournal, JournalEntry
+    from .retry import RetryPolicy, retry_io
+
+_EXPORTS = {
+    ".chaos": (
+        "ChaosError",
+        "CrashingIngest",
+        "FailingFilesystem",
+        "FlakyIO",
+        "FlakyObserver",
+        "SimulatedCrash",
+    ),
+    ".checkpoint": (
+        "FORMAT_MAGIC",
+        "FORMAT_VERSION",
+        "CheckpointStore",
+        "read_checkpoint",
+        "write_checkpoint",
+    ),
+    ".deadletter": ("DeadLetter", "DeadLetterBuffer", "ReplayReport", "validate_rows"),
+    ".errors": (
+        "CheckpointError",
+        "CheckpointIntegrityError",
+        "DegradedQueryError",
+        "ResilienceError",
+    ),
+    ".journal": ("CommandJournal", "JournalEntry"),
+    ".retry": ("RetryPolicy", "retry_io"),
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ChaosError",

@@ -17,8 +17,10 @@ queues are how poison streams take whole processes down.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -238,15 +240,41 @@ def _row_tuple(row: Any) -> tuple[Any, ...]:
 
 
 def _finite_mask(arr: NDArray[Any]) -> NDArray[Any]:
-    """Per-row all-finite mask; non-numeric dtypes are vacuously finite."""
+    """Per-row all-finite mask; only float values can be non-finite.
+
+    An object array is checked column by column, and only in the columns
+    that hold a float.
+    """
     if np.issubdtype(arr.dtype, np.floating):
         return np.asarray(np.isfinite(arr).all(axis=1), dtype=bool)
+    keep = np.ones(arr.shape[0], dtype=bool)
     if arr.dtype == object:
-        def ok(v: Any) -> bool:
-            return not (isinstance(v, float) and not np.isfinite(v))
+        for column in arr.T:
+            if any(map(isinstance, column, repeat(float))):
+                keep &= [not (isinstance(v, float) and not math.isfinite(v)) for v in column]
+    return keep
 
-        return np.array([all(ok(v) for v in row) for row in arr], dtype=bool)
-    return np.ones(arr.shape[0], dtype=bool)
+
+def _clean_rows(
+    relation: "StreamRelation",
+    arr: NDArray[Any],
+    rejects: list[tuple[tuple[Any, ...], str]],
+) -> NDArray[Any]:
+    """The finite, in-domain rows of a ``(B, ndim)`` array, in input order.
+
+    The other rows go to ``rejects``: the non-finite ones first, then the
+    out-of-domain ones, each group in input order.
+    """
+    keep = _finite_mask(arr)
+    for row in arr[~keep]:
+        rejects.append((_row_tuple(row), REASON_NON_FINITE))
+    candidate = arr[keep]
+    domain_ok = np.ones(candidate.shape[0], dtype=bool)
+    for j, domain in enumerate(relation.domains):
+        domain_ok &= domain.contains(candidate[:, j])
+    for row in candidate[~domain_ok]:
+        rejects.append((_row_tuple(row), REASON_OUT_OF_DOMAIN))
+    return candidate[domain_ok]
 
 
 def validate_rows(
@@ -258,7 +286,10 @@ def validate_rows(
     (NaN/inf are rejected before they can reach the exact tensor's
     integer scatter-add), and domain membership per attribute.  The
     clean array preserves input order and is safe to hand to
-    :meth:`StreamRelation.insert_rows` / ``delete_rows`` unchanged.
+    :meth:`StreamRelation.insert_rows` / ``delete_rows`` unchanged.  A
+    batch that coerces to a ``(B, ndim)`` array, mixed rows such as
+    ``("austin", 30)`` included, is checked column by column; only a
+    ragged batch is normalized row by row.
     """
     ndim = relation.ndim
     arr: NDArray[Any] | None
@@ -266,31 +297,17 @@ def validate_rows(
         arr = as_rows(rows)
     except ValueError:  # ragged nested sequences refuse to coerce at all
         arr = None
-    if (
-        arr is not None
-        and arr.dtype != object
-        and (arr.ndim == 2 and arr.shape[1] == ndim or (arr.ndim == 1 and ndim == 1))
-    ):
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        rejects: list[tuple[tuple[Any, ...], str]] = []
-        keep = _finite_mask(arr)
-        for row in arr[~keep]:
-            rejects.append((_row_tuple(row), REASON_NON_FINITE))
-        candidate = arr[keep]
-        domain_ok = np.ones(candidate.shape[0], dtype=bool)
-        for j, domain in enumerate(relation.domains):
-            domain_ok &= domain.contains(candidate[:, j])
-        for row in candidate[~domain_ok]:
-            rejects.append((_row_tuple(row), REASON_OUT_OF_DOMAIN))
-        return candidate[domain_ok], rejects
+    rejects: list[tuple[tuple[Any, ...], str]] = []
+    if arr is not None and arr.ndim == 1 and ndim == 1 and arr.dtype != object:
+        arr = arr[:, None]
+    if arr is not None and arr.ndim == 2 and arr.shape[1] == ndim:
+        return _clean_rows(relation, arr, rejects), rejects
 
-    # Ragged / mixed-type input: fall back to per-row normalization.
+    # Ragged input (or a 1-d object array, whose items may be rows):
+    # check each row's arity, then the rest on the rows that fit.
     source = rows if arr is None or arr.ndim == 0 else arr
-    row_list = [_row_tuple(row) for row in source]
-    rejects = []
     good: list[tuple[Any, ...]] = []
-    for row in row_list:
+    for row in map(_row_tuple, source):
         if len(row) != ndim:
             rejects.append((row, REASON_ARITY))
         else:
@@ -303,13 +320,4 @@ def validate_rows(
         for i, row in enumerate(good):
             for j, value in enumerate(row):
                 good_arr[i, j] = value
-    keep = _finite_mask(good_arr)
-    for row in good_arr[~keep]:
-        rejects.append((_row_tuple(row), REASON_NON_FINITE))
-    candidate = good_arr[keep]
-    domain_ok = np.ones(candidate.shape[0], dtype=bool)
-    for j, domain in enumerate(relation.domains):
-        domain_ok &= domain.contains(candidate[:, j])
-    for row in candidate[~domain_ok]:
-        rejects.append((_row_tuple(row), REASON_OUT_OF_DOMAIN))
-    return candidate[domain_ok], rejects
+    return _clean_rows(relation, good_arr, rejects), rejects

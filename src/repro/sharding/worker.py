@@ -51,6 +51,14 @@ from ..resilience.errors import CheckpointError
 from ..streams.engine import StreamEngine
 from ..streams.tuples import OpKind
 
+# What every shard loads on first use: numpy.random (sign families and
+# samples draw from it) and the bounds layer (bounded queries).  A
+# coordinator imports this module before it forks its shards, so they
+# inherit both instead of each importing them after the fork, alongside
+# the other shards, on the same cores.
+import numpy.random  # noqa: F401
+from .. import bounds  # noqa: F401
+
 __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",

@@ -28,6 +28,13 @@ from numpy.typing import NDArray
 from ..core.normalization import Domain, distinct_cells
 from .hashing import SignFamily, _block_slices
 
+#: Bytes of float64 signs one step of a registration's contraction holds:
+#: 257 values at ``S = 255``, two hashing blocks.  A product's inner
+#: dimension is the block's width, and BLAS runs a narrow one slowly: on
+#: R2's 1,024 x 256 chain tensor, blocks of 128 values take 1.16x as long
+#: (two OpenBLAS threads), while 514 values save 4% more for 1.1 MB more.
+CONTRACTION_BLOCK_BYTES = 1 << 19
+
 
 def split_budget(budget: int, num_medians: int | None = None) -> tuple[int, int]:
     """Split an atomic-sketch budget into (means ``s1``, medians ``s2``).
@@ -204,7 +211,8 @@ class AGMSSketch:
         Equivalent to streaming every tuple through :meth:`update`, computed
         by contracting the count tensor with each attribute's signs, one
         block of values at a time: no call holds more than one block of
-        signs in float64 beyond the family's own table.
+        signs in float64 (:data:`CONTRACTION_BLOCK_BYTES`) beyond the
+        family's own table.
         """
         sketch = cls(families, num_means, num_medians)
         counts = np.asarray(counts)
@@ -224,13 +232,14 @@ class AGMSSketch:
         tensor = np.zeros((size, counts[:1].size))
         product = np.empty_like(tensor)
         for values, signs in _domain_signs(first):
-            np.matmul(signs, counts[values].reshape(signs.shape[1], -1).astype(float), out=product)
+            block = counts[values].reshape(signs.shape[1], -1).astype(float)
+            np.matmul(signs.astype(float), block, out=product)
             tensor += product
         tensor = tensor.reshape((size,) + counts.shape[1:])
         for fam in rest:
             contracted = np.zeros((size,) + tensor.shape[2:])
             for values, signs in _domain_signs(fam):
-                contracted += np.einsum("sj...,sj->s...", tensor[:, values], signs)
+                contracted += np.einsum("sj...,sj->s...", tensor[:, values], signs.astype(float))
             tensor = contracted
         sketch.atoms = tensor
         sketch._count = int(counts.sum())
@@ -252,16 +261,19 @@ class AGMSSketch:
         )
 
 
-def _domain_signs(family: SignFamily) -> Iterator[tuple[slice, NDArray[np.float64]]]:
-    """Yield ``(values, signs)`` over the family's domain, one hashing block each.
+def _domain_signs(family: SignFamily) -> Iterator[tuple[slice, NDArray[np.int8]]]:
+    """Yield ``(values, signs)`` over the family's domain, one block each.
 
-    ``signs`` is the ``(S, len(values))`` float64 copy of the block's signs,
-    read from the table when the family keeps one (filled in one pass
-    first) and hashed otherwise.
+    ``signs`` is the block's ``(S, len(values))`` int8 signs, read from the
+    table when the family keeps one (filled in one pass first) and hashed
+    otherwise; their float64 copy takes at most
+    :data:`CONTRACTION_BLOCK_BYTES`.  Callers cast a block where they use
+    it, so no float copy outlives its product.
     """
     family.fill(np.arange(family.domain_size))
-    for values in _block_slices(family.domain_size, family.num_functions):
-        yield values, family.signs(np.arange(values.start, values.stop)).astype(float)
+    block_cells = CONTRACTION_BLOCK_BYTES // 8  # float64 signs
+    for values in _block_slices(family.domain_size, family.num_functions, block_cells):
+        yield values, family.signs(np.arange(values.start, values.stop))
 
 
 def median(values: NDArray[Any], axis: int = -1) -> NDArray[Any]:

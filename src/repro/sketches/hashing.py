@@ -42,13 +42,15 @@ HASH_BLOCK_CELLS = 1 << 15
 SIGN_TABLE_MAX_BYTES = 16 << 20
 
 
-def _block_slices(length: int, row_cells: int) -> Iterator[slice]:
+def _block_slices(
+    length: int, row_cells: int, block_cells: int = HASH_BLOCK_CELLS
+) -> Iterator[slice]:
     """Consecutive slices of ``range(length)``, rows of ``row_cells`` cells each.
 
-    A slice spans about :data:`HASH_BLOCK_CELLS` cells: 128 values' rows of
-    ``S = 255`` signs, the width every sign contraction walks a domain in.
+    A slice spans about ``block_cells`` cells, by default
+    :data:`HASH_BLOCK_CELLS`: 128 values' rows of ``S = 255`` signs.
     """
-    width = max(1, HASH_BLOCK_CELLS // row_cells)
+    width = max(1, block_cells // row_cells)
     return (slice(start, min(start + width, length)) for start in range(0, length, width))
 
 

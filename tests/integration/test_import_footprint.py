@@ -5,8 +5,11 @@ with ``email``, ``ssl`` and ``mimetypes``), the fleet's ``asyncio`` and
 ``multiprocessing``, the section 5 harness or ``numpy.ma``; a fleet
 client needs none of the daemon; the CLI loads a subcommand's modules
 only when it dispatches to it.  An engine never loads scipy (its FFT adds
-over 20 MB; the kernel's transforms run on ``numpy.fft``).  Each check runs in a fresh interpreter,
-so nothing another test imported can hide a regression.
+over 20 MB; the kernel's transforms run on ``numpy.fft``).  ``import repro``
+and the CLI load no numpy, so ``serve`` can default OpenBLAS to one thread
+before it loads, and a fleet's shards import nothing after their fork.
+Each check runs in a fresh interpreter, so nothing another test imported
+can hide a regression.
 """
 
 import importlib
@@ -57,16 +60,25 @@ with tempfile.TemporaryDirectory() as scratch:
 """
 
 
+def last_line_of(code: str, env: dict[str, str] | None = None) -> str:
+    """The last line a fresh interpreter prints running ``code`` with ``env``."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
 def modules_after(code: str) -> set[str]:
     """``sys.modules`` of a fresh interpreter after running ``code``."""
     script = textwrap.dedent(code) + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return set(json.loads(last_line_of(script)))
 
 
 def loaded(modules: set[str], *names: str) -> list[str]:
@@ -114,8 +126,88 @@ class TestImportSets:
         ) == []
 
 
+FLEET_SHARDS = """
+import json
+import os
+import sys
+
+AT_FORK = set()
+os.register_at_fork(after_in_child=lambda: AT_FORK.update(sys.modules))
+
+import numpy as np
+
+from repro.core.normalization import Domain
+from repro.sharding import ShardedStreamEngine
+from repro.sharding.worker import ShardWorker
+from repro.streams.queries import JoinQuery
+
+ShardWorker.imported_since_fork = lambda self: sorted(set(sys.modules) - AT_FORK)
+rows = (np.arange(500) * 37 % 256)[:, None]  # numpy.random stays unloaded here
+with ShardedStreamEngine(num_shards=2, seed=0, executor="process") as fleet:
+    for name in ("R1", "R2"):
+        fleet.create_relation(name, ["A"], [Domain.of_size(256)])
+    pair = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
+    fleet.register_query("cos", pair, method="cosine", budget=32, bounds=True)
+    fleet.register_query("agms", pair, method="basic_sketch", budget=32)
+    fleet.register_query("hist", pair, method="histogram", budget=8)
+    fleet.register_query("samp", pair, method="sample", budget=32, probability=0.5)
+    for name in ("R1", "R2"):
+        fleet.ingest_batch(name, rows)
+    for query in ("cos", "agms", "hist", "samp"):
+        fleet.answer(query)
+    fleet.estimate("cos", mode="clamped")
+    print(json.dumps(fleet._executor.broadcast("imported_since_fork")))
+"""
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("module", ["repro", "repro.experiments.cli"])
+    def test_loads_no_numpy(self, module):
+        assert loaded(modules_after(f"import {module}"), "numpy") == []
+
+    def test_shards_import_nothing_after_the_fork(self):
+        # The coordinator imports what a shard loads on first use before
+        # it forks the shards, so no shard imports on the same cores later.
+        assert json.loads(last_line_of(FLEET_SHARDS)) == [[], []]
+
+    @pytest.mark.parametrize(
+        "operator",
+        [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}],
+    )
+    def test_serve_defaults_blas_to_one_thread(self, operator):
+        # serve sets the default before numpy loads, so OpenBLAS reads it
+        # in the daemon and in every shard it forks; an operator's wins.
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        script = f"""
+            import json, os
+            from repro.experiments.cli import main
+            main(["serve", "--shards", "1", "--executor", "serial", "--max-seconds", "0"])
+            print(json.dumps({{name: os.environ.get(name) for name in {BLAS_VARIABLES}}}))
+        """
+        seen = json.loads(last_line_of(script, {**env, **operator}))
+        expected = operator or {"OPENBLAS_NUM_THREADS": "1"}
+        assert seen == {**dict.fromkeys(BLAS_VARIABLES), **expected}
+
+
 class TestLazyExports:
-    @pytest.mark.parametrize("package", ["repro.obs", "repro.fleet", "repro.experiments"])
+    @pytest.mark.parametrize(
+        "package",
+        [
+            "repro",
+            "repro.core",
+            "repro.experiments",
+            "repro.fleet",
+            "repro.histograms",
+            "repro.obs",
+            "repro.resilience",
+            "repro.sampling",
+            "repro.sharding",
+            "repro.sketches",
+            "repro.streams",
+        ],
+    )
     def test_every_exported_name_resolves(self, package):
         module = importlib.import_module(package)
         for name in module.__all__:

@@ -67,6 +67,38 @@ class TestValidateRows:
         assert clean.shape[0] == 0
         assert rejects == []
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_batch_agrees_with_the_row_by_row_path(self, seed):
+        # A well-shaped mixed batch is checked column by column.  The same
+        # rows behind one of the wrong arity are ragged and go row by row;
+        # both must keep and reject the same rows for the same reasons.
+        nan, inf = float("nan"), float("inf")
+        relation = StreamRelation(
+            "R",
+            ["city", "age", "score"],
+            [
+                Domain.categorical(["austin", "boston", 1.5]),
+                Domain.integer_range(18, 40),
+                Domain.of_size(8),
+            ],
+        )
+        columns = [
+            ["austin", "boston", 1.5, "paris", nan],
+            [18, 30, 40, 99, 20.0, 20.5, nan, inf],
+            [0, 7, 9, -1, 3.0, -inf],
+        ]
+        rng = np.random.default_rng(seed)
+        rows = [
+            tuple(column[int(rng.integers(len(column)))] for column in columns)
+            for _ in range(300)
+        ]
+        clean, rejects = validate_rows(relation, rows)
+        ragged_clean, ragged_rejects = validate_rows(relation, [("austin",), *rows])
+        assert ragged_rejects == [(("austin",), REASON_ARITY), *rejects]
+        assert clean.tolist() == ragged_clean.tolist()
+        assert {reason for _, reason in rejects} == {REASON_NON_FINITE, REASON_OUT_OF_DOMAIN}
+        assert 0 < len(clean) < len(rows)
+
 
 class TestDeadLetterBuffer:
     def letter(self, i: int) -> DeadLetter:
