@@ -147,6 +147,15 @@ class Domain:
             return np.array([member(v) for v in values], dtype=bool)
         arr = np.asarray(values)
         assert self.low is not None
+        if arr.dtype == object and all(
+            issubclass(kind, (int, np.integer)) for kind in set(map(type, arr))
+        ):
+            try:
+                ints = arr.astype(np.int64)
+            except OverflowError:  # ints beyond int64 are checked one by one
+                pass
+            else:
+                return (ints >= self.low) & (ints <= self.high)
         if arr.dtype == object or not np.issubdtype(arr.dtype, np.number):
             out = np.zeros(len(arr), dtype=bool)
             for i, v in enumerate(arr):
@@ -188,12 +197,21 @@ def as_rows(rows: Any) -> NDArray[Any]:
     numpy turns a row such as ``("austin", 30)`` into strings (``"30"``),
     and so a categorical value list such as ``[1.5, "a"]``.  When that
     happens to values that were not all strings, the rows come back as an
-    object array of the original values instead.  The values' types are
-    read from ``rows`` itself, so all-string rows are converted once.  An
-    array is returned as it is.
+    object array of the original values instead.  A first row that mixes
+    strings with other values goes straight to that object array; other
+    string rows are converted once and their types read from ``rows``
+    itself.  An array is returned as it is.
     """
+    if isinstance(rows, np.ndarray):
+        return rows
+    if isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], (list, tuple)):
+        strings = [isinstance(value, (str, bytes)) for value in rows[0]]
+        if any(strings) and not all(strings):
+            mixed = np.asarray(rows, dtype=object)
+            if mixed.ndim > 1:  # ragged rows raise below, as numpy refuses them
+                return mixed
     arr = np.asarray(rows)
-    if isinstance(rows, np.ndarray) or arr.dtype.kind not in "US":
+    if arr.dtype.kind not in "US":
         return arr
     values: Iterable[Any] = rows
     for _ in range(arr.ndim - 1):

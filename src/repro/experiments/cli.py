@@ -23,7 +23,6 @@ loads the figure harness or the data generators.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -556,15 +555,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     OpenBLAS runs on one thread in the daemon and the shards it forks,
     unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-    ``OMP_NUM_THREADS`` is set: a fleet's parallelism is its shard
-    processes, and a second OpenBLAS thread in each only competes for the
-    same cores (on two vCPUs it adds about 60 ms, and 75 ms of CPU, to a
-    cold numpy import).  OpenBLAS reads the count when numpy loads, so a
-    caller that loaded numpy before calling keeps its own.
+    ``OMP_NUM_THREADS`` is set (:func:`repro._blas.one_blas_thread`).  The
+    daemon applies the policy before it imports numpy, so OpenBLAS never
+    starts a second thread (on two vCPUs that adds about 60 ms, and 75 ms
+    of CPU, to a cold numpy import).
     """
-    blas_threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    if "numpy" not in sys.modules and not any(name in os.environ for name in blas_threads):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    from .._blas import one_blas_thread
+
+    one_blas_thread()
     import asyncio
 
     from ..fleet import FleetServer

@@ -28,12 +28,18 @@ from numpy.typing import NDArray
 from ..core.normalization import Domain, distinct_cells
 from .hashing import SignFamily, _block_slices
 
-#: Bytes of float64 signs one step of a registration's contraction holds:
-#: 257 values at ``S = 255``, two hashing blocks.  A product's inner
+#: Bytes of float signs one step of a registration's contraction holds:
+#: 257 values at ``S = 255`` in float64, 514 in float32.  A product's inner
 #: dimension is the block's width, and BLAS runs a narrow one slowly: on
-#: R2's 1,024 x 256 chain tensor, blocks of 128 values take 1.16x as long
-#: (two OpenBLAS threads), while 514 values save 4% more for 1.1 MB more.
+#: R2's 1,024 x 256 chain tensor, blocks of 128 float64 values take 1.16x
+#: as long (two OpenBLAS threads), while 514 values save 4% more for
+#: 1.1 MB more.  In float32 on one thread, 1,024 values register in
+#: 0.12-0.19 ms in 514-value blocks and 0.14-0.22 ms in 257-value ones.
 CONTRACTION_BLOCK_BYTES = 1 << 19
+
+#: Integer counts whose absolute values sum below this contract in
+#: float32: every partial sum is then an integer float32 holds exactly.
+FLOAT32_EXACT_SUM = 1 << 24
 
 
 def split_budget(budget: int, num_medians: int | None = None) -> tuple[int, int]:
@@ -210,9 +216,11 @@ class AGMSSketch:
 
         Equivalent to streaming every tuple through :meth:`update`, computed
         by contracting the count tensor with each attribute's signs, one
-        block of values at a time: no call holds more than one block of
-        signs in float64 (:data:`CONTRACTION_BLOCK_BYTES`) beyond the
-        family's own table.
+        block of values at a time: no call holds more than
+        :data:`CONTRACTION_BLOCK_BYTES` of float signs beyond the family's
+        own table.  Integer counts whose absolute values sum below
+        :data:`FLOAT32_EXACT_SUM` contract in float32, at twice the values
+        per block, and any other counts in float64.
         """
         sketch = cls(families, num_means, num_medians)
         counts = np.asarray(counts)
@@ -225,23 +233,25 @@ class AGMSSketch:
         # by one, keeping S as a shared leading axis.  The first axis adds one
         # BLAS matmul per block over the flattened remaining axes; each later
         # one consumes axis 1, the next attribute in declaration order.  Every
-        # sum is an integer below 2^53, so the float result is exact in any
-        # summation order and under any blocking.
+        # partial sum is an integer no larger in magnitude than the counts'
+        # absolute sum, below 2^24 in float32 and below 2^53 in float64, so
+        # the result is exact in any summation order and under any blocking.
+        dtype = np.dtype(np.float32 if _float32_exact(counts) else np.float64)
         first, *rest = sketch.families
         size = sketch.num_atomic_sketches
-        tensor = np.zeros((size, counts[:1].size))
+        tensor = np.zeros((size, counts[:1].size), dtype=dtype)
         product = np.empty_like(tensor)
-        for values, signs in _domain_signs(first):
-            block = counts[values].reshape(signs.shape[1], -1).astype(float)
-            np.matmul(signs.astype(float), block, out=product)
+        for values, signs in _domain_signs(first, dtype):
+            block = counts[values].reshape(signs.shape[1], -1).astype(dtype)
+            np.matmul(signs.astype(dtype), block, out=product)
             tensor += product
         tensor = tensor.reshape((size,) + counts.shape[1:])
         for fam in rest:
-            contracted = np.zeros((size,) + tensor.shape[2:])
-            for values, signs in _domain_signs(fam):
-                contracted += np.einsum("sj...,sj->s...", tensor[:, values], signs.astype(float))
+            contracted = np.zeros((size,) + tensor.shape[2:], dtype=dtype)
+            for values, signs in _domain_signs(fam, dtype):
+                contracted += np.einsum("sj...,sj->s...", tensor[:, values], signs.astype(dtype))
             tensor = contracted
-        sketch.atoms = tensor
+        sketch.atoms = tensor.astype(np.float64, copy=False)
         sketch._count = int(counts.sum())
         return sketch
 
@@ -261,17 +271,33 @@ class AGMSSketch:
         )
 
 
-def _domain_signs(family: SignFamily) -> Iterator[tuple[slice, NDArray[np.int8]]]:
+def _float32_exact(counts: NDArray[Any]) -> bool:
+    """Whether ``counts`` are integers whose absolute values sum below 2^24.
+
+    Each value is bounded first, so neither ``abs`` nor the sum can wrap.
+    """
+    if counts.dtype.kind not in "iu":
+        return False
+    low, high = counts.min(), counts.max()
+    if low <= -FLOAT32_EXACT_SUM or high >= FLOAT32_EXACT_SUM:
+        return False
+    magnitudes = counts if low >= 0 else np.abs(counts)
+    return bool(magnitudes.sum() < FLOAT32_EXACT_SUM)
+
+
+def _domain_signs(
+    family: SignFamily, dtype: np.dtype[Any]
+) -> Iterator[tuple[slice, NDArray[np.int8]]]:
     """Yield ``(values, signs)`` over the family's domain, one block each.
 
     ``signs`` is the block's ``(S, len(values))`` int8 signs, read from the
     table when the family keeps one (filled in one pass first) and hashed
-    otherwise; their float64 copy takes at most
+    otherwise; their copy in ``dtype`` takes at most
     :data:`CONTRACTION_BLOCK_BYTES`.  Callers cast a block where they use
     it, so no float copy outlives its product.
     """
     family.fill(np.arange(family.domain_size))
-    block_cells = CONTRACTION_BLOCK_BYTES // 8  # float64 signs
+    block_cells = CONTRACTION_BLOCK_BYTES // dtype.itemsize
     for values in _block_slices(family.domain_size, family.num_functions, block_cells):
         yield values, family.signs(np.arange(values.start, values.stop))
 

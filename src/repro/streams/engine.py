@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Mapping, Sequence, Ty
 import numpy as np
 from numpy.typing import NDArray
 
+from .._blas import one_blas_thread
 from ..core.join import estimate_multijoin_size as cosine_multijoin
 from ..obs.accuracy import AccuracyTracker
 from ..obs.metrics import MetricsRegistry
@@ -187,7 +188,13 @@ class _Share:
 
 
 class ContinuousQueryEngine:
-    """Registers stream relations and continuous join-COUNT queries."""
+    """Registers stream relations and continuous join-COUNT queries.
+
+    Building a process's first engine runs its OpenBLAS on one thread
+    from then on, in the children it forks too, unless
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+    is set (:func:`repro._blas.one_blas_thread`).
+    """
 
     def __init__(
         self,
@@ -195,6 +202,7 @@ class ContinuousQueryEngine:
         telemetry: Telemetry | None = None,
         shard: str | None = None,
     ) -> None:
+        one_blas_thread()
         self.relations: dict[str, StreamRelation] = {}
         self._queries: dict[str, _QueryState] = {}
         self._seed = seed

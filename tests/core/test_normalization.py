@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import normalization
-from repro.core.normalization import Domain, distinct_cells, embed_counts, unify_domains
+from repro.core.normalization import (
+    Domain,
+    as_rows,
+    distinct_cells,
+    embed_counts,
+    unify_domains,
+)
 
 
 class TestDomainConstruction:
@@ -64,6 +70,50 @@ class TestIndexing:
     def test_categorical_unknown_value_rejected(self):
         with pytest.raises(ValueError, match="not in categorical"):
             Domain.categorical(["x"]).indices_of(["w"])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3, 10, -1, 0, 9, -6],
+            [True, False, 5, 12],
+            [np.int64(4), np.uint8(200), np.int8(-1), 7],
+            [2.0, 3, 2.5, float("nan"), float("inf"), np.float32(4.0)],
+            ["3", 3, b"4"],
+            [2**70, 3, -(2**70)],
+            [np.uint64(2**64 - 1), 2],
+            [np.True_, 3],
+        ],
+    )
+    @pytest.mark.parametrize("domain", [Domain.of_size(10), Domain.integer_range(-5, 5)])
+    def test_object_membership_matches_the_value_loop(self, values, domain):
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+        loop = [
+            (
+                isinstance(v, (int, np.integer))
+                or (isinstance(v, (float, np.floating)) and float(v).is_integer())
+            )
+            and domain.low <= int(v) <= domain.high
+            for v in values
+        ]
+        assert domain.contains(column).tolist() == loop
+
+
+class TestAsRows:
+    def test_a_mixed_row_after_string_rows_keeps_its_types(self):
+        rows = as_rows([("austin", "x"), ("boston", 30)])
+        assert rows.dtype == object
+        assert rows.tolist() == [["austin", "x"], ["boston", 30]]
+        assert isinstance(rows[1, 1], int)
+
+    def test_string_rows_after_a_mixed_first_row_stay_strings(self):
+        rows = as_rows([("austin", 30), ("boston", "x"), (b"c", 2.5)])
+        assert rows.dtype == object
+        assert rows.tolist() == [["austin", 30], ["boston", "x"], [b"c", 2.5]]
+
+    def test_ragged_mixed_rows_are_refused(self):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            as_rows([("austin", 30), ("boston",)])
 
 
 class TestPositions:

@@ -9,7 +9,9 @@ over 20 MB; the kernel's transforms run on ``numpy.fft``).  ``import repro``
 and the CLI load no numpy, so ``serve`` can default OpenBLAS to one thread
 before it loads, and a fleet's shards import nothing after their fork.
 Each check runs in a fresh interpreter, so nothing another test imported
-can hide a regression.
+can hide a regression.  The same holds for the BLAS-thread policy: the
+first engine a process builds runs numpy's OpenBLAS on one thread, unless
+an operator set the count, and answers do not depend on it.
 """
 
 import importlib
@@ -20,6 +22,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -189,6 +192,151 @@ class TestColdStart:
         seen = json.loads(last_line_of(script, {**env, **operator}))
         expected = operator or {"OPENBLAS_NUM_THREADS": "1"}
         assert seen == {**dict.fromkeys(BLAS_VARIABLES), **expected}
+
+
+#: Defines ``blas_threads()``: numpy's OpenBLAS thread count, read through
+#: the getter matching the setter the policy calls, or ``None`` when
+#: numpy's BLAS exports no such getter.
+BLAS_THREADS = """
+import ctypes
+import sys
+
+def blas_threads():
+    extension = (sys.modules.get("numpy._core._multiarray_umath")
+                 or sys.modules["numpy.core._multiarray_umath"])
+    library = ctypes.CDLL(extension.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        getter = getattr(library, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
+"""
+
+ENGINE_AFTER_NUMPY = BLAS_THREADS + """
+import json
+import os
+
+import numpy as np
+
+loaded = blas_threads()
+from repro.streams.engine import StreamEngine
+
+StreamEngine()
+print(json.dumps({"loaded": loaded, "engine": blas_threads(),
+                  "environment": {name: os.environ.get(name) for name in %r}}))
+"""
+
+FLEET_BLAS = BLAS_THREADS + """
+import json
+
+import numpy as np
+
+from repro.sharding import ShardedStreamEngine
+from repro.sharding.worker import ShardWorker
+
+ShardWorker.blas_threads = lambda self: blas_threads()
+with ShardedStreamEngine(num_shards=2, seed=0, executor="process") as fleet:
+    print(json.dumps({"coordinator": blas_threads(),
+                      "shards": fleet._executor.broadcast("blas_threads")}))
+"""
+
+CHECKPOINT_STATES = """
+import hashlib
+import json
+import pickle
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from repro import Domain, JoinQuery, StreamEngine
+from repro.resilience.checkpoint import read_checkpoint
+
+engine = StreamEngine(seed=0)
+a, b = Domain.of_size(512), Domain.of_size(128)
+engine.create_relation("R1", ["A"], [a])
+engine.create_relation("R2", ["A", "B"], [a, b])
+engine.create_relation("R3", ["B"], [b])
+rng = np.random.default_rng(0)
+def ingest():
+    engine.ingest_batch("R1", rng.integers(0, 512, (4000, 1)))
+    engine.ingest_batch("R2", np.stack([rng.integers(0, 512, 4000),
+                                        rng.integers(0, 128, 4000)], 1))
+    engine.ingest_batch("R3", rng.integers(0, 128, (4000, 1)))
+ingest()
+pair = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
+chain = JoinQuery.parse(["R1", "R2", "R3"], ["R1.A = R2.A", "R2.B = R3.B"])
+for method in ("cosine", "basic_sketch", "skimmed_sketch", "sample", "histogram",
+               "wavelet", "partitioned_sketch"):
+    engine.register_query("pair_" + method, pair, method=method, budget=255, bounds=True)
+for method in ("cosine", "basic_sketch", "skimmed_sketch", "sample"):
+    engine.register_query("chain_" + method, chain, method=method, budget=255, bounds=True)
+ingest()
+with tempfile.TemporaryDirectory() as scratch:
+    path = Path(scratch) / "engine.ckpt"
+    engine.save_checkpoint(path)
+    payload = read_checkpoint(path)
+sums = [state.pop("sums").tolist() for state in payload["observers"] if "sums" in state]
+answers = engine.answers()
+cosine = {name: answers.pop(name) for name in list(answers) if "cosine" in name}
+rest = pickle.dumps((payload, answers), protocol=pickle.HIGHEST_PROTOCOL)
+print(json.dumps({"rest": hashlib.sha256(rest).hexdigest(), "sums": sums, "cosine": cosine}))
+"""
+
+
+def without_blas_variables() -> dict[str, str]:
+    return {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+
+
+def blas_report(code: str, env: dict[str, str]) -> dict:
+    """The report ``code`` prints; skips when numpy's BLAS has no thread getter."""
+    report = json.loads(last_line_of(code, env))
+    if None in report.values():
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread getter")
+    return report
+
+
+class TestBlasThreads:
+    def test_first_engine_runs_openblas_on_one_thread(self):
+        # numpy loads first, as in any library caller, so the engine calls
+        # OpenBLAS's setter and leaves the environment alone.
+        script = ENGINE_AFTER_NUMPY % (BLAS_VARIABLES,)
+        report = blas_report(script, without_blas_variables())
+        assert report["engine"] == 1
+        assert report["environment"] == dict.fromkeys(BLAS_VARIABLES)
+
+    @pytest.mark.parametrize("variable", BLAS_VARIABLES)
+    def test_an_operators_count_stands(self, variable):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS runs at most one thread per CPU")
+        script = ENGINE_AFTER_NUMPY % (BLAS_VARIABLES,)
+        report = blas_report(script, {**without_blas_variables(), variable: "2"})
+        assert report["loaded"] == report["engine"] == 2
+
+    def test_fleet_shards_run_one_thread(self):
+        report = blas_report(FLEET_BLAS, without_blas_variables())
+        assert report == {"coordinator": 1, "shards": [1, 1]}
+
+    def test_checkpoints_do_not_depend_on_blas_threads(self):
+        # Every state but the cosine sums is exact integer arithmetic (the
+        # float32 AGMS registration included) or never reaches BLAS, and
+        # must match byte for byte.  The cosine projections are float64 BLAS
+        # products, and OpenBLAS rounds those of R2's 4,000-row batches
+        # differently on two threads, so their sums may differ in the last
+        # bits.
+        one, two = (
+            json.loads(last_line_of(
+                CHECKPOINT_STATES, {**without_blas_variables(), "OPENBLAS_NUM_THREADS": threads}
+            ))
+            for threads in ("1", "2")
+        )
+        assert one["rest"] == two["rest"]
+        assert len(one["sums"]) == len(two["sums"]) > 0
+        for sums_one, sums_two in zip(one["sums"], two["sums"]):
+            np.testing.assert_allclose(sums_one, sums_two, rtol=1e-12, atol=1e-9)
+        assert one["cosine"] == pytest.approx(two["cosine"], rel=1e-12)
 
 
 class TestLazyExports:
