@@ -96,8 +96,8 @@ def test_histogram_cannot_serve_multijoin_chains(benchmark):
 def test_wavelet_live_state_exceeds_budget(benchmark, capsys):
     # Section 2's wavelet disqualifier (Gilbert et al. [12]): maintaining
     # the top coefficients online needs the full transform live.  The Haar
-    # synopsis' resident state is Theta(n) floats regardless of budget; the
-    # cosine synopsis' resident state equals its budget.
+    # synopsis' resident state is Theta(n) integers regardless of budget;
+    # the cosine synopsis' resident state equals its budget.
     n, budget = 4_096, 32
     haar, cosine = benchmark.pedantic(
         lambda: (
@@ -107,12 +107,12 @@ def test_wavelet_live_state_exceeds_budget(benchmark, capsys):
         iterations=1,
         rounds=1,
     )
-    haar_live = haar._coefficients.shape[0]
+    haar_live = haar.state_dict()["details"].shape[0]
     cosine_live = cosine.num_coefficients
     with capsys.disabled():
         print(
             f"\nlive synopsis state at advertised budget {budget} on an "
-            f"n={n} domain: cosine {cosine_live} floats, Haar {haar_live} floats"
+            f"n={n} domain: cosine {cosine_live} floats, Haar {haar_live} integers"
         )
     assert cosine_live == budget
     assert haar_live >= n

@@ -19,7 +19,7 @@ from repro.core.synopsis import CosineSynopsis
 from repro.data.reallike import cps_like
 from repro.data.zipf import zipf_counts
 from repro.histograms.equiwidth import EquiWidthHistogram
-from repro.wavelets.haar import HaarSynopsis, inverse_haar_transform
+from repro.wavelets.haar import HaarSynopsis
 
 BUDGET = 32
 NUM_QUERIES = 200
@@ -37,11 +37,7 @@ def _histogram_range(hist: EquiWidthHistogram, lo: int, hi: int) -> float:
 
 
 def _wavelet_range(syn: HaarSynopsis, lo: int, hi: int) -> float:
-    kept = np.zeros(syn._size)
-    idx, vals = syn.top_coefficients()
-    kept[idx] = vals
-    reconstructed = inverse_haar_transform(kept, syn.domain.size)
-    return float(reconstructed[lo : hi + 1].sum())
+    return float(syn.reconstruct_counts()[lo : hi + 1].sum())
 
 
 def _mean_error(counts: np.ndarray, rng: np.random.Generator) -> dict[str, float]:

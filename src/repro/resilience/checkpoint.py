@@ -1,9 +1,9 @@
 """Versioned, integrity-checked engine checkpoints.
 
-File format (version 3): one ASCII JSON header line, a newline, then the
+File format (version 4): one ASCII JSON header line, a newline, then the
 pickled payload bytes::
 
-    {"magic": "repro-checkpoint", "version": 3,
+    {"magic": "repro-checkpoint", "version": 4,
      "sha256": "<hex digest of the payload bytes>", "payload_bytes": N}
     <N bytes of pickle>
 
@@ -13,8 +13,11 @@ to its observers by position in that list, and ``"quarantined"`` lists
 the positions of observers fault isolation detached.  Version 3 stores a
 Bernoulli sample as two arrays over its query's unified index grid —
 sorted flat cell ids and their counts, each in the narrowest integer
-dtype that holds it — instead of two Python dicts.  Version 1 files (one
-state per query attachment) and version 2 files are refused.
+dtype that holds it — instead of two Python dicts.  Version 4 stores a
+Haar synopsis as its unnormalized transform in int64 (``"details"``, the
+live count at entry 0) instead of float coefficients and a count.
+Version 1 files (one state per query attachment), version 2 and version 3
+files are refused.
 
 The header is what makes a checkpoint *checkable before it is trusted*:
 :func:`read_checkpoint` refuses files whose magic/version do not match,
@@ -69,7 +72,7 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Rotated checkpoint files: ``checkpoint-00000042.ckpt``.
 _STORE_PATTERN = re.compile(r"^checkpoint-(\d{8})\.ckpt$")

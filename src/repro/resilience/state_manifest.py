@@ -10,7 +10,7 @@ is bumped.
 """
 
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 STATE_MANIFEST = {
     'src/repro/bounds/degree.py::DegreeObserver': [
@@ -46,14 +46,11 @@ STATE_MANIFEST = {
         'seed',
         'sketches',
     ],
-    'src/repro/streams/engine.py::_CosineObserver': [
+    'src/repro/streams/engine.py::_AxisObserver': [
         'synopsis',
     ],
-    'src/repro/streams/engine.py::_HistogramObserver': [
-        'histogram',
-    ],
-    'src/repro/streams/engine.py::_PartitionedObserver': [
-        'sketch',
+    'src/repro/streams/engine.py::_CosineObserver': [
+        'synopsis',
     ],
     'src/repro/streams/engine.py::_SampleObserver': [
         'sample',
@@ -61,11 +58,7 @@ STATE_MANIFEST = {
     'src/repro/streams/engine.py::_SketchObserver': [
         'sketch',
     ],
-    'src/repro/streams/engine.py::_WaveletObserver': [
-        'synopsis',
-    ],
     'src/repro/wavelets/haar.py::HaarSynopsis': [
-        '_coefficients',
-        '_count',
+        '_details',
     ],
 }

@@ -15,9 +15,9 @@ own (see :mod:`repro.sharding.merge` for which methods go where):
   load the sums into a *template* engine registered over the same specs
   and seed (so sign families and geometry match), and read the template —
   one code path for equi-joins, multi-joins, range and band queries;
-* coordinator methods (``sample``, ``partitioned_sketch``, ``wavelet``)
-  read a coordinator-resident replica that observed the full stream in
-  arrival order, bit-identical to the unsharded engine;
+* coordinator methods (``sample``, ``partitioned_sketch``) read a
+  coordinator-resident replica that observed the full stream in arrival
+  order, bit-identical to the unsharded engine;
 * ground truth reduces the shards' exact tensors (cell-disjoint by
   construction) and lends them to the template's relations for one read.
 

@@ -5,34 +5,33 @@ recombine into the single-engine state, is the correctness core of
 :mod:`repro.sharding`:
 
 * **Mergeable methods** — ``cosine``, ``basic_sketch``,
-  ``skimmed_sketch``, ``histogram`` (plus the cosine range and band
-  query kinds).  Their synopsis state is a *linear* function of the
-  ingested multiset: cosine coefficient sums (Eq. 3.3 is a sum over
+  ``skimmed_sketch``, ``histogram``, ``wavelet`` (plus the cosine range
+  and band query kinds).  Their synopsis state is a *linear* function of
+  the ingested multiset: cosine coefficient sums (Eq. 3.3 is a sum over
   tuples), AGMS atomic sketches (sums of ±1 signs; the skimmed estimator
-  reads the same atoms), and equi-width bucket counts.  Summing the
-  per-shard ``state_dict()`` fields therefore reproduces the state a
-  single engine would hold after ingesting every shard's tuples —
-  exactly for integer-valued state (sketch atoms, histogram buckets), up
-  to float summation order for cosine coefficients, whose estimators are
-  *continuous*, so the answer moves by the same last-ulp amount.  Shard
-  sign families and histogram/cosine geometry match across shards
-  because every shard engine is built from the same seed and specs.
+  reads the same atoms), equi-width bucket counts, and the Haar
+  synopsis' unnormalized transform (block-sum differences in int64).
+  Summing the per-shard ``state_dict()`` fields therefore reproduces the
+  state a single engine would hold after ingesting every shard's tuples —
+  exactly for integer-valued state (sketch atoms, histogram buckets, Haar
+  details, so the Haar read's top-``budget`` threshold selects the same
+  coefficients), up to float summation order for cosine coefficients,
+  whose estimators are *continuous*, so the answer moves by the same
+  last-ulp amount.  Shard sign families and histogram/cosine geometry
+  match across shards because every shard engine is built from the same
+  seed and specs.
 
-* **Coordinator methods** — ``sample``, ``partitioned_sketch``, and
-  ``wavelet``.  Bernoulli sampling consumes an RNG sequence in arrival
-  order, and the partitioned sketch freezes its partition boundaries
-  from the pilot distribution it sees at registration time; neither
-  state is a partition-independent function of the multiset, so
-  per-shard copies cannot be recombined into the single-engine state.
-  The Haar synopsis is the subtle case: its full coefficient vector *is*
-  linear, but its read path thresholds to the ``budget`` largest
-  coefficients — a discontinuous selection that float summation-order
-  noise in a merged vector can flip on near-ties, changing the answer by
-  a whole coefficient's contribution.  All three live on a
+* **Coordinator methods** — ``sample`` and ``partitioned_sketch``.
+  Bernoulli sampling consumes an RNG sequence in arrival order, and the
+  partitioned sketch freezes its partition boundaries from the pilot
+  distribution it sees at registration time; neither state is a
+  partition-independent function of the multiset, so per-shard copies
+  cannot be recombined into the single-engine state.  Both live on a
   coordinator-resident replica that observes the full stream in arrival
-  order (their state is O(budget + log n), so this costs the coordinator
-  one small synopsis update per batch) and answers are *bit-identical*
-  to the unsharded engine.
+  order, and answers are *bit-identical* to the unsharded engine.  The
+  replica holds every relation's exact count tensor, as large as a single
+  engine's, and each batch costs the coordinator one tensor update plus
+  these synopses' updates.
 """
 
 from __future__ import annotations
@@ -48,11 +47,13 @@ __all__ = [
 ]
 
 #: Methods whose per-shard synopsis states sum to the single-engine state.
-MERGEABLE_METHODS = frozenset({"cosine", "basic_sketch", "skimmed_sketch", "histogram"})
+MERGEABLE_METHODS = frozenset(
+    {"cosine", "basic_sketch", "skimmed_sketch", "histogram", "wavelet"}
+)
 
-#: Methods kept on the coordinator replica (order/geometry/threshold
-#: dependent — see the module docstring for why wavelet is here).
-COORDINATOR_METHODS = frozenset({"sample", "partitioned_sketch", "wavelet"})
+#: Methods kept on the coordinator replica (arrival-order or
+#: registration-time dependent state).
+COORDINATOR_METHODS = frozenset({"sample", "partitioned_sketch"})
 
 
 def merge_observer_states(states: list[dict[str, Any]]) -> dict[str, Any]:

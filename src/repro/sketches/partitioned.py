@@ -141,10 +141,10 @@ class PartitionedSketch:
         p = self.partition_of(index)
         self.sketches[p].update(int(index - self.boundaries[p]), weight=weight)
 
-    def update_batch(
+    def update_indices(
         self, indices: NDArray[Any], weight: int = 1, multiplicity: NDArray[Any] | None = None
     ) -> None:
-        """Route a batch of arrivals/deletions to the partitions it spans.
+        """Route a batch of arrivals/deletions, as domain indices, to the partitions it spans.
 
         ``multiplicity`` counts each index that many times, as in
         :meth:`AGMSSketch.update_batch`.

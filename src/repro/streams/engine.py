@@ -156,11 +156,15 @@ class _QueryState:
         method: str,
         estimate: Callable[[], float],
         space_per_relation: Mapping[str, int],
+        exact: Callable[[], float] | None = None,
     ) -> None:
         self.query = query
         self.method = method
         self.estimate = estimate
         self.space_per_relation = dict(space_per_relation)
+        #: Ground truth of a query that is not a join COUNT (a range or
+        #: band); ``None`` means :meth:`ContinuousQueryEngine.exact_join_size`.
+        self.exact = exact
         #: (relation, observer) pairs this query reads, possibly shared
         #: with other queries, and the shared-table key of each.
         self.attachments: list[tuple[StreamRelation, StreamObserver]] = []
@@ -534,11 +538,13 @@ class ContinuousQueryEngine:
                 live = _marginalize(relation.counts, keep_axes=[axis])
                 return float(live[lo_index : hi_index + 1].sum())
 
-            state = _QueryState(
-                JoinQuery((relation_name,)), "cosine_range", estimate, {relation_name: budget}
+            return _QueryState(
+                JoinQuery((relation_name,)),
+                "cosine_range",
+                estimate,
+                {relation_name: budget},
+                exact,
             )
-            state.exact = exact  # type: ignore[attr-defined]
-            return state
 
         spec = range_spec(relation_name, attribute, low, high, budget, options)
         self._install(name, spec, build)
@@ -601,11 +607,9 @@ class ContinuousQueryEngine:
                 lo = np.maximum(np.arange(n) - width, 0)
                 return float(a @ (prefix[hi] - prefix[lo]))
 
-            state = _QueryState(
-                join_query, "cosine_band", estimate, {rel: budget for rel, _ in sides}
+            return _QueryState(
+                join_query, "cosine_band", estimate, {rel: budget for rel, _ in sides}, exact
             )
-            state.exact = exact  # type: ignore[attr-defined]
-            return state
 
         self._install(name, band_spec(left, right, width, budget, options), build)
 
@@ -688,8 +692,8 @@ class ContinuousQueryEngine:
     def exact_answer(self, name: str) -> float:
         """Ground-truth answer of a registered query (for evaluation)."""
         state = self._queries[name]
-        if state.method in ("cosine_range", "cosine_band"):
-            return state.exact()  # type: ignore[attr-defined]
+        if state.exact is not None:
+            return state.exact()
         return self.exact_join_size(state.query)
 
     def exact_join_size(self, query: JoinQuery) -> float:
@@ -1117,20 +1121,25 @@ class ContinuousQueryEngine:
         key = ("agms", rel_name, tuple(axes), tuple(domains), tuple(seeds), s1, s2)
         return self._share(relation, key, build).sketch
 
-    def _histogram(
-        self, rel_name: str, axis: int, domain: Domain, budget: int
-    ) -> EquiWidthHistogram:
-        """The shared equi-width histogram of ``rel_name`` on one axis."""
+    def _axis_synopsis(
+        self,
+        method: str,
+        kind: type[EquiWidthHistogram] | type[HaarSynopsis],
+        rel_name: str,
+        axis: int,
+        domain: Domain,
+        budget: int,
+    ) -> Any:
+        """The shared ``kind`` synopsis (histogram or Haar) of ``rel_name`` on one axis."""
         relation = self.relations[rel_name]
 
-        def build() -> _HistogramObserver:
-            history = _history(relation, [axis], [domain])
-            histogram = EquiWidthHistogram.from_counts(domain, history, budget)
+        def build() -> _AxisObserver:
+            synopsis = kind.from_counts(domain, _history(relation, [axis], [domain]), budget)
             (table,) = relation.index_maps([axis], [domain])
-            return _HistogramObserver(histogram, table, axis)
+            return _AxisObserver(synopsis, table, axis)
 
-        key = ("histogram", rel_name, axis, domain, budget)
-        return self._share(relation, key, build).histogram
+        key = (method, rel_name, axis, domain, budget)
+        return self._share(relation, key, build).synopsis
 
     def _degree(self, rel_name: str, axis: int, domain: Domain) -> "DegreeSketch":
         """The shared exact degree sketch of ``rel_name`` on one axis."""
@@ -1247,20 +1256,7 @@ class ContinuousQueryEngine:
     def _build_histogram(
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
     ) -> _QueryState:
-        if query.num_joins != 1:
-            raise ValueError("the histogram baseline supports single-join queries only")
-        unified = self._unified(query)
-        schemas = {r: self.relations[r].attributes for r in query.relations}
-        sides = [(query.relations[rel_pos], axis) for rel_pos, axis in query.slot_pairs(schemas)[0]]
-        hists = [
-            self._histogram(rel_name, axis, unified[rel_name][axis], budget)
-            for rel_name, axis in sides
-        ]
-
-        def estimate() -> float:
-            return histogram_join(hists[0], hists[1])
-
-        return _QueryState(query, method, estimate, {rel: budget for rel, _ in sides})
+        return self._build_axis_pair(query, method, budget, EquiWidthHistogram, histogram_join)
 
     def _build_wavelet(
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
@@ -1268,28 +1264,31 @@ class ContinuousQueryEngine:
         from ..wavelets.haar import HaarSynopsis
         from ..wavelets.haar import estimate_join_size as haar_join
 
+        return self._build_axis_pair(query, method, budget, HaarSynopsis, haar_join)
+
+    def _build_axis_pair(
+        self,
+        query: JoinQuery,
+        method: str,
+        budget: int,
+        kind: type[EquiWidthHistogram] | type[HaarSynopsis],
+        join: Callable[[Any, Any], float],
+    ) -> _QueryState:
+        """A single join read from one shared one-axis synopsis per side."""
         if query.num_joins != 1:
-            raise ValueError("the wavelet baseline supports single-join queries only")
+            raise ValueError(f"the {method} baseline supports single-join queries only")
         unified = self._unified(query)
         schemas = {r: self.relations[r].attributes for r in query.relations}
-        ((rel_a, ax_a), (rel_b, ax_b)) = query.slot_pairs(schemas)[0]
-        synopses: list[Any] = []
-        for rel_pos, axis in ((rel_a, ax_a), (rel_b, ax_b)):
-            rel_name = query.relations[rel_pos]
-            relation = self.relations[rel_name]
-            domain = unified[rel_name][axis]
-            embedded = embed_counts_tensor(relation.counts, relation.domains, unified[rel_name])
-            marginal = _marginalize(embedded, keep_axes=[axis]).astype(float)
-            synopsis = HaarSynopsis.from_counts(domain, marginal, budget)
-            (table,) = relation.index_maps([axis], [domain])
-            self._attach(relation, _WaveletObserver(synopsis, table, axis))
-            synopses.append(synopsis)
+        sides = [(query.relations[rel_pos], axis) for rel_pos, axis in query.slot_pairs(schemas)[0]]
+        synopses = [
+            self._axis_synopsis(method, kind, rel_name, axis, unified[rel_name][axis], budget)
+            for rel_name, axis in sides
+        ]
 
         def estimate() -> float:
-            return haar_join(synopses[0], synopses[1])
+            return join(synopses[0], synopses[1])
 
-        space = {query.relations[rel_a]: budget, query.relations[rel_b]: budget}
-        return _QueryState(query, method, estimate, space)
+        return _QueryState(query, method, estimate, {rel: budget for rel, _ in sides})
 
     def _build_partitioned(
         self, query: JoinQuery, method: str, budget: int, options: dict[str, Any]
@@ -1315,10 +1314,7 @@ class ContinuousQueryEngine:
         for rel_pos, axis in ((rel_a, ax_a), (rel_b, ax_b)):
             rel_name = query.relations[rel_pos]
             relation = self.relations[rel_name]
-            embedded = embed_counts_tensor(
-                relation.counts, relation.domains, unified[rel_name]
-            )
-            marginals.append(_marginalize(embedded, keep_axes=[axis]).astype(float))
+            marginals.append(_history(relation, [axis], [unified[rel_name][axis]]))
         pilot = marginals[0] + marginals[1]
         num_partitions = options.get("partitions", 8)
         boundaries = equi_mass_partition(pilot, num_partitions)
@@ -1331,7 +1327,7 @@ class ContinuousQueryEngine:
                 marginal, boundaries, budget, seed=self._seed, family=self._family
             )
             (table,) = relation.index_maps([axis], [unified[rel_name][axis]])
-            self._attach(relation, _PartitionedObserver(sketch, table, axis))
+            self._attach(relation, _AxisObserver(sketch, table, axis))
             sketches.append(sketch)
 
         def estimate() -> float:
@@ -1432,37 +1428,22 @@ class _SampleObserver(StreamObserver):
         self.sample.insert_batch(columns[0] if len(columns) == 1 else np.stack(columns, axis=1))
 
 
-class _PartitionedObserver(StreamObserver):
-    """Feeds one attribute's unified indices into a partitioned sketch."""
+class _AxisObserver(StreamObserver):
+    """Feeds one attribute's unified indices into a one-axis synopsis.
+
+    The equi-width histogram, the Haar synopsis and the partitioned sketch
+    each take them through ``update_indices(indices, weight, multiplicity)``.
+    """
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
     _checkpoint_exempt = ("axis", "table")
 
-    def __init__(self, sketch: "PartitionedSketch", table: IndexMap, axis: int) -> None:
-        self.sketch = sketch
-        self.table = table
-        self.axis = axis
-
-    def state_dict(self) -> dict[str, Any]:
-        return self.sketch.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.sketch.load_state(state)
-
-    def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        delta = relation.batch_delta(rows, kind).marginal([self.axis])
-        self.sketch.update_batch(
-            delta.indices([self.table])[:, 0], weight=delta.weight, multiplicity=delta.counts
-        )
-
-
-class _WaveletObserver(StreamObserver):
-    """Feeds one attribute's unified indices into a Haar wavelet synopsis."""
-
-    # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axis", "table")
-
-    def __init__(self, synopsis: "HaarSynopsis", table: IndexMap, axis: int) -> None:
+    def __init__(
+        self,
+        synopsis: "EquiWidthHistogram | HaarSynopsis | PartitionedSketch",
+        table: IndexMap,
+        axis: int,
+    ) -> None:
         self.synopsis = synopsis
         self.table = table
         self.axis = axis
@@ -1476,30 +1457,6 @@ class _WaveletObserver(StreamObserver):
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         delta = relation.batch_delta(rows, kind).marginal([self.axis])
         self.synopsis.update_indices(
-            delta.indices([self.table])[:, 0], weight=delta.weight, multiplicity=delta.counts
-        )
-
-
-class _HistogramObserver(StreamObserver):
-    """Feeds one attribute's unified indices into an equi-width histogram."""
-
-    # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axis", "table")
-
-    def __init__(self, histogram: EquiWidthHistogram, table: IndexMap, axis: int) -> None:
-        self.histogram = histogram
-        self.table = table
-        self.axis = axis
-
-    def state_dict(self) -> dict[str, Any]:
-        return self.histogram.state_dict()
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        self.histogram.load_state(state)
-
-    def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
-        delta = relation.batch_delta(rows, kind).marginal([self.axis])
-        self.histogram.update_indices(
             delta.indices([self.table])[:, 0], weight=delta.weight, multiplicity=delta.counts
         )
 

@@ -10,13 +10,19 @@ the comparison is reproducible:
 
 * :func:`haar_transform` / :func:`inverse_haar_transform` — the orthonormal
   Haar transform of a frequency vector (power-of-two padded);
-* :class:`HaarSynopsis` — a top-``m``-coefficient synopsis built from
-  counts, with the same join-estimation algebra as the cosine synopsis
-  (Haar is orthonormal, so Parseval gives
-  ``J = sum_k w_k(R1) * w_k(R2)`` over coefficients kept by *both*);
-* a streaming update path, which must keep the full coefficient vector
-  live (O(log n) of them change per tuple) and re-threshold on demand —
+* :class:`HaarSynopsis` — a top-``m``-coefficient synopsis with the same
+  join-estimation algebra as the cosine synopsis (Haar is orthonormal, so
+  Parseval gives ``J = sum_k w_k(R1) * w_k(R2)`` over coefficients kept by
+  *both*);
+* a streaming update path, which must keep the full transform live (O(log
+  n) of its entries change per tuple) and re-threshold on demand —
   demonstrating exactly the maintenance asymmetry the paper points out.
+
+The live state is the *unnormalized* transform in int64: entry 0 is the
+live count and each detail is a left-half sum minus a right-half sum.  It
+is a linear function of the stream's multiset with no rounding, so any
+batch framing, and any sum of per-shard states, gives the same integers,
+and the thresholded answer read from them is bit-identical.
 """
 
 from __future__ import annotations
@@ -27,32 +33,21 @@ from typing import Any, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ..core.normalization import Domain, distinct_cells
-
-#: (pass, value) entries a scatter-add block of
-#: :meth:`HaarSynopsis.update_indices` may hold even when that is more than
-#: three quarters of a pass's worth.  Beyond those bounds, its arrays and the
-#: ufunc buffers numpy allocates to broadcast them outgrow the per-pass
-#: loop's peak (tracemalloc, 256 to 65,536 rows).
-_BLOCK_ENTRIES = 2048
+from ..core.normalization import Domain
 
 
 @lru_cache(maxsize=None)
-def _levels(size: int) -> tuple[Any, ...]:
-    """``(sqrt(size), bits, shifts, halves, scales, -scales)`` of a transform.
+def _norms(size: int) -> NDArray[Any]:
+    """Divisors taking the unnormalized transform of ``size`` to the orthonormal one.
 
-    Pass ``l`` (finest first) adds a unit at ``j`` to coefficient
-    ``halves[l] + (j >> shifts[l])`` with magnitude ``1 / scales[l]`` and the
-    sign of ``j & bits[l]`` (see :meth:`HaarSynopsis.update`).  Each array is
-    a read-only ``(passes, 1)`` column.
+    A detail at ``[h, 2h)`` spans blocks of ``size / h`` values and is
+    divided by ``sqrt(size / h)``; the total at 0 by ``sqrt(size)``, as a
+    detail at ``h = 1`` is.  Read-only.
     """
-    levels = np.arange(size.bit_length() - 1)[:, None]
-    halves = size >> (levels + 1)
-    scales = np.sqrt(size / halves)
-    arrays = (1 << levels, levels + 1, halves, scales, -scales)
-    for array in arrays:
-        array.flags.writeable = False
-    return (np.sqrt(size), *arrays)
+    halves = np.concatenate(([1], 1 << np.arange(size.bit_length() - 1)))
+    norms = np.sqrt(size / np.repeat(halves, halves))
+    norms.flags.writeable = False
+    return norms
 
 
 def _padded_size(n: int) -> int:
@@ -62,11 +57,43 @@ def _padded_size(n: int) -> int:
     return size
 
 
+def _pyramid(values: NDArray[Any]) -> NDArray[Any]:
+    """The unnormalized transform of a power-of-two-length vector, in its dtype.
+
+    Each pass turns the block sums of one level into the next level's sums
+    (``evens + odds``) and details (``evens - odds``); the details of the
+    pass over ``2h`` sums land at ``[h, 2h)``, the grand total at 0.
+    """
+    out = np.empty_like(values)
+    sums = values
+    while sums.shape[0] > 1:
+        evens, odds = sums[0::2], sums[1::2]
+        out[evens.shape[0] : sums.shape[0]] = evens - odds
+        sums = evens + odds
+    out[0] = sums[0]
+    return out
+
+
+def _top(magnitudes: NDArray[Any], budget: int) -> NDArray[Any]:
+    """Mask of the ``budget`` largest ``magnitudes``.
+
+    A tie at the threshold keeps the lowest indices.
+    """
+    size = magnitudes.shape[0]
+    if budget >= size:
+        return np.ones(size, dtype=bool)
+    threshold = np.partition(magnitudes, size - budget)[size - budget]
+    kept = magnitudes > threshold
+    ties = np.flatnonzero(magnitudes == threshold)
+    kept[ties[: budget - np.count_nonzero(kept)]] = True
+    return kept
+
+
 def haar_transform(values: NDArray[Any]) -> NDArray[Any]:
     """Orthonormal Haar transform of a vector (zero-padded to 2^k).
 
     Returns the full coefficient vector; ``inverse_haar_transform``
-    round-trips exactly.
+    round-trips it.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -74,17 +101,7 @@ def haar_transform(values: NDArray[Any]) -> NDArray[Any]:
     size = _padded_size(values.shape[0])
     data = np.zeros(size)
     data[: values.shape[0]] = values
-    output = np.empty_like(data)
-    length = size
-    while length > 1:
-        half = length // 2
-        evens = data[0:length:2]
-        odds = data[1:length:2]
-        output[:half] = (evens + odds) / np.sqrt(2.0)
-        output[half:length] = (evens - odds) / np.sqrt(2.0)
-        data[:length] = output[:length]
-        length = half
-    return data
+    return _pyramid(data) / _norms(size)
 
 
 def inverse_haar_transform(coefficients: NDArray[Any], n: int | None = None) -> NDArray[Any]:
@@ -113,13 +130,14 @@ class HaarSynopsis:
     Space accounting mirrors the other methods, with one honest difference
     the paper stresses: unlike cosine coefficients, *which* coefficients
     are retained depends on the data, so each kept coefficient also costs
-    its index (``num_stored`` reports both).  The streaming update path
-    maintains the full transform (O(log n) coefficients change per tuple)
-    and thresholds at read time — the maintenance weakness of the family.
+    its index (``num_stored`` reports both).  The synopsis maintains the
+    full unnormalized transform in int64 (O(log n) entries change per
+    tuple) and normalizes and thresholds at read time — the maintenance
+    weakness of the family.
     """
 
     # Structural parameters: a restored synopsis is always constructed with
-    # the same spec first, so only the coefficients travel in checkpoints.
+    # the same spec first, so only the transform travels in checkpoints.
     _checkpoint_exempt = ("_size", "budget", "domain")
 
     def __init__(self, domain: Domain, budget: int) -> None:
@@ -128,72 +146,58 @@ class HaarSynopsis:
         self.domain = domain
         self.budget = budget
         self._size = _padded_size(domain.size)
-        self._coefficients = np.zeros(self._size)
-        self._count = 0
+        #: The unnormalized transform: the live count at 0, and at
+        #: ``[h, 2h)`` each block's left-half sum minus its right-half sum.
+        self._details = np.zeros(self._size, dtype=np.int64)
 
     @property
     def count(self) -> int:
-        return self._count
+        return int(self._details[0])
 
     @property
     def num_stored(self) -> tuple[int, int]:
         """(coefficients kept, indexes kept) under the budget."""
-        kept = min(self.budget, int(np.count_nonzero(self._coefficients)))
+        kept = min(self.budget, int(np.count_nonzero(self._details)))
         return kept, kept
 
     @classmethod
     def from_counts(cls, domain: Domain, counts: NDArray[Any], budget: int) -> "HaarSynopsis":
-        """Build from a frequency vector (transform + threshold lazily)."""
-        counts = np.asarray(counts, dtype=float)
+        """Build from a frequency vector of integers (in any numeric dtype)."""
+        counts = np.asarray(counts)
         if counts.shape != (domain.size,):
             raise ValueError(f"counts shape {counts.shape} != ({domain.size},)")
+        if counts.dtype.kind not in "biu" and not (
+            np.isfinite(counts).all() and np.array_equal(counts, np.rint(counts))
+        ):
+            raise ValueError("counts must be finite integers")
         synopsis = cls(domain, budget)
-        synopsis._coefficients = haar_transform(counts)
-        synopsis._count = int(round(counts.sum()))
+        padded = np.zeros(synopsis._size, dtype=np.int64)
+        padded[: domain.size] = counts
+        synopsis._details = _pyramid(padded)
         return synopsis
 
     def state_dict(self) -> dict[str, Any]:
-        """Mutable state only (full coefficient vector + count)."""
-        return {"coefficients": self._coefficients.copy(), "count": self._count}
+        """Mutable state only: the unnormalized transform."""
+        return {"details": self._details.copy()}
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict`, in place."""
-        coefficients = np.asarray(state["coefficients"], dtype=float)
-        if coefficients.shape != self._coefficients.shape:
+        details = np.asarray(state["details"], dtype=np.int64)
+        if details.shape != self._details.shape:
             raise ValueError(
-                f"checkpointed synopsis has {coefficients.shape[0]} coefficients, "
-                f"this synopsis stores {self._coefficients.shape[0]}"
+                f"checkpointed synopsis has {details.shape[0]} coefficients, "
+                f"this synopsis stores {self._details.shape[0]}"
             )
-        self._coefficients = coefficients.copy()
-        self._count = int(state["count"])
+        self._details = details.copy()
 
     def update(self, value: Any, weight: int = 1) -> None:
         """Process one insertion/deletion.
 
-        A unit change at position ``j`` touches exactly one coefficient per
+        A unit change at position ``j`` touches exactly one detail per
         resolution level — O(log n) work — but the synopsis must keep the
-        *full* vector to know, at read time, which coefficients are large.
+        *full* transform to know, at read time, which coefficients are large.
         """
-        index = self.domain.index_of(value)
-        size = self._size
-        # Overall-average coefficient: sensitivity 1/sqrt(size) per unit.
-        self._coefficients[0] += weight / np.sqrt(size)
-        # Detail coefficients: the pass over `length` inputs stores its
-        # details at positions [length/2, length) of the final layout, and
-        # a unit at `index` hits exactly one detail per pass, with sign by
-        # the parity of its position within that pass and magnitude
-        # (1/sqrt(2))^pass = 1/sqrt(size / half).
-        length = size
-        position = index
-        while length > 1:
-            half = length // 2
-            sign = 1.0 if position % 2 == 0 else -1.0
-            self._coefficients[half + position // 2] += (
-                weight * sign / np.sqrt(size / half)
-            )
-            position //= 2
-            length = half
-        self._count += weight
+        self.update_indices(np.array([self.domain.index_of(value)]), weight)
 
     def update_batch(
         self,
@@ -203,53 +207,56 @@ class HaarSynopsis:
     ) -> None:
         """Process a batch of insertions (``weight=1``) or deletions (-1).
 
-        Identical final state to calling :meth:`update` per value (up to
-        float summation order): duplicates are aggregated first
-        (``multiplicity`` counts each value that many times), then every
-        pass's detail shares go in with one scatter-add per block of
-        distinct values: O(distinct values x log n) work.  Passes touch
-        disjoint coefficients and a block holds consecutive sorted values,
-        so each coefficient gets its shares in ascending value order, as a
-        pass-by-pass loop adds them.  A block holds at most one pass's worth
-        of entries: three quarters of it, or ``_BLOCK_ENTRIES`` if more.
+        ``multiplicity`` counts each value that many times.  The final
+        state equals calling :meth:`update` per value, whatever the batch
+        framing: the transform is integer.
         """
         self.update_indices(self.domain.indices_of(values), weight, multiplicity)
 
     def update_indices(
         self, indices: NDArray[Any], weight: int = 1, multiplicity: NDArray[Any] | None = None
     ) -> None:
-        """:meth:`update_batch` over domain indices instead of raw values."""
+        """:meth:`update_batch` over domain indices, every level at once.
+
+        At the level of ``2h`` block sums (``h = size >> (s + 1)``), value
+        ``j`` lies in block ``b = j >> s``, which moves the detail at
+        ``h + (b >> 1)`` up by its mass when ``b`` is even (the left half)
+        and down when it is odd.  When those ``(levels, rows)`` targets
+        would outnumber the transform's entries, the batch's frequency
+        vector is transformed and added instead: the same integers, in
+        time and memory linear in ``rows + size``.
+        """
         if indices.size == 0:
             return
-        if multiplicity is None:
-            unique, counts = np.unique(indices, return_counts=True)
-        else:
-            unique, _, counts = distinct_cells(indices[:, None], (self.domain.size,), multiplicity)
-        mass = counts * float(weight)
-        del counts  # the blocks below are the peak; hold only what they read
-        root, bits, shifts, halves, scales, negated = _levels(self._size)
-        passes = max(1, bits.shape[0])
-        entries = max(_BLOCK_ENTRIES, 3 * unique.shape[0] // 4)
-        block = min(-(-unique.shape[0] // passes), max(1, entries // passes))
-        start = 0
-        while start < unique.shape[0]:
-            stop = start + block
-            # mass / -scale is -(mass / scale) exactly: the sign of update's
-            # (weight * sign) / scale
-            shares = mass[start:stop] / np.where(unique[start:stop] & bits, negated, scales)
-            targets = unique[start:stop] >> shifts
-            targets += halves
-            np.add.at(self._coefficients, targets.ravel(), shares.ravel())
-            start = stop
-        # the overall average: no pass above touches coefficient 0
-        total = mass.sum()
-        self._coefficients[0] += total / root
-        self._count += int(total)
+        indices = np.asarray(indices, dtype=np.int64)
+        mass = weight * (
+            np.ones(indices.shape[0], dtype=np.int64)
+            if multiplicity is None
+            else np.asarray(multiplicity, dtype=np.int64)
+        )
+        shifts = np.arange(self._size.bit_length() - 1)[:, None]
+        if shifts.shape[0] * indices.shape[0] > self._size:
+            counts = np.zeros(self._size, dtype=np.int64)
+            np.add.at(counts, indices, mass)
+            self._details += _pyramid(counts)
+            return
+        self._details[0] += mass.sum()
+        blocks = indices >> shifts
+        targets = (self._size >> (shifts + 1)) + (blocks >> 1)
+        np.add.at(self._details, targets.ravel(), np.where(blocks & 1, -mass, mass).ravel())
+
+    def _normalized(self) -> NDArray[Any]:
+        """The full orthonormal coefficient vector (:func:`haar_transform` of the counts)."""
+        return self._details / _norms(self._size)
 
     def top_coefficients(self) -> tuple[NDArray[Any], NDArray[Any]]:
-        """(indices, values) of the ``budget`` largest-|.| coefficients."""
-        order = np.argsort(np.abs(self._coefficients))[::-1][: self.budget]
-        return order, self._coefficients[order]
+        """(indices, values) of the ``budget`` largest-|.| coefficients, by index.
+
+        A tie at the threshold keeps the lowest indices.
+        """
+        coefficients = self._normalized()
+        kept = np.flatnonzero(_top(np.abs(coefficients), self.budget))
+        return kept, coefficients[kept]
 
     def reconstruct_counts(self) -> NDArray[Any]:
         """Frequency vector implied by the thresholded synopsis."""
@@ -264,18 +271,11 @@ def estimate_join_size(a: HaarSynopsis, b: HaarSynopsis) -> float:
 
     Haar is orthonormal, so ``sum_v c1(v) c2(v) = sum_k w1_k w2_k``; the
     thresholded estimate keeps each side's top coefficients and sums the
-    products over the union of kept positions (a position missing from a
+    products over the positions both sides keep (a position missing from a
     side contributes its stored value of zero).
     """
     if a.domain.size != b.domain.size:
         raise ValueError("join attributes must share the unified domain")
-    idx_a, val_a = a.top_coefficients()
-    idx_b, val_b = b.top_coefficients()
-    sparse_a = dict(zip(idx_a.tolist(), val_a.tolist()))
-    total = 0.0
-    lookup_b = dict(zip(idx_b.tolist(), val_b.tolist()))
-    for k, wa in sparse_a.items():
-        wb = lookup_b.get(k)
-        if wb is not None:
-            total += wa * wb
-    return total
+    wa, wb = a._normalized(), b._normalized()
+    both = _top(np.abs(wa), a.budget) & _top(np.abs(wb), b.budget)
+    return float(wa[both] @ wb[both])

@@ -81,7 +81,7 @@ class TestExecutorParity:
 
 class TestCoordinatorMethods:
     def test_coordinator_resident_queries_carry_bounds(self):
-        # sample (and, on 2-way joins, wavelet/partitioned_sketch) live
+        # sample (and, on 2-way joins, partitioned_sketch) live
         # on the coordinator's full-stream replica; their bounds must
         # still match the single engine exactly
         coordinator = [m for m in ALL_METHODS if m in COORDINATOR_METHODS]

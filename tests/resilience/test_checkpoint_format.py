@@ -110,6 +110,25 @@ class TestWriteRead:
         with pytest.raises(CheckpointIntegrityError, match="unsupported"):
             read_checkpoint(path)
 
+    def test_format_3_file_is_refused(self, tmp_path):
+        # format 3 held Haar synopses as float coefficients and a count
+        engine = StreamEngine()
+        for name in ("R1", "R2"):
+            engine.create_relation(name, ["A"], [Domain.of_size(16)])
+            engine.ingest_batch(name, np.arange(16)[:, None])
+        engine.register_query(
+            "q", JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"]), method="wavelet", budget=4
+        )
+        path = tmp_path / "c.ckpt"
+        engine.save_checkpoint(path)
+        assert StreamEngine.load_checkpoint(path).answer("q") == engine.answer("q")
+        header_line, blob = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["version"] = 3
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(CheckpointError, match="version 3"):
+            StreamEngine.load_checkpoint(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
         write_checkpoint(path, sample_payload())

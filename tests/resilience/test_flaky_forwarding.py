@@ -17,4 +17,4 @@ def test_healthy_per_op_and_batch_calls_reach_the_inner_observer():
     flaky = FlakyObserver(inner=inner, fail_on=10)
     flaky.on_op(relation, StreamOp((3,)))
     flaky.on_ops(relation, relation.rows_array([(5,), (5,)]), OpKind.INSERT)
-    assert inner.histogram.count == 3
+    assert inner.synopsis.count == 3

@@ -41,9 +41,9 @@ ALL_METHODS = [
     "partitioned_sketch",
 ]
 #: Methods whose sharded answer must equal the single-engine answer
-#: bit-for-bit: sketch atoms and bucket counts are integer-valued floats
-#: (order-independent sums), and the coordinator methods replay the exact
-#: arrival order.
+#: bit-for-bit: sketch atoms and bucket counts are integer-valued floats and
+#: Haar details int64 (order-independent sums), and the coordinator methods
+#: replay the exact arrival order.
 EXACT_METHODS = [
     "basic_sketch",
     "skimmed_sketch",
@@ -187,12 +187,9 @@ class TestShardedParityProperty:
         for rel, rows, kind in ops:
             for row in rows:
                 fine.ingest_batch(rel, row.reshape(1, -1), kind)
-        # `sample` rejects deletes; `wavelet` batch-vs-sequential framing is
-        # a single-engine float-order property (its batch kernel sums
-        # transform coefficients in a different order than per-tuple
-        # updates), not a sharding one, so neither belongs in this check.
+        # `sample` rejects deletes
         for method in EXACT_METHODS:
-            if method in ("sample", "wavelet"):
+            if method == "sample":
                 continue
             a = answer_or_error(coarse, f"q_{method}")
             b = answer_or_error(fine, f"q_{method}")

@@ -54,7 +54,7 @@ class TestPartitionedSketch:
         boundaries = [0, 20, 45, 60]
         streamed = PartitionedSketch(boundaries, budget=90, seed=3)
         values = np.repeat(np.arange(60), counts.astype(int))
-        streamed.update_batch(rng.permutation(values))
+        streamed.update_indices(rng.permutation(values))
         batch = PartitionedSketch.from_counts(counts, boundaries, budget=90, seed=3)
         for s, b in zip(streamed.sketches, batch.sketches):
             np.testing.assert_array_equal(s.atoms, b.atoms)
@@ -172,5 +172,5 @@ class TestOneReduction:
         c1, c2 = rng.integers(0, 30, 300), rng.integers(0, 30, 300)
         a = PartitionedSketch.from_counts(c1, boundaries, budget=120, seed=3)
         b = PartitionedSketch.from_counts(c2, boundaries, budget=120, seed=3)
-        b.update_batch(rng.integers(0, 300, 500))
+        b.update_indices(rng.integers(0, 300, 500))
         assert estimate_join_size(a, b) == per_partition_loop(a, b)

@@ -429,7 +429,7 @@ class TestEngineFamilies:
         engine.register_query("part", pair, method="partitioned_sketch", budget=64, partitions=4)
 
         def sides(engine):
-            return [observer.sketch for _, observer in engine._queries["part"].attachments]
+            return [observer.synopsis for _, observer in engine._queries["part"].attachments]
 
         left, right = sides(engine)
         assert left.num_partitions == 4

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.bounds.degree import DegreeObserver
 from repro.core.normalization import Domain
+from repro.sketches.partitioned import PartitionedSketch
 from repro.streams import engine as engine_module
 from repro.streams.engine import StreamEngine
 from repro.streams.queries import JoinQuery
@@ -100,24 +101,18 @@ def _per_tuple_twin(observer, unified):
         def apply(op):
             synopsis.insert([unified[ax].index_of(op.values[ax]) for ax in observer.axes])
 
-    elif isinstance(observer, engine_module._PartitionedObserver):
-        synopsis = copy.deepcopy(observer.sketch)
-
-        def apply(op):
-            axis = observer.axis
-            synopsis.update(unified[axis].index_of(op.values[axis]), weight=op.weight)
-
-    elif isinstance(observer, engine_module._WaveletObserver):
+    elif isinstance(observer, engine_module._AxisObserver):
         synopsis = copy.deepcopy(observer.synopsis)
+        axis = observer.axis
+        if isinstance(synopsis, PartitionedSketch):
 
-        def apply(op):
-            synopsis.update(op.values[observer.axis], weight=op.weight)
+            def apply(op):
+                synopsis.update(unified[axis].index_of(op.values[axis]), weight=op.weight)
 
-    elif isinstance(observer, engine_module._HistogramObserver):
-        synopsis = copy.deepcopy(observer.histogram)
+        else:  # the histogram and the Haar synopsis take raw values
 
-        def apply(op):
-            synopsis.update(op.values[observer.axis], weight=op.weight)
+            def apply(op):
+                synopsis.update(op.values[axis], weight=op.weight)
 
     else:
         assert isinstance(observer, DegreeObserver)
@@ -179,9 +174,12 @@ def test_per_op_state_equals_per_tuple_methods(kind, arity, sample, seed, length
             if id(observer) not in twins:
                 twin = _per_tuple_twin(observer, unified[relation.name])
                 twins[id(observer)] = (relation.name, observer, twin)
-    # one observer class per method (the two sketch methods share one AGMS
+    # one synopsis class per method (the two sketch methods share one AGMS
     # observer) and the degree observers of bounds=True
-    kinds = {type(observer) for _, observer, _ in twins.values()}
+    kinds = {
+        type(observer.synopsis if isinstance(observer, engine_module._AxisObserver) else observer)
+        for _, observer, _ in twins.values()
+    }
     assert len(kinds) == (2 if sample else len(methods))
     for name, op in _stream(engine, rng, length, deletes=not sample):
         engine.process(name, op)
