@@ -27,8 +27,11 @@ import sys
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
     from ..obs.metrics import MetricsRegistry
     from ..obs.otel import OtelPushLoop, SpanSource
+    from ..streams.queries import JoinQuery
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -88,32 +91,67 @@ def _cmd_speed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    """Demo ingest/answer cycle printing the engine's instrumentation."""
+def _demo_workload(
+    engine: Any,
+    args: argparse.Namespace,
+    three_way: bool = False,
+    probability: float = 0.1,
+    **options: Any,
+) -> tuple[JoinQuery, dict[str, NDArray[Any]]]:
+    """Build the demo join on one engine or a fleet and draw its rows.
+
+    Relations R1(A) and R2(A) over ``--domain`` joined on A or, with
+    ``three_way``, the chain R1(A) ⋈ R2(A, B) ⋈ R3(B) with B over half
+    the domain; one ``q_<method>`` query per ``--methods`` entry,
+    registered with ``options`` (a ``sample`` query keeps each row with
+    ``probability``); and ``--tuples`` Zipf(1.3) rows per relation, one
+    column per attribute, drawn from ``--seed`` in relation order.
+    Returns the query and each relation's rows.
+    """
     import numpy as np
 
     from ..core.normalization import Domain
-    from ..streams import JoinQuery, StreamEngine
+    from ..streams import JoinQuery
 
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    engine = StreamEngine(seed=args.seed)
     domain = Domain.of_size(args.domain)
-    engine.create_relation("R1", ["A"], [domain])
-    engine.create_relation("R2", ["A"], [domain])
-    query = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
-    for method in methods:
-        options = {"probability": 0.1} if method == "sample" else {}
-        engine.register_query(f"q_{method}", query, method=method, budget=args.budget, **options)
-
+    if three_way:
+        inner = Domain.of_size(max(2, args.domain // 2))
+        schemas = {"R1": {"A": domain}, "R2": {"A": domain, "B": inner}, "R3": {"B": inner}}
+        query = JoinQuery.parse(list(schemas), ["R1.A = R2.A", "R2.B = R3.B"])
+    else:
+        schemas = {"R1": {"A": domain}, "R2": {"A": domain}}
+        query = JoinQuery.parse(list(schemas), ["R1.A = R2.A"])
+    for name, schema in schemas.items():
+        engine.create_relation(name, list(schema), list(schema.values()))
+    for method in (m.strip() for m in args.methods.split(",")):
+        if method:
+            sample = {"probability": probability} if method == "sample" else {}
+            engine.register_query(
+                f"q_{method}", query, method=method, budget=args.budget, **sample, **options
+            )
     rng = np.random.default_rng(args.seed)
-    for name in ("R1", "R2"):
-        rows = ((rng.zipf(1.3, size=args.tuples) - 1) % args.domain)[:, None]
+    rows = {
+        name: np.stack(
+            [(rng.zipf(1.3, size=args.tuples) - 1) % d.size for d in schema.values()], axis=1
+        )
+        for name, schema in schemas.items()
+    }
+    return query, rows
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    """Demo ingest/answer cycle printing the engine's instrumentation."""
+    from ..streams import StreamEngine
+
+    engine = StreamEngine(seed=args.seed)
+    query, rows = _demo_workload(engine, args)
+    for name, relation_rows in rows.items():
         if args.batch <= 1:
-            for value in rows[:, 0]:
+            for value in relation_rows[:, 0]:
                 engine.insert(name, (int(value),))
         else:
             for lo in range(0, args.tuples, args.batch):
-                engine.ingest_batch(name, rows[lo : lo + args.batch])
+                engine.ingest_batch(name, relation_rows[lo : lo + args.batch])
 
     print(f"estimates after {2 * args.tuples:,} tuples (batch size {args.batch}):")
     exact = engine.exact_join_size(query)
@@ -126,42 +164,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     """Demo: point estimates vs guaranteed upper bounds vs clamped answers."""
-    import numpy as np
+    from ..streams import StreamEngine
 
-    from ..core.normalization import Domain
-    from ..streams import JoinQuery, StreamEngine
-
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     engine = StreamEngine(seed=args.seed)
-    domain = Domain.of_size(args.domain)
-    if args.three_way:
-        inner = Domain.of_size(max(2, args.domain // 2))
-        engine.create_relation("R1", ["A"], [domain])
-        engine.create_relation("R2", ["A", "B"], [domain, inner])
-        engine.create_relation("R3", ["B"], [inner])
-        query = JoinQuery.parse(
-            ["R1", "R2", "R3"], ["R1.A = R2.A", "R2.B = R3.B"]
-        )
-    else:
-        engine.create_relation("R1", ["A"], [domain])
-        engine.create_relation("R2", ["A"], [domain])
-        query = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
-    try:
-        for method in methods:
-            engine.register_query(
-                f"q_{method}", query, method=method, budget=args.budget, bounds=True
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    rng = np.random.default_rng(args.seed)
-    for name, relation in engine.relations.items():
-        columns = [
-            ((rng.zipf(1.3, size=args.tuples) - 1) % d.size)
-            for d in relation.domains
-        ]
-        engine.ingest_batch(name, np.stack(columns, axis=1))
+    query, rows = _demo_workload(engine, args, args.three_way, probability=1.0, bounds=True)
+    for name, relation_rows in rows.items():
+        engine.ingest_batch(name, relation_rows)
 
     exact = engine.exact_join_size(query)
     shape = "3-way chain" if args.three_way else "2-way equi-join"
@@ -173,12 +181,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         f"  {'method':<20} {'estimate':>14} {'upper bound':>14}"
         f" {'clamped':>14} {'clamp':>6}"
     )
-    for method in methods:
-        report = engine.bound_report(f"q_{method}")
+    for name in engine.query_names():
+        report = engine.bound_report(name)
         assert report is not None
         fired = "yes" if report["clamp_fired"] else "-"
         print(
-            f"  {method:<20} {report['estimate']:>14,.1f}"
+            f"  {name.removeprefix('q_'):<20} {report['estimate']:>14,.1f}"
             f" {report['upper_bound']:>14,.1f}"
             f" {report['clamped']:>14,.1f} {fired:>6}"
         )
@@ -230,122 +238,6 @@ def _finish_otel(otel: OtelPushLoop | None, args: argparse.Namespace) -> None:
     )
 
 
-def _monitor_sharded(args: argparse.Namespace, methods: list[str]) -> int:
-    """The ``monitor`` loop over a :class:`ShardedStreamEngine` fleet.
-
-    Same synthetic workload and sinks as the single-engine path, but the
-    stream is hash-partitioned across ``--shards`` workers via the chosen
-    ``--executor``.  Each refresh prints the merged fleet counters plus a
-    per-shard occupancy line; ``--jsonl`` snapshots carry per-shard
-    stats, ``--prom`` exports the merged fleet registry, and
-    ``--checkpoint-dir`` writes one rotated store per shard plus the
-    fleet manifest (recoverable with the ``resume`` subcommand).
-    """
-    from time import perf_counter
-
-    import numpy as np
-
-    from ..core.normalization import Domain
-    from ..obs import JsonlSnapshotWriter, MetricsRegistry, prometheus_text
-    from ..sharding import ShardedStreamEngine
-    from ..streams import JoinQuery
-
-    fleet = ShardedStreamEngine(
-        num_shards=args.shards, seed=args.seed, executor=args.executor
-    )
-    domain = Domain.of_size(args.domain)
-    fleet.create_relation("R1", ["A"], [domain])
-    fleet.create_relation("R2", ["A"], [domain])
-    query = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
-    for method in methods:
-        options = {"probability": 0.1} if method == "sample" else {}
-        fleet.register_query(
-            f"q_{method}", query, method=method, budget=args.budget, **options
-        )
-
-    writer = JsonlSnapshotWriter(args.jsonl) if args.jsonl else None
-    server = None
-    if args.serve_metrics is not None:
-        from ..obs import MetricsServer
-
-        # A provider, not a registry: the merged fleet registry is rebuilt
-        # on every scrape so per-shard counters stay current.
-        server = MetricsServer(fleet.fleet_metrics, port=args.serve_metrics).start()
-        print(f"serving metrics at {server.url}")
-    # The merged fleet registry is rebuilt per push, so the export
-    # self-metrics live in a stable registry merged in on top.
-    own_registry = MetricsRegistry()
-    otel = _build_otel_loop(
-        args,
-        metrics=lambda: fleet.fleet_metrics().merge(own_registry),
-        spans=fleet.drain_spans,
-        registry=own_registry,
-    )
-    start = perf_counter()
-
-    def render() -> None:
-        elapsed = perf_counter() - start
-        stats = fleet.shard_stats()
-        total = sum(s["tuples_ingested"] for s in stats)
-        rate = total / elapsed if elapsed > 0 else 0.0
-        print(
-            f"[{elapsed:7.2f}s] {total:>12,} ops over {args.shards} shards"
-            f" ({args.executor}), {rate:>12,.0f} ops/s"
-        )
-        occupancy = "  ".join(
-            f"s{i}:{s['tuples_ingested']:,}" for i, s in enumerate(stats)
-        )
-        print(f"           {occupancy}")
-
-    def snapshot() -> dict[str, Any]:
-        return {"shards": fleet.shard_stats(), "answers": fleet.answers()}
-
-    rng = np.random.default_rng(args.seed)
-    rows = {
-        name: ((rng.zipf(1.3, size=args.tuples) - 1) % args.domain)[:, None]
-        for name in ("R1", "R2")
-    }
-    batch = max(1, args.batch)
-    since_refresh = 0
-    since_checkpoint = 0
-    for lo in range(0, args.tuples, batch):
-        for name in ("R1", "R2"):
-            chunk = rows[name][lo : lo + batch]
-            fleet.ingest_batch(name, chunk)
-            since_refresh += chunk.shape[0]
-            since_checkpoint += chunk.shape[0]
-        if since_refresh >= args.refresh_every:
-            since_refresh = 0
-            render()
-            if writer is not None:
-                writer.write(snapshot())
-        if otel is not None:
-            otel.maybe_push()
-        if args.checkpoint_dir and since_checkpoint >= args.checkpoint_every:
-            since_checkpoint = 0
-            fleet.save_checkpoints(args.checkpoint_dir, keep=args.checkpoint_keep)
-    render()
-    print("final estimates:")
-    for name, estimate in fleet.answers().items():
-        print(f"  {name:<24} {estimate:>14,.1f}")
-    if writer is not None:
-        writer.write(snapshot())
-        print(f"wrote {writer.snapshots_written} snapshots to {args.jsonl}")
-    if args.checkpoint_dir:
-        fleet.save_checkpoints(args.checkpoint_dir, keep=args.checkpoint_keep)
-        print(f"wrote per-shard checkpoints + fleet manifest to {args.checkpoint_dir}")
-    if args.prom:
-        from pathlib import Path
-
-        Path(args.prom).write_text(prometheus_text(fleet.fleet_metrics()))
-        print(f"wrote Prometheus exposition to {args.prom}")
-    _finish_otel(otel, args)
-    if server is not None:
-        server.stop()
-    fleet.close()
-    return 0
-
-
 def _cmd_monitor(args: argparse.Namespace) -> int:
     """Ingest a synthetic stream and render a live-refreshing stats table.
 
@@ -359,146 +251,175 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     in Prometheus text exposition format.  With ``--checkpoint-dir`` set,
     the engine is checkpointed every ``--checkpoint-every`` ingested
     tuples (rotated, last ``--checkpoint-keep`` files kept) so a crashed
-    monitor can be resumed with the ``resume`` subcommand.  With
-    ``--shards N`` (N > 1) the same workload runs against a
-    :class:`~repro.sharding.ShardedStreamEngine` fleet instead.
+    monitor can be resumed with the ``resume`` subcommand.
+
+    With ``--shards N`` (N > 1) the same workload and loop drive a
+    :class:`~repro.sharding.ShardedStreamEngine` fleet over
+    ``--executor``.  Each refresh then prints the fleet's throughput and
+    a per-shard occupancy line, snapshots carry per-shard stats, the
+    sinks export the merged fleet registry, a checkpoint is one rotated
+    store per shard plus the fleet manifest, and the final estimates are
+    printed at the end.  A fleet ignores ``--trace-sample`` and
+    ``--accuracy-every``.
     """
-    import sys as _sys
+    from contextlib import ExitStack
     from time import perf_counter
 
-    import numpy as np
+    from ..obs import JsonlSnapshotWriter, MetricsRegistry, prometheus_text
 
-    from ..core.normalization import Domain
-    from ..obs import JsonlSnapshotWriter, Telemetry, prometheus_text, render_dashboard
-    from ..streams import JoinQuery, StreamEngine
+    with ExitStack() as cleanup:
+        target: Any
+        metrics: Callable[[], MetricsRegistry]
+        if args.shards > 1:
+            from ..sharding import ShardedStreamEngine
 
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.shards > 1:
-        return _monitor_sharded(args, methods)
-    engine = StreamEngine(
-        seed=args.seed,
-        telemetry=Telemetry(trace_sample_every=args.trace_sample),
-    )
-    domain = Domain.of_size(args.domain)
-    engine.create_relation("R1", ["A"], [domain])
-    engine.create_relation("R2", ["A"], [domain])
-    query = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
-    for method in methods:
-        options = {"probability": 0.1} if method == "sample" else {}
-        engine.register_query(
-            f"q_{method}", query, method=method, budget=args.budget, **options
-        )
-    tracker = engine.track_accuracy(every_ops=args.accuracy_every)
-    writer = (
-        JsonlSnapshotWriter(args.jsonl, registry=engine.telemetry.registry)
-        if args.jsonl
-        else None
-    )
-    store = None
-    if args.checkpoint_dir:
-        from ..resilience import CheckpointStore
-
-        store = CheckpointStore(args.checkpoint_dir, keep=args.checkpoint_keep)
-    server = None
-    if args.serve_metrics is not None:
-        from ..obs import MetricsServer
-
-        server = MetricsServer(
-            engine.telemetry.registry, port=args.serve_metrics
-        ).start()
-        print(f"serving metrics at {server.url}")
-    tracer = engine.telemetry.tracer
-    otel = _build_otel_loop(
-        args,
-        metrics=engine.telemetry.registry,
-        spans=(lambda: [({}, tracer.drain())]) if tracer is not None else None,
-    )
-
-    def snapshot() -> dict[str, Any]:
-        return {"stats": engine.stats().as_dict(), "accuracy": tracker.as_dict()}
-
-    clear_screen = _sys.stdout.isatty() and not args.no_clear
-    start = perf_counter()
-
-    def render() -> None:
-        if clear_screen:
-            print("\x1b[2J\x1b[H", end="")
-        print(
-            render_dashboard(
-                engine.stats(),
-                accuracy=tracker,
-                tracer=engine.telemetry.tracer,
-                elapsed_s=perf_counter() - start,
+            fleet = target = cleanup.enter_context(
+                ShardedStreamEngine(num_shards=args.shards, seed=args.seed, executor=args.executor)
             )
-        )
-        if not clear_screen:
-            print("-" * 72)
+            _, rows = _demo_workload(fleet, args)
+            writer = JsonlSnapshotWriter(args.jsonl) if args.jsonl else None
+            # A provider, not a registry: the merged fleet registry is
+            # rebuilt on every call so per-shard counters stay current, and
+            # the export self-metrics live in a stable registry merged in.
+            metrics = fleet.fleet_metrics
+            own_registry = MetricsRegistry()
+            otel = _build_otel_loop(
+                args,
+                metrics=lambda: fleet.fleet_metrics().merge(own_registry),
+                spans=fleet.drain_spans,
+                registry=own_registry,
+            )
 
-    rng = np.random.default_rng(args.seed)
-    rows = {
-        name: ((rng.zipf(1.3, size=args.tuples) - 1) % args.domain)[:, None]
-        for name in ("R1", "R2")
-    }
-    batch = max(1, args.batch)
-    since_refresh = 0
-    since_checkpoint = 0
-    for lo in range(0, args.tuples, batch):
-        for name in ("R1", "R2"):
-            chunk = rows[name][lo : lo + batch]
-            engine.ingest_batch(name, chunk)
-            since_refresh += chunk.shape[0]
-            since_checkpoint += chunk.shape[0]
-        if since_refresh >= args.refresh_every:
-            since_refresh = 0
-            render()
-            if writer is not None:
-                writer.write(snapshot())
-        if otel is not None:
-            otel.maybe_push()
-        if store is not None and since_checkpoint >= args.checkpoint_every:
-            since_checkpoint = 0
-            store.save(engine)
-    engine.answers()  # leave final estimate latencies in the histogram
-    render()
-    if writer is not None:
-        writer.write(snapshot())
-        print(f"wrote {writer.snapshots_written} snapshots to {args.jsonl}")
-    if store is not None:
-        final = store.save(engine)
-        print(
-            f"wrote checkpoint {final.name} "
-            f"({len(store.paths())} kept in {args.checkpoint_dir})"
-        )
-    if args.prom:
-        from pathlib import Path
+            def render() -> None:
+                elapsed = perf_counter() - start
+                stats = fleet.shard_stats()
+                total = sum(s["tuples_ingested"] for s in stats)
+                rate = total / elapsed if elapsed > 0 else 0.0
+                print(
+                    f"[{elapsed:7.2f}s] {total:>12,} ops over {args.shards} shards"
+                    f" ({args.executor}), {rate:>12,.0f} ops/s"
+                )
+                occupancy = "  ".join(
+                    f"s{i}:{s['tuples_ingested']:,}" for i, s in enumerate(stats)
+                )
+                print(f"           {occupancy}")
 
-        Path(args.prom).write_text(prometheus_text(engine.telemetry.registry))
-        print(f"wrote Prometheus exposition to {args.prom}")
-    _finish_otel(otel, args)
-    if server is not None:
-        server.stop()
+            def snapshot() -> dict[str, Any]:
+                return {"shards": fleet.shard_stats(), "answers": fleet.answers()}
+
+            def checkpoint() -> str:
+                fleet.save_checkpoints(args.checkpoint_dir, keep=args.checkpoint_keep)
+                return f"wrote per-shard checkpoints + fleet manifest to {args.checkpoint_dir}"
+
+        else:
+            from ..obs import Telemetry, render_dashboard
+            from ..resilience import CheckpointStore
+            from ..streams import StreamEngine
+
+            engine = target = StreamEngine(
+                seed=args.seed, telemetry=Telemetry(trace_sample_every=args.trace_sample)
+            )
+            _, rows = _demo_workload(engine, args)
+            tracker = engine.track_accuracy(every_ops=args.accuracy_every)
+            registry = engine.telemetry.registry
+            writer = JsonlSnapshotWriter(args.jsonl, registry=registry) if args.jsonl else None
+            if args.checkpoint_dir:
+                store = CheckpointStore(args.checkpoint_dir, keep=args.checkpoint_keep)
+            metrics = lambda: registry
+            tracer = engine.telemetry.tracer
+            otel = _build_otel_loop(
+                args,
+                metrics=registry,
+                spans=(lambda: [({}, tracer.drain())]) if tracer is not None else None,
+            )
+            clear_screen = sys.stdout.isatty() and not args.no_clear
+
+            def render() -> None:
+                if clear_screen:
+                    print("\x1b[2J\x1b[H", end="")
+                print(
+                    render_dashboard(
+                        engine.stats(),
+                        accuracy=tracker,
+                        tracer=tracer,
+                        elapsed_s=perf_counter() - start,
+                    )
+                )
+                if not clear_screen:
+                    print("-" * 72)
+
+            def snapshot() -> dict[str, Any]:
+                return {"stats": engine.stats().as_dict(), "accuracy": tracker.as_dict()}
+
+            def checkpoint() -> str:
+                path = store.save(engine)
+                return (
+                    f"wrote checkpoint {path.name} "
+                    f"({len(store.paths())} kept in {args.checkpoint_dir})"
+                )
+
+        if args.serve_metrics is not None:
+            from ..obs import MetricsServer
+
+            server = MetricsServer(metrics, port=args.serve_metrics).start()
+            cleanup.callback(server.stop)
+            print(f"serving metrics at {server.url}")
+        start = perf_counter()
+        batch = max(1, args.batch)
+        since_refresh = since_checkpoint = 0
+        for lo in range(0, args.tuples, batch):
+            for name, relation_rows in rows.items():
+                chunk = relation_rows[lo : lo + batch]
+                target.ingest_batch(name, chunk)
+                since_refresh += chunk.shape[0]
+                since_checkpoint += chunk.shape[0]
+            if since_refresh >= args.refresh_every:
+                since_refresh = 0
+                render()
+                if writer is not None:
+                    writer.write(snapshot())
+            if otel is not None:
+                otel.maybe_push()
+            if args.checkpoint_dir and since_checkpoint >= args.checkpoint_every:
+                since_checkpoint = 0
+                checkpoint()
+        answers = target.answers()  # leaves one engine's final latencies in its histogram
+        render()
+        if args.shards > 1:
+            print("final estimates:")
+            for name, estimate in answers.items():
+                print(f"  {name:<24} {estimate:>14,.1f}")
+        if writer is not None:
+            writer.write(snapshot())
+            print(f"wrote {writer.snapshots_written} snapshots to {args.jsonl}")
+        if args.checkpoint_dir:
+            print(checkpoint())
+        if args.prom:
+            from pathlib import Path
+
+            Path(args.prom).write_text(prometheus_text(metrics()))
+            print(f"wrote Prometheus exposition to {args.prom}")
+        _finish_otel(otel, args)
     return 0
 
 
-def _resume_sharded(args: argparse.Namespace) -> int:
-    """Restore a sharded fleet from its manifest and print its state."""
+def _list_restored(engine: Any, counts: dict[str, int]) -> None:
+    """Print restored relation counts and every query's answer.
+
+    A degraded query (an observer was quarantined before the checkpoint)
+    is reported as such instead of aborting the listing.
+    """
     from ..resilience import DegradedQueryError
-    from ..sharding import ShardedStreamEngine
 
-    with ShardedStreamEngine.restore(args.checkpoint_dir) as fleet:
-        print(
-            f"restored {fleet.num_shards}-shard fleet from {args.checkpoint_dir}"
-        )
-        for name in fleet.relation_names():
-            print(f"  relation {name:<8} {fleet.total_count(name):>12,} tuples")
-        for name in fleet.query_names():
-            try:
-                estimate = fleet.answer(name)
-            except DegradedQueryError as exc:
-                print(f"  query {name:<20} degraded ({exc.reason})")
-            else:
-                print(f"  query {name:<20} {estimate:>14,.1f}")
-    return 0
+    for name, count in counts.items():
+        print(f"  relation {name:<8} {count:>12,} tuples")
+    for name in engine.query_names():
+        try:
+            estimate = engine.answer(name)
+        except DegradedQueryError as exc:
+            print(f"  query {name:<20} degraded ({exc.reason})")
+        else:
+            print(f"  query {name:<20} {estimate:>14,.1f}")
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -508,35 +429,30 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     checkpoint written by ``monitor --checkpoint-dir`` (or any
     :class:`~repro.resilience.CheckpointStore` user), then print the
     restored relation cardinalities and every registered query's answer.
-    Degraded queries (an observer was quarantined before the checkpoint)
-    are reported as such instead of aborting the listing.  A directory
-    holding a fleet manifest (written by ``monitor --shards N``) is
-    detected automatically and restored as a whole
+    A directory holding a fleet manifest (written by ``monitor --shards
+    N``) is detected automatically and restored as a whole
     :class:`~repro.sharding.ShardedStreamEngine` fleet.
     """
     from pathlib import Path
 
-    from ..resilience import CheckpointStore, DegradedQueryError
+    if (Path(args.checkpoint_dir) / "fleet-manifest.json").exists():
+        from ..sharding import ShardedStreamEngine
+
+        with ShardedStreamEngine.restore(args.checkpoint_dir) as fleet:
+            print(f"restored {fleet.num_shards}-shard fleet from {args.checkpoint_dir}")
+            counts = {name: fleet.total_count(name) for name in fleet.relation_names()}
+            _list_restored(fleet, counts)
+        return 0
+    from ..resilience import CheckpointStore
     from ..streams import StreamEngine
 
-    if (Path(args.checkpoint_dir) / "fleet-manifest.json").exists():
-        return _resume_sharded(args)
-    store = CheckpointStore(args.checkpoint_dir)
-    latest = store.latest()
+    latest = CheckpointStore(args.checkpoint_dir).latest()
     if latest is None:
         print(f"no checkpoints found in {args.checkpoint_dir}", file=sys.stderr)
         return 2
     engine = StreamEngine.load_checkpoint(latest)
     print(f"restored {latest.name} from {args.checkpoint_dir}")
-    for name, relation in engine.relations.items():
-        print(f"  relation {name:<8} {relation.count:>12,} tuples")
-    for name in engine.query_names():
-        try:
-            estimate = engine.answer(name)
-        except DegradedQueryError as exc:
-            print(f"  query {name:<20} degraded ({exc.reason})")
-        else:
-            print(f"  query {name:<20} {estimate:>14,.1f}")
+    _list_restored(engine, {name: r.count for name, r in engine.relations.items()})
     return 0
 
 

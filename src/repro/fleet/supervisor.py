@@ -12,7 +12,7 @@ and keeps the fleet answer-correct across worker crashes:
   suffix;
 * when a worker is gone — transport error, clean EOF, or a call
   timeout, all treated identically — the supervisor respawns the
-  process, restores the latest checkpoint (if one was ever marked) and
+  process, restores the marked checkpoint (if one was ever marked) and
   replays the journal suffix in order.  Replay is correct because a
   crash discards *all* partial effects of the in-flight command, and
   every journaled command is deterministic given the restored state.
@@ -184,17 +184,17 @@ class ShardSupervisor:
                 result = self._workers[shard].call(method, args, kwargs)
             if method == "save_checkpoint":
                 # The checkpoint now covers everything journaled so far:
-                # mark it (remembering the store directory for revives)
-                # and drop the prefix replay no longer needs.
+                # mark it (remembering its file for revives) and drop the
+                # prefix replay no longer needs.
                 journal = self._journals[shard]
-                journal.mark(str(args[0]))
+                journal.mark(str(result))
                 journal.truncate()
-            elif method == "load_latest_checkpoint":
+            elif method in ("load_checkpoint", "load_latest_checkpoint"):
                 # The worker's state *is* the checkpoint now; any journal
                 # history predates it and must not be replayed on top.
                 journal = self._journals[shard]
                 journal.clear()
-                journal.mark(str(args[0]))
+                journal.mark(str(result))
             return result
 
     def _check_up(self, shard: int) -> None:
@@ -226,7 +226,7 @@ class ShardSupervisor:
         try:
             worker.spawn(self._workers)
             if journal.has_mark:
-                worker.call("load_latest_checkpoint", (journal.mark_ref,), {})
+                worker.call("load_checkpoint", (journal.mark_ref,), {})
                 entries = journal.since_mark()
             else:
                 entries = journal.all_entries()

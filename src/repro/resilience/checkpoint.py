@@ -68,6 +68,7 @@ __all__ = [
     "domain_from_spec",
     "domain_to_spec",
     "read_checkpoint",
+    "write_atomic",
     "write_checkpoint",
 ]
 
@@ -102,6 +103,28 @@ def _header_bytes(payload: bytes) -> bytes:
     return (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
 
 
+def write_atomic(path: Path, *chunks: bytes) -> int:
+    """Replace ``path`` with ``chunks``; returns the bytes written.
+
+    The chunks are written one by one (so a payload is never copied
+    behind its header) to a temporary sibling file, fsynced, and moved
+    into place with ``os.replace`` — readers only ever see the old or the
+    new complete file.  The temp file is removed on any failure.
+    """
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    try:
+        with tmp.open("wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return sum(len(chunk) for chunk in chunks)
+
+
 def write_checkpoint(
     path: str | Path,
     payload: dict[str, Any],
@@ -111,31 +134,17 @@ def write_checkpoint(
 ) -> int:
     """Atomically write a checkpoint file; returns its size in bytes.
 
-    The payload is pickled, prefixed with the integrity header, written
-    to a temporary sibling file (fsynced), and moved into place with
-    ``os.replace`` — readers only ever see the old or the new complete
-    file.  Transient ``OSError`` anywhere in that sequence is retried
-    under ``retry`` (capped exponential backoff); the temp file is
-    cleaned up on final failure.
+    The payload is pickled, prefixed with the integrity header and
+    written with :func:`write_atomic`.  Transient ``OSError`` anywhere in
+    that sequence is retried under ``retry`` (capped exponential
+    backoff).
     """
     path = Path(path)
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = _header_bytes(blob)
 
     def attempt() -> int:
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as handle:
-                # two writes, so the payload is never copied behind its header
-                handle.write(header)
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return len(header) + len(blob)
+        return write_atomic(path, header, blob)
 
     if sleep is None:
         return retry_io(attempt, policy=retry, on_retry=on_retry)

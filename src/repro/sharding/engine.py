@@ -54,6 +54,7 @@ from ..resilience.checkpoint import (
     CheckpointStore,
     domain_from_spec,
     domain_to_spec,
+    write_atomic,
 )
 from ..resilience.deadletter import DeadLetterBuffer, ReplayReport
 from ..resilience.errors import CheckpointError, DegradedQueryError
@@ -67,6 +68,8 @@ from .partition import split_rows
 __all__ = ["PartialAnswer", "ShardedStreamEngine"]
 
 _MANIFEST_NAME = "fleet-manifest.json"
+#: Version 2 routes rows on domain indices (version 1 routed raw values).
+_MANIFEST_VERSION = 2
 _T = TypeVar("_T")
 
 
@@ -248,10 +251,16 @@ class ShardedStreamEngine:
     ) -> None:
         """Partition a same-kind batch by routing hash and fan it out.
 
-        The coordinator replica (when present) sees the whole batch first,
-        in arrival order; each shard then applies its slice through the
-        normal batched fast path.  Per-shard slices preserve the batch's
-        relative order, so shard state is independent of batch framing.
+        The template relation maps the batch to domain indices as one
+        engine would, so a batch one engine rejects raises its
+        ``ValueError`` before any shard sees it, and rows route on their
+        partition value's index.  The coordinator replica (when present)
+        then sees the whole batch, in arrival order, and each shard
+        applies its slice through the normal batched fast path.  The
+        replica's own check, or else every shard's check of its part,
+        rejects a delete batch before any shard applies one.  Per-shard
+        slices preserve the batch's relative order, so shard state is
+        independent of batch framing.
 
         With :meth:`enable_dead_lettering` active, malformed rows are
         diverted into :attr:`dead_letters` *before* partitioning — the
@@ -265,6 +274,7 @@ class ShardedStreamEngine:
         arr = relation.rows_array(rows)
         if arr.shape[0] == 0:
             return
+        keys = relation.indices_of_rows(arr)[:, meta.partition_axis]
         span = (
             self.tracer.propagated_span(
                 "ingest_batch", count=arr.shape[0], relation=relation_name, kind=kind.name
@@ -275,7 +285,14 @@ class ShardedStreamEngine:
         with span as traceparent:
             if self._coordinator is not None:
                 self._coordinator.ingest_batch(relation_name, arr, kind)
-            parts = split_rows(arr, meta.partition_axis, self.num_shards)
+            parts = split_rows(arr, keys, self.num_shards)
+            if kind is OpKind.DELETE and self._coordinator is None:
+                for reason in self._executor.scatter(
+                    "check_delete",
+                    [((relation_name, part), {}) if part.shape[0] else None for part in parts],
+                ):
+                    if reason is not None:
+                        raise ValueError(reason)
             self._executor.scatter(
                 "ingest",
                 [
@@ -649,15 +666,19 @@ class ShardedStreamEngine:
     # checkpoint / recovery
     # ------------------------------------------------------------------ #
 
-    def _shard_dir(self, directory: str | Path, shard: int) -> Path:
+    @staticmethod
+    def _shard_dir(directory: str | Path, shard: int) -> Path:
         return Path(directory) / f"shard-{shard:02d}"
 
     def save_checkpoints(self, directory: str | Path, keep: int = 3) -> list[str]:
         """Checkpoint every shard (and the coordinator) independently.
 
-        Each shard rotates its own ``shard-NN/checkpoint-*.ckpt`` store;
-        a JSON fleet manifest records the partitioning and query layout so
-        :meth:`restore` can rebuild the fleet.  Returns the written paths.
+        Each shard rotates its own ``shard-NN/checkpoint-*.ckpt`` store.
+        A JSON fleet manifest, written last and atomically, records the
+        partitioning and query layout and names the file each store wrote:
+        it commits the save, so a failed write leaves the previous save
+        for :meth:`restore` while the stores keep its files.  Returns the
+        written checkpoint paths.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -668,18 +689,20 @@ class ShardedStreamEngine:
                 for shard in range(self.num_shards)
             ],
         )
+        coordinator = None
         if self._coordinator is not None:
             store = CheckpointStore(directory / "coordinator", keep=keep)
-            paths.append(str(store.save(self._coordinator)))
+            coordinator = store.save(self._coordinator)
         manifest = {
-            "version": 1,
+            "version": _MANIFEST_VERSION,
             "num_shards": self.num_shards,
             "seed": self._seed,
             "fault_policy": self._fault_policy,
             "dead_letter_capacity": (
                 None if self.dead_letters is None else self.dead_letters.capacity
             ),
-            "has_coordinator": self._coordinator is not None,
+            "shard_checkpoints": [Path(path).name for path in paths],
+            "coordinator_checkpoint": None if coordinator is None else coordinator.name,
             "relations": [
                 {
                     "name": meta.name,
@@ -694,8 +717,8 @@ class ShardedStreamEngine:
                 for meta in self._queries.values()
             ],
         }
-        (directory / _MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-        return [p for p in paths if p is not None]
+        write_atomic(directory / _MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
+        return [*paths, *([] if coordinator is None else [str(coordinator)])]
 
     def restore_shard(self, shard: int, directory: str | Path) -> str:
         """Reload one crashed shard from its own newest checkpoint.
@@ -722,8 +745,11 @@ class ShardedStreamEngine:
         """Rebuild a fleet from :meth:`save_checkpoints` output.
 
         The manifest recreates the fleet layout (shard count, partition
-        axes, query specs); each shard then restores from its own store,
-        and the coordinator replica (if any) from ``coordinator/``.
+        axes, query specs), and each shard and the coordinator replica (if
+        any) load the checkpoint file it names.  A manifest that cannot be
+        read, has another version, lacks a field or names a file that is
+        gone raises :class:`~repro.resilience.errors.CheckpointError`
+        before any shard starts.
         """
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
@@ -733,45 +759,64 @@ class ShardedStreamEngine:
             raise CheckpointError(
                 f"cannot read fleet manifest {manifest_path}: {exc}"
             ) from exc
-        engine = cls(
-            num_shards=int(manifest["num_shards"]),
-            seed=int(manifest["seed"]),
-            executor=executor,
-            telemetry=telemetry,
-        )
-        for rel in manifest["relations"]:
-            domains = [domain_from_spec(s) for s in rel["domains"]]
-            engine._merge_engine.create_relation(rel["name"], rel["attributes"], domains)
-            engine._relations[rel["name"]] = _RelationMeta(
-                rel["name"], rel["attributes"], domains, int(rel["partition_axis"])
+        version = manifest.get("version") if isinstance(manifest, dict) else None
+        if version != _MANIFEST_VERSION:
+            raise CheckpointError(
+                f"{manifest_path} has unsupported fleet manifest version {version!r} "
+                f"(this build reads {_MANIFEST_VERSION})"
             )
-        engine._executor.scatter(
-            "load_latest_checkpoint",
-            [
-                ((str(engine._shard_dir(directory, shard)),), {})
-                for shard in range(engine.num_shards)
-            ],
-        )
-        if manifest.get("has_coordinator"):
-            store = CheckpointStore(directory / "coordinator")
-            latest = store.latest()
-            if latest is None:
-                raise CheckpointError(f"no coordinator checkpoints in {directory}")
+        try:
+            num_shards = int(manifest["num_shards"])
+            seed = int(manifest["seed"])
+            relations = [
+                _RelationMeta(
+                    rel["name"],
+                    rel["attributes"],
+                    [domain_from_spec(spec) for spec in rel["domains"]],
+                    int(rel["partition_axis"]),
+                )
+                for rel in manifest["relations"]
+            ]
+            queries = [
+                _QueryMeta(entry["name"], entry["spec"], entry["coordinator"])
+                for entry in manifest["queries"]
+            ]
+            shard_names = list(manifest["shard_checkpoints"])
+            coordinator_name = manifest["coordinator_checkpoint"]
+            fault_policy = manifest["fault_policy"]
+            dead_letter_capacity = manifest["dead_letter_capacity"]
+        except KeyError as exc:
+            raise CheckpointError(
+                f"fleet manifest {manifest_path} is missing field {exc.args[0]!r}"
+            ) from exc
+        files = [cls._shard_dir(directory, s) / name for s, name in enumerate(shard_names)]
+        if coordinator_name is not None:
+            files.append(directory / "coordinator" / coordinator_name)
+        missing = [str(path) for path in files if not path.is_file()]
+        if missing or len(shard_names) != num_shards:
+            raise CheckpointError(
+                f"fleet manifest {manifest_path} names checkpoints that are gone ({missing}) "
+                f"or not one per shard ({len(shard_names)} for {num_shards} shards)"
+            )
+        engine = cls(num_shards=num_shards, seed=seed, executor=executor, telemetry=telemetry)
+        for meta in relations:
+            engine._merge_engine.create_relation(meta.name, meta.attributes, meta.domains)
+            engine._relations[meta.name] = meta
+        engine._executor.scatter("load_checkpoint", [((str(p),), {}) for p in files[:num_shards]])
+        if coordinator_name is not None:
             engine._coordinator = StreamEngine.load_checkpoint(
-                latest, telemetry=engine._coordinator_telemetry(), shard="coordinator"
+                files[-1], telemetry=engine._coordinator_telemetry(), shard="coordinator"
             )
-        for entry in manifest["queries"]:
-            if not entry["coordinator"]:
-                engine._merge_engine.register_query_spec(entry["name"], entry["spec"])
-            engine._queries[entry["name"]] = _QueryMeta(
-                entry["name"], entry["spec"], entry["coordinator"]
-            )
-        if manifest.get("fault_policy") is not None:
-            engine.enable_fault_isolation(manifest["fault_policy"])
-        if manifest.get("dead_letter_capacity") is not None:
+        for query in queries:
+            if not query.coordinator:
+                engine._merge_engine.register_query_spec(query.name, query.spec)
+            engine._queries[query.name] = query
+        if fault_policy is not None:
+            engine.enable_fault_isolation(fault_policy)
+        if dead_letter_capacity is not None:
             # The buffer's *contents* are not checkpointed (letters are a
             # quarantine, not state); only the guard itself is restored.
-            engine.enable_dead_lettering(int(manifest["dead_letter_capacity"]))
+            engine.enable_dead_lettering(int(dead_letter_capacity))
         return engine
 
     # ------------------------------------------------------------------ #

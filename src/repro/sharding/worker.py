@@ -124,6 +124,15 @@ class ShardWorker:
         self.engine.ingest_batch(relation, rows, kind)
         return int(np.asarray(rows).shape[0])
 
+    def check_delete(self, relation: str, rows: NDArray[Any]) -> str | None:
+        """Why this shard cannot delete ``rows`` (a read), or ``None``."""
+        target = self.engine.relations[relation]
+        try:
+            target.delete_delta(rows, target.indices_of_rows(rows))
+        except ValueError as exc:
+            return str(exc)
+        return None
+
     def query_observers(
         self, name: str, traceparent: str | None = None
     ) -> tuple[str | None, list[dict[str, Any]]]:
@@ -170,17 +179,20 @@ class ShardWorker:
         store = CheckpointStore(directory, keep=keep)
         return str(store.save(self.engine))
 
-    def load_latest_checkpoint(self, directory: str) -> str:
-        """Replace this shard's engine with the newest checkpoint's state."""
-        store = CheckpointStore(Path(directory))
-        latest = store.latest()
-        if latest is None:
-            raise CheckpointError(f"no checkpoints found in {directory}")
+    def load_checkpoint(self, path: str) -> str:
+        """Replace this shard's engine with the state of checkpoint ``path``."""
         hub = Telemetry() if self.telemetry_enabled else Telemetry.disabled()
         self.engine = StreamEngine.load_checkpoint(
-            latest, telemetry=hub, shard=str(self.shard_index)
+            path, telemetry=hub, shard=str(self.shard_index)
         )
-        return str(latest)
+        return path
+
+    def load_latest_checkpoint(self, directory: str) -> str:
+        """Replace this shard's engine with the newest checkpoint in ``directory``."""
+        latest = CheckpointStore(Path(directory)).latest()
+        if latest is None:
+            raise CheckpointError(f"no checkpoints found in {directory}")
+        return self.load_checkpoint(str(latest))
 
 
 def serve_commands(

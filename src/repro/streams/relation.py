@@ -375,6 +375,19 @@ class StreamRelation:
             return self.indices_of_rows(rows)
         return batch[1]
 
+    def delete_delta(self, arr: NDArray[Any], idx: NDArray[Any]) -> BatchDelta:
+        """The delta of deleting raw ``arr`` (domain indices ``idx``), checked.
+
+        Raises ``ValueError`` naming a tuple the batch deletes more often
+        than the relation holds it; the relation is not changed.
+        """
+        delta = BatchDelta.of(arr, idx, self.counts.shape, OpKind.DELETE)
+        short = delta.counts > self.counts.reshape(-1)[delta.cells]
+        if short.any():
+            bad = tuple(delta.rows[np.argmax(short)].tolist())
+            raise ValueError(f"deleting tuple {bad} that {self.name} does not hold")
+        return delta
+
     def _apply_rows_inner(
         self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool
     ) -> None:
@@ -384,15 +397,8 @@ class StreamRelation:
             # A sequential replay would raise on the first tuple exceeding
             # its live multiplicity; check up front so a rejected batch
             # leaves the exact state untouched.
-            delta = BatchDelta.of(arr, idx, self.counts.shape, kind)
-            cells = np.unravel_index(delta.cells, self.counts.shape)
-            short = delta.counts > self.counts[cells]
-            if short.any():
-                bad = tuple(delta.rows[np.argmax(short)].tolist())
-                raise ValueError(
-                    f"deleting tuple {bad} that {self.name} does not hold"
-                )
-            self.counts[cells] -= delta.counts
+            delta = self.delete_delta(arr, idx)
+            self.counts.reshape(-1)[delta.cells] -= delta.counts
             self._count -= idx.shape[0]
         else:
             # One flat index per row: np.add.at's tuple-index path is

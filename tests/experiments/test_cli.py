@@ -1,5 +1,7 @@
 """Tests for the repro-experiments command line."""
 
+import json
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -179,6 +181,35 @@ class TestCheckpointingMonitor:
         assert "restored checkpoint-" in out
         assert "relation R1" in out and "600 tuples" in out
         assert "query q_cosine" in out and "query q_basic_sketch" in out
+
+    def test_resume_restores_a_monitored_fleet(self, capsys, tmp_path):
+        ckpts = tmp_path / "ckpts"
+        jsonl, prom = tmp_path / "snap.jsonl", tmp_path / "metrics.prom"
+        code = main(self.ARGS + ["--shards", "2", "--jsonl", str(jsonl),
+                                 "--prom", str(prom), "--checkpoint-dir", str(ckpts)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ops over 2 shards (serial)" in out
+        assert f"wrote per-shard checkpoints + fleet manifest to {ckpts}" in out
+        final = out.split("final estimates:\n")[1].splitlines()[:2]
+        estimates = dict(line.split() for line in final)
+        assert set(estimates) == {"q_cosine", "q_basic_sketch"}
+        assert "shards" in json.loads(jsonl.read_text().splitlines()[-1])
+        assert 'repro_relation_ops_total{relation="R1",shard="0"}' in prom.read_text()
+
+        assert main(["resume", "--checkpoint-dir", str(ckpts)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"restored 2-shard fleet from {ckpts}"
+        restored = {}
+        for line in lines[1:]:
+            kind, name, value = line.split()[:3]
+            restored[(kind, name)] = value
+        assert restored == {
+            ("relation", "R1"): "600",
+            ("relation", "R2"): "600",
+            ("query", "q_cosine"): estimates["q_cosine"],
+            ("query", "q_basic_sketch"): estimates["q_basic_sketch"],
+        }
 
     def test_resume_empty_store_fails_cleanly(self, capsys, tmp_path):
         assert main(["resume", "--checkpoint-dir", str(tmp_path / "empty")]) == 2

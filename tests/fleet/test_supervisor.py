@@ -113,6 +113,22 @@ class TestCrashRecovery:
         finally:
             supervisor.stop()
 
+    def test_revive_after_a_load_restores_the_loaded_file(self, tmp_path):
+        # A fleet restore loads the checkpoint its manifest names, which
+        # need not be the store's newest: a revive must come back to it.
+        supervisor = make_supervisor()
+        try:
+            prime_shard(supervisor, 0, [[1], [2]])
+            first = supervisor.command(0, "save_checkpoint", (str(tmp_path),))
+            supervisor.command(0, "ingest", ("R", [[3]], OpKind.INSERT))
+            supervisor.command(0, "save_checkpoint", (str(tmp_path),))
+            supervisor.command(0, "load_checkpoint", (first,))
+            sigkill(supervisor, 0)
+            assert supervisor.command(0, "relation_count", ("R",)) == 2
+            assert supervisor.restart_count(0) == 1
+        finally:
+            supervisor.stop()
+
     def test_journaled_command_lost_in_flight_is_replayed_not_resent(self):
         supervisor = make_supervisor()
         try:

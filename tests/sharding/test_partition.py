@@ -17,9 +17,10 @@ class TestHashValues:
         assert h[1] == h[4]
 
     def test_object_columns_hash_by_string(self):
+        # Fleets route on domain indices; a raw value column is refused.
         values = np.array(["red", "green", "red"], dtype=object)
-        h = hash_values(values)
-        assert h[0] == h[2] and h[0] != h[1]
+        with pytest.raises(ValueError, match="integer column"):
+            hash_values(values)
 
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError, match="1-d"):
@@ -50,7 +51,7 @@ class TestSplitRows:
     def test_partition_is_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 100, size=(500, 3))
-        parts = split_rows(rows, axis=1, num_shards=4)
+        parts = split_rows(rows, rows[:, 1], num_shards=4)
         assert sum(p.shape[0] for p in parts) == 500
         merged = np.concatenate(parts)
         # same multiset of rows
@@ -59,7 +60,7 @@ class TestSplitRows:
 
     def test_same_key_lands_on_same_shard(self):
         rows = np.column_stack([np.arange(200), np.repeat(np.arange(20), 10)])
-        parts = split_rows(rows, axis=1, num_shards=5)
+        parts = split_rows(rows, rows[:, 1], num_shards=5)
         seen = {}
         for shard, part in enumerate(parts):
             for key in np.unique(part[:, 1]):
@@ -69,13 +70,14 @@ class TestSplitRows:
         # Column 0 encodes arrival order; each shard's slice must be sorted.
         rng = np.random.default_rng(1)
         rows = np.column_stack([np.arange(300), rng.integers(0, 50, 300)])
-        for part in split_rows(rows, axis=1, num_shards=3):
+        for part in split_rows(rows, rows[:, 1], num_shards=3):
             assert np.all(np.diff(part[:, 0]) > 0)
 
     def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError, match="axis"):
-            split_rows(np.zeros((4, 2), dtype=np.int64), axis=2, num_shards=2)
+        # One partition key per row: a key column of another length is refused.
+        with pytest.raises(ValueError, match="one partition key per row"):
+            split_rows(np.zeros((4, 2), dtype=np.int64), np.zeros(3, dtype=np.int64), num_shards=2)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="row batch"):
-            split_rows(np.zeros(4, dtype=np.int64), axis=0, num_shards=2)
+            split_rows(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), num_shards=2)

@@ -9,6 +9,7 @@ surviving injected filesystem faults, and observer quarantine degrading
 only the affected shard's queries.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from repro.core.normalization import Domain
 from repro.resilience.chaos import CrashingIngest, FailingFilesystem, SimulatedCrash
-from repro.resilience.errors import DegradedQueryError
+from repro.resilience.errors import CheckpointError, DegradedQueryError
 from repro.sharding import ShardedStreamEngine, ShardError
 from repro.streams import JoinQuery
 
@@ -170,6 +171,82 @@ class TestShardCrashRecoveryProperty:
         assert_fleet_answers_equal(restored, fleet.answers())
         restored.close()
         fleet.close()
+
+    def test_restore_refuses_another_manifest_version(self, tmp_path):
+        with build_fleet() as fleet:
+            fleet.save_checkpoints(tmp_path)
+        manifest_path = tmp_path / "fleet-manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == 2
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="unsupported fleet manifest version 1"):
+            ShardedStreamEngine.restore(tmp_path)
+
+    def test_restore_refuses_a_truncated_manifest(self, tmp_path):
+        with build_fleet() as fleet:
+            fleet.save_checkpoints(tmp_path)
+        manifest_path = tmp_path / "fleet-manifest.json"
+        text = manifest_path.read_text()
+        manifest_path.write_text(text[: len(text) // 2])
+        with pytest.raises(CheckpointError, match="cannot read fleet manifest"):
+            ShardedStreamEngine.restore(tmp_path)
+        manifest = json.loads(text)
+        del manifest["relations"][0]["partition_axis"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="missing field 'partition_axis'"):
+            ShardedStreamEngine.restore(tmp_path)
+        for field in ("coordinator_checkpoint", "shard_checkpoints", "fault_policy"):
+            manifest = json.loads(text)
+            del manifest[field]
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(CheckpointError, match=f"missing field '{field}'"):
+                ShardedStreamEngine.restore(tmp_path)
+
+    @staticmethod
+    def save_twice_with_a_failed_manifest_write(directory, keep):
+        """Save, register a query and ingest more, then save again with the
+        manifest's rename failing; returns the first save's answers.
+
+        Process shards write their own checkpoints in their own processes,
+        so the injected rename failure hits only the coordinator's manifest.
+        """
+        batches = make_batches()
+        with ShardedStreamEngine(num_shards=2, seed=3, executor="process") as fleet:
+            fleet.create_relation("R1", ["A"], [Domain.of_size(DOMAIN)])
+            fleet.create_relation("R2", ["A"], [Domain.of_size(DOMAIN)])
+            fleet.register_query("q_cosine", QUERY, method="cosine", budget=24)
+            for name, rows in batches[:4]:
+                fleet.ingest_batch(name, rows)
+            fleet.save_checkpoints(directory, keep=keep)
+            expected = fleet.answers()
+            before = (directory / "fleet-manifest.json").read_bytes()
+            fleet.register_query("q_basic", QUERY, method="basic_sketch", budget=24)
+            for name, rows in batches[4:]:
+                fleet.ingest_batch(name, rows)
+            with FailingFilesystem(fail_replaces=1) as fs:
+                with pytest.raises(OSError, match="injected rename failure"):
+                    fleet.save_checkpoints(directory, keep=keep)
+            assert fs.replace_calls == 1
+            assert (directory / "fleet-manifest.json").read_bytes() == before
+            assert not list(directory.glob(".fleet-manifest.json.tmp.*"))
+        return expected
+
+    def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path):
+        """The manifest commits a save: a failed write restores the one before."""
+        expected = self.save_twice_with_a_failed_manifest_write(tmp_path, keep=2)
+        with ShardedStreamEngine.restore(tmp_path) as restored:
+            assert restored.total_count("R1") + restored.total_count("R2") == 160
+            assert restored.query_names() == ["q_cosine"]
+            assert restored.answer("q_cosine") == pytest.approx(expected["q_cosine"], rel=1e-9)
+            restored.register_query("q_basic", QUERY, method="basic_sketch", budget=24)
+            assert restored.query_names() == ["q_cosine", "q_basic"]
+
+    def test_failed_manifest_write_without_the_previous_save_is_refused(self, tmp_path):
+        """With one checkpoint kept, the previous save is gone: restore says so."""
+        self.save_twice_with_a_failed_manifest_write(tmp_path, keep=1)
+        with pytest.raises(CheckpointError, match="names checkpoints that are gone"):
+            ShardedStreamEngine.restore(tmp_path)
 
     def test_restore_shard_validates_inputs(self, tmp_path):
         fleet = build_fleet()
