@@ -52,19 +52,6 @@ class Telemetry:
         """A hub that records nothing (the zero-overhead baseline)."""
         return cls(enabled=False, tracing=False)
 
-    def snapshot(self) -> dict[str, object]:
-        """JSON-compatible state: metrics plus trace-buffer accounting."""
-        out: dict[str, object] = {"enabled": self.enabled, "metrics": self.registry.snapshot()}
-        if self.tracer is not None:
-            out["trace"] = self.tracer.snapshot()
-        return out
-
-    def reset(self) -> None:
-        """Zero all metrics and drop buffered spans."""
-        self.registry.reset()
-        if self.tracer is not None:
-            self.tracer.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"
         return f"Telemetry({state}, metrics={len(self.registry)})"

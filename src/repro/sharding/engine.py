@@ -15,11 +15,16 @@ own (see :mod:`repro.sharding.merge` for which methods go where):
   load the sums into a *template* engine registered over the same specs
   and seed (so sign families and geometry match), and read the template —
   one code path for equi-joins, multi-joins, range and band queries;
-* coordinator methods (``sample``, ``partitioned_sketch``) read a
-  coordinator-resident replica that observed the full stream in arrival
-  order, bit-identical to the unsharded engine;
-* ground truth reduces the shards' exact tensors (cell-disjoint by
-  construction) and lends them to the template's relations for one read.
+* coordinator methods (``sample``, ``partitioned_sketch``) read the
+  coordinator *replica*, bit-identical to the unsharded engine;
+* ground truth is the replica's exact tensors, lent to the template's
+  relations for one read.
+
+The replica is one engine built with the fleet: it holds every relation
+and ingests every batch, in arrival order, before any shard sees it.  So
+one engine maps, checks and counts each batch, and a batch it rejects
+(an out-of-domain row, an over-delete, a delete a ``sample`` query
+cannot take) reaches no shard; a delete batch costs one round trip.
 
 Per-shard checkpoints write one rotated
 :class:`~repro.resilience.checkpoint.CheckpointStore` per shard plus a
@@ -39,7 +44,7 @@ same trace, parented under the coordinator span that caused them.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
@@ -68,8 +73,9 @@ from .partition import split_rows
 __all__ = ["PartialAnswer", "ShardedStreamEngine"]
 
 _MANIFEST_NAME = "fleet-manifest.json"
-#: Version 2 routes rows on domain indices (version 1 routed raw values).
-_MANIFEST_VERSION = 2
+#: Version 3 always names the replica's checkpoint (version 2 named it only
+#: when a coordinator query had built one; version 1 routed raw values).
+_MANIFEST_VERSION = 3
 _T = TypeVar("_T")
 
 
@@ -169,9 +175,11 @@ class ShardedStreamEngine:
         self._merge_engine = StreamEngine(
             seed=seed, telemetry=self._coordinator_telemetry(), shard="coordinator"
         )
-        #: Full-stream replica for order-dependent methods; ``None`` until
-        #: the first ``sample`` / ``partitioned_sketch`` query registers.
-        self._coordinator: StreamEngine | None = None
+        #: Replica: every relation and every batch, in arrival order; the
+        #: fleet's exact counts and the home of the coordinator methods.
+        self._coordinator = StreamEngine(
+            seed=seed, telemetry=self._coordinator_telemetry(), shard="coordinator"
+        )
 
     def _coordinator_telemetry(self) -> Telemetry:
         """The hub of the template and the replica: the fleet's local
@@ -219,8 +227,9 @@ class ShardedStreamEngine:
         self._merge_engine.create_relation(name, attributes, domains)
         specs = [domain_to_spec(d) for d in domains]
         self._executor.broadcast("create_relation", name, attributes, specs)
-        if self._coordinator is not None:
-            self._coordinator.create_relation(name, attributes, domains)
+        # The shards count every row in the ingest metrics; the replica's
+        # copy would count it twice.  Its observers and answers still record.
+        self._coordinator.create_relation(name, attributes, domains).record_ingest = False
         self._relations[name] = _RelationMeta(name, attributes, domains, axis)
 
     def relation_names(self) -> list[str]:
@@ -233,11 +242,8 @@ class ShardedStreamEngine:
         return int(sum(self._executor.broadcast("relation_count", relation_name)))
 
     def merged_counts(self, relation_name: str) -> NDArray[Any]:
-        """The relation's exact tensor, reduced across shards."""
-        if self._coordinator is not None:
-            return np.array(self._coordinator.relations[relation_name].counts)
-        parts = self._executor.broadcast("relation_counts", relation_name)
-        return np.asarray(np.sum(np.stack(parts), axis=0))
+        """The relation's exact tensor: a copy of the replica's."""
+        return np.array(self._coordinator.relations[relation_name].counts)
 
     # ------------------------------------------------------------------ #
     # ingest
@@ -251,30 +257,26 @@ class ShardedStreamEngine:
     ) -> None:
         """Partition a same-kind batch by routing hash and fan it out.
 
-        The template relation maps the batch to domain indices as one
-        engine would, so a batch one engine rejects raises its
-        ``ValueError`` before any shard sees it, and rows route on their
-        partition value's index.  The coordinator replica (when present)
-        then sees the whole batch, in arrival order, and each shard
-        applies its slice through the normal batched fast path.  The
-        replica's own check, or else every shard's check of its part,
-        rejects a delete batch before any shard applies one.  Per-shard
-        slices preserve the batch's relative order, so shard state is
-        independent of batch framing.
+        The replica applies the whole batch first, as one engine: a batch
+        one engine rejects raises its error there, before any shard sees
+        it.  Rows then route on the domain index the replica mapped their
+        partition value to, and each shard applies its slice through the
+        normal batched fast path.
+        Per-shard slices preserve the batch's relative order, so shard
+        state is independent of batch framing.
 
         With :meth:`enable_dead_lettering` active, malformed rows are
         diverted into :attr:`dead_letters` *before* partitioning — the
-        shards (and the coordinator replica) only ever ingest clean rows,
-        so a poison row cannot crash a remote worker.
+        replica and the shards only ever ingest clean rows, so a poison
+        row cannot crash a remote worker.
         """
         meta = self._relations[relation_name]
-        relation = self._merge_engine.relations[relation_name]
+        relation = self._coordinator.relations[relation_name]
         if self.dead_letters is not None:
             rows = self.dead_letters.divert(relation, rows, kind, self._local_registry)
         arr = relation.rows_array(rows)
         if arr.shape[0] == 0:
             return
-        keys = relation.indices_of_rows(arr)[:, meta.partition_axis]
         span = (
             self.tracer.propagated_span(
                 "ingest_batch", count=arr.shape[0], relation=relation_name, kind=kind.name
@@ -283,16 +285,8 @@ class ShardedStreamEngine:
             else nullcontext(None)
         )
         with span as traceparent:
-            if self._coordinator is not None:
-                self._coordinator.ingest_batch(relation_name, arr, kind)
-            parts = split_rows(arr, keys, self.num_shards)
-            if kind is OpKind.DELETE and self._coordinator is None:
-                for reason in self._executor.scatter(
-                    "check_delete",
-                    [((relation_name, part), {}) if part.shape[0] else None for part in parts],
-                ):
-                    if reason is not None:
-                        raise ValueError(reason)
+            idx = relation.apply_rows(arr, kind)
+            parts = split_rows(arr, idx[:, meta.partition_axis], self.num_shards)
             self._executor.scatter(
                 "ingest",
                 [
@@ -324,9 +318,7 @@ class ShardedStreamEngine:
         """Register a continuous join-COUNT query across the fleet.
 
         Mergeable methods register on every shard (each replays its own
-        slice of history); coordinator methods register on the full-stream
-        replica, which is created — seeded with the merged exact tensors —
-        on first use.
+        slice of history); coordinator methods register on the replica.
         """
         self.register_query_spec(name, join_spec(query, method, budget, options))
 
@@ -353,7 +345,10 @@ class ShardedStreamEngine:
         protocol carry.  A join whose method is order dependent
         (:data:`~repro.sharding.merge.COORDINATOR_METHODS`) registers on
         the replica; any other spec registers on the template, which
-        validates it before any shard sees it, then on every shard.
+        validates it before any shard sees it, then on every shard.  A
+        shard that refuses it fails the registration whole: the template
+        and every shard drop the name, so no engine of the fleet holds a
+        query the fleet does not list.
         """
         if name in self._queries:
             raise ValueError(f"query {name!r} already registered")
@@ -362,38 +357,25 @@ class ShardedStreamEngine:
             spec.get("kind") == "join" and spec.get("method") in COORDINATOR_METHODS
         )
         if coordinator:
-            self._replica().register_query_spec(name, spec)
+            self._coordinator.register_query_spec(name, spec)
         else:
             self._merge_engine.register_query_spec(name, spec)
-            self._executor.broadcast("register_query", name, spec)
+            try:
+                self._executor.broadcast("register_query", name, spec)
+            except ShardError:
+                self._merge_engine.unregister_query(name)
+                for shard in range(self.num_shards):
+                    with suppress(ShardError):
+                        self._executor.call(shard, "unregister_query", name)
+                raise
         self._queries[name] = _QueryMeta(name, spec, coordinator)
-
-    def _replica(self) -> StreamEngine:
-        """The full-stream replica, created from the merged tensors on first use."""
-        if self._coordinator is None:
-            coordinator = StreamEngine(
-                seed=self._seed,
-                telemetry=self._coordinator_telemetry(),
-                shard="coordinator",
-            )
-            for meta in self._relations.values():
-                relation = coordinator.create_relation(
-                    meta.name, meta.attributes, meta.domains
-                )
-                merged = self.merged_counts(meta.name)
-                if merged.sum() > 0:
-                    relation.load_counts(merged)
-            if self._fault_policy is not None:
-                coordinator.enable_fault_isolation(self._fault_policy)
-            self._coordinator = coordinator
-        return self._coordinator
 
     def unregister_query(self, name: str) -> None:
         meta = self._queries.pop(name, None)
         if meta is None:
             raise KeyError(f"no query named {name!r}")
         if meta.coordinator:
-            self._replica().unregister_query(name)
+            self._coordinator.unregister_query(name)
         else:
             self._merge_engine.unregister_query(name)
             self._executor.broadcast("unregister_query", name)
@@ -412,12 +394,12 @@ class ShardedStreamEngine:
         shard's observer states are fetched once, summed and loaded into
         the template; a query degraded on any shard is loaded degraded
         instead, with that shard's reason, so the template's fault
-        policy decides the read; only ``"exact"`` fetches the merged
+        policy decides the read; only ``"exact"`` borrows the replica's
         ground truth of the query's relations.
         """
         meta = self._queries[name]
         if meta.coordinator:
-            return read(self._replica())
+            return read(self._coordinator)
         method = str(meta.spec.get("method", meta.spec.get("kind", "")))
         span = (
             self.tracer.propagated_span("estimate", query=name, method=method)
@@ -445,11 +427,11 @@ class ShardedStreamEngine:
 
     @contextmanager
     def _merged_truth(self, name: str) -> Iterator[None]:
-        """Lend the template the merged exact tensors of ``name``'s relations.
+        """Lend the template the replica's exact tensors of ``name``'s relations.
 
         The template never ingests, so its relations hold zeros; they get
-        them back after the read, leaving no merged tensor in memory and
-        no stale truth for a later registration to replay.
+        them back after the read, leaving the template no tensor and no
+        stale truth for a later registration to replay.
         """
         relations = self._merge_engine.relations
         spec = self._queries[name].spec
@@ -462,7 +444,7 @@ class ShardedStreamEngine:
         empty = {rel: relations[rel].counts for rel in names}
         try:
             for rel in empty:
-                relations[rel].counts = self.merged_counts(rel)
+                relations[rel].counts = self._coordinator.relations[rel].counts
             yield
         finally:
             for rel, counts in empty.items():
@@ -559,9 +541,9 @@ class ShardedStreamEngine:
         return self._read(name, lambda engine: engine.bound_report(name))
 
     def exact_answer(self, name: str) -> float:
-        """Ground-truth answer from the merged exact tensors."""
+        """Ground-truth answer from the replica's exact tensors."""
         if self._queries[name].coordinator:
-            return float(self._replica().exact_answer(name))
+            return float(self._coordinator.exact_answer(name))
         with self._merged_truth(name):
             return float(self._merge_engine.exact_answer(name))
 
@@ -574,12 +556,13 @@ class ShardedStreamEngine:
 
         The template takes (and validates) the policy too, so a query
         degraded on any shard reads as a degraded query of one engine.
+        The replica takes it as well, so a delete batch that a ``sample``
+        query cannot take quarantines that query instead of being refused.
         """
         self._merge_engine.enable_fault_isolation(policy)
+        self._coordinator.enable_fault_isolation(policy)
         self._fault_policy = policy
         self._executor.broadcast("enable_fault_isolation", policy)
-        if self._coordinator is not None:
-            self._coordinator.enable_fault_isolation(policy)
 
     def enable_dead_lettering(self, capacity: int = 1024) -> DeadLetterBuffer:
         """Quarantine malformed rows fleet-side instead of raising.
@@ -613,9 +596,8 @@ class ShardedStreamEngine:
         for shard, shard_map in enumerate(self._executor.broadcast("degraded_queries")):
             for query, reason in shard_map.items():
                 out.setdefault(query, {})[shard] = reason
-        if self._coordinator is not None:
-            for query, reason in self._coordinator.degraded_queries().items():
-                out.setdefault(query, {})[-1] = reason
+        for query, reason in self._coordinator.degraded_queries().items():
+            out.setdefault(query, {})[-1] = reason
         return out
 
     # ------------------------------------------------------------------ #
@@ -671,14 +653,15 @@ class ShardedStreamEngine:
         return Path(directory) / f"shard-{shard:02d}"
 
     def save_checkpoints(self, directory: str | Path, keep: int = 3) -> list[str]:
-        """Checkpoint every shard (and the coordinator) independently.
+        """Checkpoint every shard and the replica independently.
 
-        Each shard rotates its own ``shard-NN/checkpoint-*.ckpt`` store.
-        A JSON fleet manifest, written last and atomically, records the
-        partitioning and query layout and names the file each store wrote:
-        it commits the save, so a failed write leaves the previous save
-        for :meth:`restore` while the stores keep its files.  Returns the
-        written checkpoint paths.
+        Each shard rotates its own ``shard-NN/checkpoint-*.ckpt`` store,
+        and the replica its ``coordinator/`` one.  A JSON fleet manifest,
+        written last and atomically, records the partitioning and query
+        layout and names the file each store wrote: it commits the save,
+        so a failed write leaves the previous save for :meth:`restore`
+        while the stores keep its files.  Returns the written checkpoint
+        paths.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -689,10 +672,9 @@ class ShardedStreamEngine:
                 for shard in range(self.num_shards)
             ],
         )
-        coordinator = None
-        if self._coordinator is not None:
-            store = CheckpointStore(directory / "coordinator", keep=keep)
-            coordinator = store.save(self._coordinator)
+        coordinator = CheckpointStore(directory / "coordinator", keep=keep).save(
+            self._coordinator
+        )
         manifest = {
             "version": _MANIFEST_VERSION,
             "num_shards": self.num_shards,
@@ -702,7 +684,7 @@ class ShardedStreamEngine:
                 None if self.dead_letters is None else self.dead_letters.capacity
             ),
             "shard_checkpoints": [Path(path).name for path in paths],
-            "coordinator_checkpoint": None if coordinator is None else coordinator.name,
+            "coordinator_checkpoint": coordinator.name,
             "relations": [
                 {
                     "name": meta.name,
@@ -718,14 +700,15 @@ class ShardedStreamEngine:
             ],
         }
         write_atomic(directory / _MANIFEST_NAME, json.dumps(manifest, indent=2).encode())
-        return [*paths, *([] if coordinator is None else [str(coordinator)])]
+        return [*paths, str(coordinator)]
 
     def restore_shard(self, shard: int, directory: str | Path) -> str:
         """Reload one crashed shard from its own newest checkpoint.
 
         Only that shard's engine is replaced; every other shard keeps its
         live state, so recovery cost is one shard's checkpoint, not the
-        fleet's.
+        fleet's.  The replica is not touched either: a shard restored from
+        an older checkpoint moves no exact count and no coordinator answer.
         """
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"shard {shard} out of range for {self.num_shards} shards")
@@ -745,11 +728,11 @@ class ShardedStreamEngine:
         """Rebuild a fleet from :meth:`save_checkpoints` output.
 
         The manifest recreates the fleet layout (shard count, partition
-        axes, query specs), and each shard and the coordinator replica (if
-        any) load the checkpoint file it names.  A manifest that cannot be
-        read, has another version, lacks a field or names a file that is
-        gone raises :class:`~repro.resilience.errors.CheckpointError`
-        before any shard starts.
+        axes, query specs), and each shard and the replica load the
+        checkpoint file it names.  A manifest that cannot be read, has
+        another version, lacks a field or names a file that is gone
+        raises :class:`~repro.resilience.errors.CheckpointError` before
+        any shard starts.
         """
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
@@ -782,7 +765,7 @@ class ShardedStreamEngine:
                 for entry in manifest["queries"]
             ]
             shard_names = list(manifest["shard_checkpoints"])
-            coordinator_name = manifest["coordinator_checkpoint"]
+            coordinator_name = str(manifest["coordinator_checkpoint"])
             fault_policy = manifest["fault_policy"]
             dead_letter_capacity = manifest["dead_letter_capacity"]
         except KeyError as exc:
@@ -790,8 +773,7 @@ class ShardedStreamEngine:
                 f"fleet manifest {manifest_path} is missing field {exc.args[0]!r}"
             ) from exc
         files = [cls._shard_dir(directory, s) / name for s, name in enumerate(shard_names)]
-        if coordinator_name is not None:
-            files.append(directory / "coordinator" / coordinator_name)
+        files.append(directory / "coordinator" / coordinator_name)
         missing = [str(path) for path in files if not path.is_file()]
         if missing or len(shard_names) != num_shards:
             raise CheckpointError(
@@ -803,10 +785,11 @@ class ShardedStreamEngine:
             engine._merge_engine.create_relation(meta.name, meta.attributes, meta.domains)
             engine._relations[meta.name] = meta
         engine._executor.scatter("load_checkpoint", [((str(p),), {}) for p in files[:num_shards]])
-        if coordinator_name is not None:
-            engine._coordinator = StreamEngine.load_checkpoint(
-                files[-1], telemetry=engine._coordinator_telemetry(), shard="coordinator"
-            )
+        engine._coordinator = StreamEngine.load_checkpoint(
+            files[-1], telemetry=engine._coordinator_telemetry(), shard="coordinator"
+        )
+        for relation in engine._coordinator.relations.values():
+            relation.record_ingest = False  # as in create_relation
         for query in queries:
             if not query.coordinator:
                 engine._merge_engine.register_query_spec(query.name, query.spec)

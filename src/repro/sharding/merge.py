@@ -26,12 +26,16 @@ recombine into the single-engine state, is the correctness core of
   partitioned sketch freezes its partition boundaries from the pilot
   distribution it sees at registration time; neither state is a
   partition-independent function of the multiset, so per-shard copies
-  cannot be recombined into the single-engine state.  Both live on a
-  coordinator-resident replica that observes the full stream in arrival
-  order, and answers are *bit-identical* to the unsharded engine.  The
-  replica holds every relation's exact count tensor, as large as a single
-  engine's, and each batch costs the coordinator one tensor update plus
-  these synopses' updates.
+  cannot be recombined into the single-engine state.  Both live on the
+  fleet's *replica*, which ingests the full stream in arrival order, and
+  answers are *bit-identical* to the unsharded engine.
+
+Every fleet builds its replica at construction, whatever it registers:
+one engine holding every relation's exact count tensor, as large as a
+single engine's.  It maps, checks and counts each batch before any shard
+sees it (one tensor update per batch, plus the updates of coordinator
+synopses), it is the fleet's exact counts and ground truth, and every
+fleet checkpoint saves it.
 """
 
 from __future__ import annotations

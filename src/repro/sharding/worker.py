@@ -124,15 +124,6 @@ class ShardWorker:
         self.engine.ingest_batch(relation, rows, kind)
         return int(np.asarray(rows).shape[0])
 
-    def check_delete(self, relation: str, rows: NDArray[Any]) -> str | None:
-        """Why this shard cannot delete ``rows`` (a read), or ``None``."""
-        target = self.engine.relations[relation]
-        try:
-            target.delete_delta(rows, target.indices_of_rows(rows))
-        except ValueError as exc:
-            return str(exc)
-        return None
-
     def query_observers(
         self, name: str, traceparent: str | None = None
     ) -> tuple[str | None, list[dict[str, Any]]]:
@@ -150,9 +141,6 @@ class ShardWorker:
         if tracer is None:
             return []
         return list(tracer.drain())
-
-    def relation_counts(self, name: str) -> NDArray[Any]:
-        return np.array(self.engine.relations[name].counts)
 
     def relation_count(self, name: str) -> int:
         return int(self.engine.relations[name].count)

@@ -409,10 +409,7 @@ class ContinuousQueryEngine:
             rows = self.dead_letters.divert(relation, rows, kind, self.telemetry.registry)
         if len(rows) == 0:
             return
-        if kind is OpKind.INSERT:
-            relation.insert_rows(rows)
-        else:
-            relation.delete_rows(rows)
+        relation.apply_rows(rows, kind)
         if self._accuracy is not None:
             self._accuracy.maybe_sample()
 
@@ -1416,9 +1413,12 @@ class _SampleObserver(StreamObserver):
     def load_state(self, state: dict[str, Any]) -> None:
         self.sample.load_state(state)
 
+    def check_delete(self) -> None:
+        self.sample.delete(None)  # raises: documented limitation
+
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         if kind is OpKind.DELETE:
-            self.sample.delete(tuple(rows[0]))  # raises: documented limitation
+            self.check_delete()
             return
         indices = relation.batch_indices(rows)
         columns = [

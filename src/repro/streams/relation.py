@@ -58,7 +58,10 @@ class StreamObserver:
     arriving tuple included.  Subclasses override :meth:`on_ops`, or
     implement :meth:`on_op` and inherit the default, which replays the
     batch tuple by tuple.  Attachment is duck-typed: any object with an
-    ``on_ops`` or ``on_op`` method works.
+    ``on_ops`` or ``on_op`` method works.  An observer that cannot
+    process deletions also has a ``check_delete()`` that raises, which a
+    relation without a fault handler calls before a delete changes
+    anything.
     """
 
     #: Stats attribution key (the owning query's method), set by the
@@ -181,6 +184,10 @@ class StreamRelation:
         #: :class:`repro.streams.stats.EngineStats`); ``None`` disables
         #: instrumentation entirely.
         self.stats: "EngineStats | None" = None
+        #: Whether :attr:`stats` counts this relation's operations in the
+        #: ``repro_ingest_*`` and ``repro_relation_ops_total`` series; its
+        #: observer updates are recorded either way.
+        self.record_ingest = True
         #: Optional span recorder (see :class:`repro.obs.tracing.Tracer`);
         #: ``None`` disables tracing of batch applies and observer updates.
         self.tracer: "Tracer | None" = None
@@ -298,26 +305,39 @@ class StreamRelation:
         The final state is identical to inserting each row individually;
         observers implementing ``on_ops`` see the whole batch at once.
         """
-        arr = self.rows_array(rows)
-        if arr.shape[0]:
-            self._apply_rows(arr, OpKind.INSERT)
+        self.apply_rows(rows, OpKind.INSERT)
 
     def delete_rows(self, rows: Sequence[Sequence[Any]] | NDArray[Any]) -> None:
         """Process a batch of deletions (validated before any state change)."""
+        self.apply_rows(rows, OpKind.DELETE)
+
+    def apply_rows(
+        self, rows: Sequence[Sequence[Any]] | NDArray[Any], kind: OpKind
+    ) -> NDArray[Any]:
+        """Process a same-kind batch; return its ``(B, ndim)`` domain indices.
+
+        The indices are the ones the apply mapped the rows to, so a caller
+        that goes on to route the rows by value need not map them again.
+        """
         arr = self.rows_array(rows)
-        if arr.shape[0]:
-            self._apply_rows(arr, OpKind.DELETE)
+        if not arr.shape[0]:
+            return np.empty((0, self.ndim), dtype=np.int64)
+        return self._apply_rows(arr, kind)
 
     def process_batch(self, ops: Iterable[StreamOp]) -> None:
         """Apply a sequence of operations, batching runs of the same kind.
 
         Consecutive same-kind operations are grouped into one vectorized
         application each, so a mixed insert/delete stream preserves its
-        relative order while still amortizing observer updates.
+        relative order while still amortizing observer updates.  A
+        sequence with a delete that an observer cannot take is refused at
+        that delete, before the insertions ahead of it apply.
         """
         run: list[tuple[Any, ...]] = []
         run_kind: OpKind | None = None
         for op in ops:
+            if op.kind is OpKind.DELETE and run_kind is not OpKind.DELETE:
+                self._check_deletes()
             if run_kind is not None and op.kind is not run_kind:
                 self._apply_rows(self.rows_array(run), run_kind)
                 run = []
@@ -327,7 +347,7 @@ class StreamRelation:
             assert run_kind is not None
             self._apply_rows(self.rows_array(run), run_kind)
 
-    def _apply_rows(self, arr: NDArray[Any], kind: OpKind, batched: bool = True) -> None:
+    def _apply_rows(self, arr: NDArray[Any], kind: OpKind, batched: bool = True) -> NDArray[Any]:
         """Vectorized core: update exact counts, then notify once.
 
         With a :attr:`tracer` attached, the whole apply is wrapped in an
@@ -335,19 +355,18 @@ class StreamRelation:
         ``observer_update`` event (reusing the duration the stats layer
         measured, so tracing adds no extra clock reads per observer).  A
         per-tuple apply (``batched=False``) is traced only under 1-in-N
-        sampling.
+        sampling.  Returns the batch's domain indices.
         """
         tracer = self.tracer
         if tracer is None or not (batched or tracer.sample_every is not None):
-            self._apply_rows_inner(arr, kind, None, batched)
-        else:
-            with tracer.span(
-                "ingest_batch",
-                count=arr.shape[0],
-                relation=self.name,
-                kind=kind.name.lower(),
-            ):
-                self._apply_rows_inner(arr, kind, tracer, batched)
+            return self._apply_rows_inner(arr, kind, None, batched)
+        with tracer.span(
+            "ingest_batch",
+            count=arr.shape[0],
+            relation=self.name,
+            kind=kind.name.lower(),
+        ):
+            return self._apply_rows_inner(arr, kind, tracer, batched)
 
     def batch_delta(self, rows: NDArray[Any], kind: OpKind) -> BatchDelta:
         """The :class:`BatchDelta` of a same-kind batch of raw ``rows``.
@@ -375,30 +394,37 @@ class StreamRelation:
             return self.indices_of_rows(rows)
         return batch[1]
 
-    def delete_delta(self, arr: NDArray[Any], idx: NDArray[Any]) -> BatchDelta:
-        """The delta of deleting raw ``arr`` (domain indices ``idx``), checked.
+    def _check_deletes(self) -> None:
+        """Call every observer's ``check_delete``, if it has one.
 
-        Raises ``ValueError`` naming a tuple the batch deletes more often
-        than the relation holds it; the relation is not changed.
+        Without a fault handler only: with one, an observer that cannot
+        delete raises from ``on_ops`` and is quarantined while the batch
+        goes on.
         """
-        delta = BatchDelta.of(arr, idx, self.counts.shape, OpKind.DELETE)
-        short = delta.counts > self.counts.reshape(-1)[delta.cells]
-        if short.any():
-            bad = tuple(delta.rows[np.argmax(short)].tolist())
-            raise ValueError(f"deleting tuple {bad} that {self.name} does not hold")
-        return delta
+        if self.fault_handler is None:
+            for observer in self._observers:
+                check = getattr(observer, "check_delete", None)
+                if check is not None:
+                    check()
 
     def _apply_rows_inner(
         self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool
-    ) -> None:
+    ) -> NDArray[Any]:
         idx = self.indices_of_rows(arr)
         delta: BatchDelta | None = None
         if kind is OpKind.DELETE:
             # A sequential replay would raise on the first tuple exceeding
             # its live multiplicity; check up front so a rejected batch
-            # leaves the exact state untouched.
-            delta = self.delete_delta(arr, idx)
-            self.counts.reshape(-1)[delta.cells] -= delta.counts
+            # leaves the exact state untouched, as does one an observer
+            # cannot take.
+            delta = BatchDelta.of(arr, idx, self.counts.shape, kind)
+            flat = self.counts.reshape(-1)
+            short = delta.counts > flat[delta.cells]
+            if short.any():
+                bad = tuple(delta.rows[np.argmax(short)].tolist())
+                raise ValueError(f"deleting tuple {bad} that {self.name} does not hold")
+            self._check_deletes()
+            flat[delta.cells] -= delta.counts
             self._count -= idx.shape[0]
         else:
             # One flat index per row: np.add.at's tuple-index path is
@@ -419,13 +445,14 @@ class StreamRelation:
         finally:
             self._batch = None
             self._delta = None
+        return idx
 
     def _notify(
         self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool
     ) -> None:
         """Hand one applied batch to every attached observer."""
         stats = self.stats
-        if stats is not None:
+        if stats is not None and self.record_ingest:
             stats.record_ops(arr.shape[0], kind, batched=batched, relation=self.name)
         # One sampling decision covers the whole batch: a sampled-out batch
         # with no stats attached skips every per-observer clock read.

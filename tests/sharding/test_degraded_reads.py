@@ -96,8 +96,8 @@ def test_only_the_exact_policy_fetches_ground_truth(policy):
 
         fleet._executor.broadcast = spy
         outcome(READS["answer"], fleet)
-        # one tensor per relation of the query, and only when it is read
-        assert commands.count("relation_counts") == (2 if policy == "exact" else 0)
+        # the truth is the replica's: no policy broadcasts for a tensor
+        assert commands.count("relation_counts") == 0
         # the lent truth goes back: the template keeps no merged tensor
         assert not any(rel.counts.any() for rel in fleet._merge_engine.relations.values())
 

@@ -71,6 +71,32 @@ class TestFleetMetrics:
             merged = fleet.fleet_metrics()
         assert merged.counter("repro_ingest_ops_total").value == 400
 
+    def test_replica_ingest_is_not_counted(self):
+        with build_fleet() as fleet:
+            fleet.register_query("samp", QUERY, method="sample", budget=16)
+            feed(fleet)
+            merged = fleet.fleet_metrics()
+        assert merged.counter("repro_ingest_ops_total").value == 400
+        assert merged.counter("repro_ingest_batched_ops_total").value == 400
+        relation_ops = merged.get("repro_relation_ops_total")
+        assert ("R1", "coordinator") not in dict(relation_ops.items())
+        # The replica's own observers are still accounted for.
+        sample_ops = merged.get("repro_observer_ops_total").labels("sample", "coordinator")
+        assert sample_ops.value == 400
+        sample_seconds = merged.get("repro_observer_seconds_total")
+        assert sample_seconds.labels("sample", "coordinator").value > 0
+
+    def test_restored_replica_ingest_is_not_counted(self, tmp_path):
+        with build_fleet() as fleet:
+            fleet.register_query("samp", QUERY, method="sample", budget=16)
+            fleet.save_checkpoints(tmp_path)
+        with ShardedStreamEngine.restore(tmp_path) as fleet:
+            feed(fleet)
+            merged = fleet.fleet_metrics()
+        assert merged.counter("repro_ingest_ops_total").value == 400
+        sample_ops = merged.get("repro_observer_ops_total").labels("sample", "coordinator")
+        assert sample_ops.value == 400
+
     def test_shard_stats_lists_every_shard(self):
         with build_fleet(num_shards=3) as fleet:
             feed(fleet)

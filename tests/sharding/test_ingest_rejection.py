@@ -12,7 +12,7 @@ import pytest
 from repro.core.normalization import Domain
 from repro.sharding import ShardedStreamEngine
 from repro.streams import JoinQuery, StreamEngine
-from repro.streams.tuples import OpKind
+from repro.streams.tuples import OpKind, StreamOp
 
 EXECUTORS = ["serial", "thread", "process", "socket"]
 
@@ -64,6 +64,61 @@ class TestWholeBatchRejection:
         with pytest.raises(ValueError, match=r"deleting tuple \(1,\) that R does not hold"):
             fleet.ingest_batch("R", np.array([[0], [2], [1]]), OpKind.DELETE)
         assert sum(shard_counts(fleet)) == fleet.total_count("R") == 3
+
+
+class TestRefusedDelete:
+    """A delete a ``sample`` query cannot take changes nothing, anywhere."""
+
+    DELETES = {
+        "ingest_batch": lambda target: target.ingest_batch("R", [[2]], OpKind.DELETE),
+        "delete": lambda target: target.delete("R", [2]),
+        "process_batch": lambda target: target.process_batch(
+            "R", [StreamOp((5,), OpKind.INSERT), StreamOp((2,), OpKind.DELETE)]
+        ),
+    }
+
+    @staticmethod
+    def with_sample(target):
+        target.create_relation("S", ["A"], [Domain.of_size(10)])
+        query = JoinQuery.parse(["R", "S"], ["R.A = S.A"])
+        target.register_query("cos", query, method="cosine", budget=8)
+        target.register_query("samp", query, method="sample", probability=1.0)
+        target.register_query("hist", query, method="histogram", budget=4)
+        for rel in ("R", "S"):
+            target.ingest_batch(rel, np.array([[0], [2], [3]]))
+        return target
+
+    @pytest.mark.parametrize("entry", list(DELETES))
+    def test_one_engine_refuses_before_any_change(self, entry):
+        engine = self.with_sample(build(StreamEngine()))
+        before = engine.answers()
+        with pytest.raises(NotImplementedError, match="Bernoulli"):
+            self.DELETES[entry](engine)
+        assert engine.relations["R"].count == 3
+        assert engine.answers() == before
+        assert before["hist"] == pytest.approx(11 / 6)
+
+    def test_fleet_refuses_before_any_shard_sees_it(self, fleet):
+        engine = self.with_sample(build(StreamEngine()))
+        self.with_sample(fleet)
+        before = fleet.answers()
+        for target in (engine, fleet):
+            with pytest.raises(NotImplementedError, match="Bernoulli"):
+                target.ingest_batch("R", np.array([[2]]), OpKind.DELETE)
+        assert fleet.total_count("R") == fleet.merged_counts("R").sum() == 3
+        np.testing.assert_array_equal(fleet.merged_counts("R"), engine.relations["R"].counts)
+        assert fleet.answers() == before
+
+    def test_fault_isolation_quarantines_the_sample_instead(self, fleet):
+        engine = self.with_sample(build(StreamEngine()))
+        self.with_sample(fleet)
+        for target in (engine, fleet):
+            target.enable_fault_isolation("nan")
+            target.ingest_batch("R", np.array([[2]]), OpKind.DELETE)
+        assert list(engine.degraded_queries()) == ["samp"]
+        assert fleet.degraded_queries() == {"samp": {-1: engine.degraded_queries()["samp"]}}
+        assert fleet.total_count("R") == fleet.merged_counts("R").sum() == 2
+        assert fleet.answer("hist") == engine.answer("hist") == pytest.approx(7 / 6)
 
 
 class TestRoutingByDomainIndex:

@@ -11,6 +11,9 @@ only the affected shard's queries.
 
 import json
 import math
+import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,10 +180,10 @@ class TestShardCrashRecoveryProperty:
             fleet.save_checkpoints(tmp_path)
         manifest_path = tmp_path / "fleet-manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["version"] == 2
-        manifest["version"] = 1
+        assert manifest["version"] == 3
+        manifest["version"] = 2
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="unsupported fleet manifest version 1"):
+        with pytest.raises(CheckpointError, match="unsupported fleet manifest version 2"):
             ShardedStreamEngine.restore(tmp_path)
 
     def test_restore_refuses_a_truncated_manifest(self, tmp_path):
@@ -208,9 +211,17 @@ class TestShardCrashRecoveryProperty:
         """Save, register a query and ingest more, then save again with the
         manifest's rename failing; returns the first save's answers.
 
-        Process shards write their own checkpoints in their own processes,
-        so the injected rename failure hits only the coordinator's manifest.
+        The shards and the replica write their checkpoints first, so their
+        stores hold the failed save's files.
         """
+        renames, replace = [], os.replace
+
+        def manifest_rename_fails(src, dst):
+            if Path(dst).name == "fleet-manifest.json":
+                renames.append(dst)
+                raise OSError("injected rename failure")
+            return replace(src, dst)
+
         batches = make_batches()
         with ShardedStreamEngine(num_shards=2, seed=3, executor="process") as fleet:
             fleet.create_relation("R1", ["A"], [Domain.of_size(DOMAIN)])
@@ -224,10 +235,10 @@ class TestShardCrashRecoveryProperty:
             fleet.register_query("q_basic", QUERY, method="basic_sketch", budget=24)
             for name, rows in batches[4:]:
                 fleet.ingest_batch(name, rows)
-            with FailingFilesystem(fail_replaces=1) as fs:
+            with mock.patch("os.replace", manifest_rename_fails):
                 with pytest.raises(OSError, match="injected rename failure"):
                     fleet.save_checkpoints(directory, keep=keep)
-            assert fs.replace_calls == 1
+            assert len(renames) == 1
             assert (directory / "fleet-manifest.json").read_bytes() == before
             assert not list(directory.glob(".fleet-manifest.json.tmp.*"))
         return expected

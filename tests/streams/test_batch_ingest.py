@@ -289,3 +289,21 @@ class TestIngestBatchDispatch:
         engine.ingest_batch("R1", rows)
         with pytest.raises(NotImplementedError, match="Bernoulli"):
             engine.ingest_batch("R1", rows[:1], kind=OpKind.DELETE)
+
+
+class TestApplyRows:
+    def test_returns_the_indices_the_batch_was_applied_at(self):
+        domain = Domain.integer_range(10, 19)
+        relation = StreamRelation("R", ["A", "B"], [domain, Domain.of_size(4)])
+        rows = np.array([[12, 3], [10, 0], [12, 3]])
+        idx = relation.apply_rows(rows, OpKind.INSERT)
+        np.testing.assert_array_equal(idx, [[2, 3], [0, 0], [2, 3]])
+        assert relation.counts[2, 3] == 2
+        idx = relation.apply_rows(rows[:1], OpKind.DELETE)
+        np.testing.assert_array_equal(idx, [[2, 3]])
+        assert relation.counts[2, 3] == 1 and relation.count == 2
+
+    def test_an_empty_batch_changes_nothing(self):
+        relation = StreamRelation("R", ["A"], [Domain.of_size(4)])
+        idx = relation.apply_rows([], OpKind.DELETE)
+        assert idx.shape == (0, 1) and relation.count == 0
