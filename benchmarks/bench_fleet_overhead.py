@@ -6,8 +6,9 @@ socketpair per worker.  This bench prices that trade on the serve path —
 batched ingest interleaved with query answering, the exact op mix the
 ``repro-experiments serve`` daemon dispatches — and enforces the fleet
 promise: the socket executor costs at most 15% wall-clock over the same
-workload on in-process serial sharding.  Per-shard scatter overlaps both
-the worker round trips and the workers' synopsis updates, which is why
+workload on in-process serial sharding.  The supervisor's scatter
+writes every shard's frame before it reads a reply, so the workers'
+synopsis updates overlap while the coordinator waits, which is why
 batched commands keep the ratio small even though every frame is
 pickled twice.
 

@@ -7,13 +7,15 @@ carrying the length-prefixed pickle frames of
 :mod:`repro.sharding.worker`, with no listening socket.  The pieces,
 bottom-up:
 
-* :mod:`repro.fleet.supervisor` — :class:`ShardSupervisor` launches the
-  worker processes, heartbeats them, and on crash restarts a worker from
+* :mod:`repro.fleet.supervisor` — :class:`ShardSupervisor`, the only
+  code that speaks to worker processes (the ``process`` executor's
+  too): it launches them, scatters every command's frames before it
+  reads a reply, heartbeats them, and on crash restarts a worker from
   its latest checkpoint then replays the post-checkpoint
   :class:`~repro.resilience.journal.CommandJournal` suffix.
 * :mod:`repro.fleet.executor` — :class:`SocketExecutor`, the
-  :class:`~repro.sharding.executor.ShardExecutor` implementation that
-  plugs supervised workers into the unchanged
+  :class:`~repro.sharding.executor.ShardExecutor` that runs the
+  supervisor with revives on, under the unchanged
   :class:`~repro.sharding.engine.ShardedStreamEngine`.
 * :mod:`repro.fleet.serve` / :mod:`repro.fleet.client` — the
   ``repro-experiments serve`` asyncio front-end (newline-JSON protocol,

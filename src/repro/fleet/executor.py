@@ -1,33 +1,31 @@
 """``SocketExecutor``: the supervised worker fleet as a ShardExecutor.
 
 The :class:`~repro.sharding.engine.ShardedStreamEngine` only ever talks
-to the :class:`~repro.sharding.executor.ShardExecutor` protocol, so
-moving shards out of process is entirely this adapter: ``call`` routes
-one command through the :class:`~repro.fleet.supervisor.ShardSupervisor`
-(which journals, detects crashes, and revives), and ``scatter`` fans
-commands out on the :class:`~repro.sharding.executor.ShardLanes` the
-:class:`~repro.sharding.executor.ThreadExecutor` uses too — the same
-per-shard ordering guarantee, here overlapping worker round trips
-instead of GIL releases.
+to the :class:`~repro.sharding.executor.ShardExecutor` protocol, and
+every process fleet speaks to its workers through one
+:class:`~repro.fleet.supervisor.ShardSupervisor`
+(:class:`~repro.sharding.executor.SupervisedExecutor`).  This executor
+is that supervisor with revives on: it journals, detects crashes and
+revives, where the :class:`~repro.sharding.executor.ProcessExecutor`'s
+supervisor marks a lost shard down.
 
 Crash recovery is invisible at this layer by design: a revive happens
-inside ``supervisor.command`` and the caller just gets its result (or a
-:class:`~repro.sharding.executor.ShardError` once the shard is beyond
-recovery, which is what the engine's degradation policies key on).
+inside the supervisor's ``scatter`` and the caller just gets its result
+(or a :class:`~repro.sharding.executor.ShardError` once the shard is
+beyond recovery, which is what the engine's degradation policies key
+on).
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
 from ..obs.metrics import MetricsRegistry
-from ..sharding.executor import CallSpec, ShardExecutor, ShardLanes
+from ..sharding.executor import SupervisedExecutor
 from .supervisor import ShardSupervisor
 
 __all__ = ["SocketExecutor"]
 
 
-class SocketExecutor(ShardExecutor):
+class SocketExecutor(SupervisedExecutor):
     """One supervised worker process per shard, behind a socketpair each."""
 
     def __init__(
@@ -52,24 +50,3 @@ class SocketExecutor(ShardExecutor):
                 mp_context=mp_context,
             )
         self.supervisor = supervisor
-        self._lanes = ShardLanes(0, "fleet-shard")
-
-    @property
-    def metrics_registry(self) -> MetricsRegistry:
-        """Supervisor-side fleet metrics (restarts, heartbeats, health)."""
-        return self.supervisor.registry
-
-    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
-        self.num_shards = num_shards
-        self.supervisor.start(num_shards, seed, telemetry)
-        self._lanes = ShardLanes(num_shards, "fleet-shard")
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return self.supervisor.command(shard, method, args, kwargs)
-
-    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
-        return self._lanes.scatter(self.supervisor.command, method, per_shard)
-
-    def close(self) -> None:
-        self._lanes.close()
-        self.supervisor.stop()

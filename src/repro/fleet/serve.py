@@ -230,12 +230,8 @@ class FleetServer:
     def _run_op(self, op: str, request: dict[str, Any]) -> dict[str, Any]:
         fleet = self.fleet
         if op == "ping":
-            supervisor = getattr(fleet._executor, "supervisor", None)
-            up = (
-                [supervisor.shard_up(s) for s in range(fleet.num_shards)]
-                if supervisor is not None
-                else [True] * fleet.num_shards
-            )
+            supervisor = fleet._executor.supervisor
+            up = [supervisor is None or supervisor.shard_up(s) for s in range(fleet.num_shards)]
             return {"num_shards": fleet.num_shards, "up": up}
         if op == "create_relation":
             from ..resilience.checkpoint import domain_from_spec
@@ -315,7 +311,7 @@ class FleetServer:
                 return {"replay": fleet.replay_dead_letters().as_dict()}
             return {"deadletters": fleet.dead_letters.as_dict()}
         if op == "stats":
-            supervisor = getattr(fleet._executor, "supervisor", None)
+            supervisor = fleet._executor.supervisor
             shards: list[dict[str, Any] | None] = []
             for shard in range(fleet.num_shards):
                 try:

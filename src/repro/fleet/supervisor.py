@@ -1,21 +1,29 @@
-"""Shard process supervision: launch, heartbeat, restart, replay.
+"""Shard process supervision: launch, scatter, heartbeat, restart, replay.
 
-:class:`ShardSupervisor` owns one worker process per shard, each behind
-a :class:`~repro.sharding.executor.WorkerProcess` handle (a socketpair
-carrying pickled frames, the same handle the process executor holds),
-and keeps the fleet answer-correct across worker crashes:
+:class:`ShardSupervisor` is the only code that speaks to shard worker
+processes; both process executors run on it.  It owns one worker process
+per shard, each behind a :class:`~repro.sharding.executor.WorkerProcess`
+handle (a socketpair carrying pickled frames).
+:meth:`ShardSupervisor.scatter` writes every named shard's frame before
+it reads any reply, and :meth:`ShardSupervisor.command` is its one-shard
+case.  With ``restart`` on, it keeps the fleet answer-correct across
+worker crashes:
 
 * every state-mutating command is appended to that shard's
-  :class:`~repro.resilience.journal.CommandJournal` *before* dispatch;
+  :class:`~repro.resilience.journal.CommandJournal` *before* dispatch,
+  and dropped again if the worker refuses it;
 * a successful ``save_checkpoint`` marks the journal (and truncates the
   replayed prefix), so the journal holds exactly the post-checkpoint
-  suffix;
+  suffix, every row ingested since included;
 * when a worker is gone — transport error, clean EOF, or a call
   timeout, all treated identically — the supervisor respawns the
   process, restores the marked checkpoint (if one was ever marked) and
   replays the journal suffix in order.  Replay is correct because a
   crash discards *all* partial effects of the in-flight command, and
   every journaled command is deterministic given the restored state.
+
+With ``restart=False`` (the process executor's) nothing is journaled,
+and a lost worker marks its shard down.
 
 Liveness has two detectors.  The command path detects death
 synchronously (the failed send/recv triggers the revive before the
@@ -41,11 +49,11 @@ Everything is observable: ``repro_fleet_restarts_total{shard}``,
 from __future__ import annotations
 
 import threading
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from ..obs.metrics import MetricsRegistry
 from ..resilience.journal import CommandJournal
-from ..sharding.executor import ShardError, WorkerGone, WorkerProcess
+from ..sharding.executor import CallSpec, ShardError, WorkerGone, WorkerProcess
 
 __all__ = ["JOURNALED_METHODS", "ShardSupervisor"]
 
@@ -60,6 +68,7 @@ JOURNALED_METHODS = frozenset(
         "ingest",
     }
 )
+
 
 class ShardSupervisor:
     """Launch, monitor, and self-heal a fleet of shard worker processes."""
@@ -160,51 +169,95 @@ class ShardSupervisor:
         args: Sequence[Any] = (),
         kwargs: dict[str, Any] | None = None,
     ) -> Any:
-        """Run one worker command with journaling and crash recovery.
+        """Run one worker command: :meth:`scatter` to one shard."""
+        per_shard: list[CallSpec | None] = [None] * self.num_shards
+        per_shard[shard] = (tuple(args), kwargs if kwargs is not None else {})
+        return self.scatter(method, per_shard)[shard]
+
+    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
+        """Run ``method`` on every shard ``per_shard`` names; ``None`` skips one.
+
+        Under the named shards' locks (taken in shard order): write every
+        frame before reading any reply, collect every reply, revive each
+        lost worker, then raise the first :class:`ShardError` in shard
+        order.  Returns one result per shard (``None`` for a skipped one).
 
         A journaled command that dies in flight is *not* re-sent after
         the revive: the revive's replay already applied it (exactly once,
-        onto state with no partial effects), so the call returns ``None``
-        for that rare case.  Read commands are retried once against the
+        onto state with no partial effects), so its result is ``None``
+        for that rare case.  A lost read is retried once against the
         revived worker.
         """
-        kwargs = kwargs if kwargs is not None else {}
-        lock = self._locks[shard]
-        with lock:
-            self._check_up(shard)
-            journaled = method in JOURNALED_METHODS
-            if journaled:
-                self._journals[shard].append(method, tuple(args), dict(kwargs))
-            try:
-                result = self._workers[shard].call(method, args, kwargs)
-            except WorkerGone as exc:
-                self._revive_locked(shard, str(exc))
+        calls = {shard: item for shard, item in enumerate(per_shard) if item is not None}
+        journaled = self.restart and method in JOURNALED_METHODS
+        results: list[Any] = [None] * self.num_shards
+        errors: dict[int, ShardError] = {}
+        lost: dict[int, WorkerGone] = {}
+        for shard in calls:
+            self._locks[shard].acquire()
+        try:
+            sent = []
+            for shard, (args, kwargs) in calls.items():
+                reason = self._down.get(shard)
+                if reason is not None:
+                    errors[shard] = ShardError(shard, f"worker is down ({reason})")
+                    continue
                 if journaled:
-                    return None
-                result = self._workers[shard].call(method, args, kwargs)
-            if method == "save_checkpoint":
-                # The checkpoint now covers everything journaled so far:
-                # mark it (remembering its file for revives) and drop the
-                # prefix replay no longer needs.
-                journal = self._journals[shard]
-                journal.mark(str(result))
-                journal.truncate()
-            elif method in ("load_checkpoint", "load_latest_checkpoint"):
-                # The worker's state *is* the checkpoint now; any journal
-                # history predates it and must not be replayed on top.
-                journal = self._journals[shard]
-                journal.clear()
-                journal.mark(str(result))
-            return result
+                    self._journals[shard].append(method, args, kwargs)
+                try:
+                    self._workers[shard].send((method, tuple(args), dict(kwargs)))
+                except WorkerGone as exc:
+                    lost[shard] = exc
+                else:
+                    sent.append(shard)
+            for shard in sent:
+                try:
+                    results[shard] = self._workers[shard].recv()
+                except WorkerGone as exc:
+                    lost[shard] = exc
+                except ShardError as exc:
+                    if journaled:  # refused: a replay must not repeat it
+                        self._journals[shard].retract()
+                    errors[shard] = exc
+            for shard, gone in sorted(lost.items()):
+                try:
+                    self._revive_locked(shard, gone.reason)
+                    if not journaled:
+                        results[shard] = self._workers[shard].call(method, *calls[shard])
+                except ShardError as exc:
+                    errors[shard] = exc
+                except WorkerGone as exc:
+                    errors[shard] = ShardError(shard, f"worker process lost ({exc.reason})")
+            if method in ("save_checkpoint", "load_checkpoint", "load_latest_checkpoint"):
+                for shard in calls.keys() - errors.keys():
+                    self._mark_journal_locked(shard, method, str(results[shard]))
+        finally:
+            for shard in calls:
+                self._locks[shard].release()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
-    def _check_up(self, shard: int) -> None:
-        reason = self._down.get(shard)
-        if reason is not None:
-            raise ShardError(shard, f"worker is down ({reason})")
+    def _mark_journal_locked(self, shard: int, method: str, path: str) -> None:
+        """Move the journal mark to the checkpoint a save or load names."""
+        journal = self._journals[shard]
+        if method == "save_checkpoint":
+            # The checkpoint now covers everything journaled so far: mark
+            # it (remembering its file for revives) and drop the prefix
+            # replay no longer needs.
+            journal.mark(path)
+            journal.truncate()
+        else:
+            # The worker's state *is* the checkpoint now; any journal
+            # history predates it and must not be replayed on top.
+            journal.clear()
+            journal.mark(path)
 
-    def _mark_down_locked(self, shard: int, reason: str) -> None:
+    def _give_up_locked(self, shard: int, reason: str) -> NoReturn:
+        """Mark the shard down for good and raise its :class:`ShardError`."""
         self._down[shard] = reason
         self._up_metric.labels(str(shard)).set(0.0)
+        raise ShardError(shard, reason)
 
     def _revive_locked(self, shard: int, cause: str) -> None:
         """Respawn a dead worker and rebuild its state (lock held)."""
@@ -212,13 +265,10 @@ class ShardSupervisor:
         worker.destroy()
         self._up_metric.labels(str(shard)).set(0.0)
         if not self.restart:
-            self._mark_down_locked(shard, f"restart disabled; {cause}")
-            raise ShardError(shard, f"worker died ({cause}) and restart is disabled")
+            self._give_up_locked(shard, f"worker process lost ({cause}); restart is disabled")
         if self._restart_counts[shard] >= self.max_restarts:
-            self._mark_down_locked(shard, f"max_restarts exhausted; {cause}")
-            raise ShardError(
-                shard,
-                f"worker died ({cause}) after {self.max_restarts} restarts",
+            self._give_up_locked(
+                shard, f"worker process lost ({cause}) after {self.max_restarts} restarts"
             )
         self._restart_counts[shard] += 1
         self._restarts_metric.labels(str(shard)).inc()
@@ -237,8 +287,7 @@ class ShardSupervisor:
             # rejected, or the fresh worker died too): this shard cannot
             # be made consistent, so it must not serve partial state.
             worker.destroy()
-            self._mark_down_locked(shard, f"recovery failed: {exc}")
-            raise ShardError(shard, f"restart failed: {exc}") from exc
+            self._give_up_locked(shard, f"restart failed: {exc}")
         self._up_metric.labels(str(shard)).set(1.0)
 
     # ------------------------------------------------------------------ #

@@ -69,6 +69,10 @@ class CommandJournal:
         self.appended_total += 1
         return entry
 
+    def retract(self) -> None:
+        """Drop the newest entry: the worker refused it, so replay must not."""
+        self._entries.pop()
+
     def mark(self, ref: str | None = None) -> None:
         """Pin the current position as covered by a durable checkpoint."""
         self._mark_position = len(self._entries)

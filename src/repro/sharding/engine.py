@@ -615,9 +615,8 @@ class ShardedStreamEngine:
         for registry in self._executor.broadcast("registry"):
             merged.merge(registry)
         merged.merge(self._local_registry)
-        supervisor_registry = getattr(self._executor, "metrics_registry", None)
-        if isinstance(supervisor_registry, MetricsRegistry):
-            merged.merge(supervisor_registry)
+        if self._executor.supervisor is not None:
+            merged.merge(self._executor.supervisor.registry)
         return merged
 
     def shard_stats(self) -> list[dict[str, Any]]:

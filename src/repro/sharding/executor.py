@@ -1,8 +1,8 @@
-"""Shard executors: one interface, three placement strategies.
+"""Shard executors: one interface, in-process shards or one process fleet.
 
-A :class:`ShardExecutor` owns ``num_shards``
-:class:`~repro.sharding.worker.ShardWorker` instances and runs commands
-against them:
+A :class:`ShardExecutor` owns ``num_shards`` shards, each one
+:class:`~repro.sharding.worker.ShardWorker`, and runs commands against
+them:
 
 * :class:`SerialExecutor` — workers in-process, commands run inline.
   Zero concurrency, zero overhead; the deterministic baseline and the
@@ -12,19 +12,20 @@ against them:
   ingest correctness depends on) while different shards run
   concurrently.  Wins when the synopsis kernels spend their time inside
   numpy, which releases the GIL.
-* :class:`ProcessExecutor` — one worker process per shard, spoken to
-  over a ``socketpair`` in pickled frames.  True CPU parallelism at the
-  cost of per-command IPC; worth it when per-batch synopsis work
-  dominates (large budgets / batches).
+* :class:`ProcessExecutor` and
+  :class:`~repro.fleet.executor.SocketExecutor` — one worker process per
+  shard, spoken to in pickled frames by a
+  :class:`~repro.fleet.supervisor.ShardSupervisor`; only the socket
+  executor's revives a lost worker.  True CPU parallelism at the cost of
+  per-command IPC; worth it when per-batch synopsis work dominates
+  (large budgets / batches).
 
 Commands are ``(method_name, args, kwargs)`` against the worker's public
 methods.  A worker exception is re-raised in the caller as
-:class:`ShardError` naming the shard, for all three executors alike.
+:class:`ShardError` naming the shard, for every executor alike.
 
 :class:`WorkerProcess` is the one handle that starts, speaks to and
-reaps a shard process; the process executor and the fleet's
-:class:`~repro.fleet.supervisor.ShardSupervisor` each hold one per
-shard.
+reaps a shard process; the supervisor holds one per shard.
 """
 
 from __future__ import annotations
@@ -33,11 +34,13 @@ import multiprocessing as mp
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from functools import partial
-from typing import Any, Callable, Iterable, NoReturn, Sequence, cast
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence, cast
 
 from .worker import ProtocolError, ShardWorker, recv_frame, send_frame, serve_commands
+
+if TYPE_CHECKING:
+    from ..fleet.supervisor import ShardSupervisor
 
 #: One shard's ``(args, kwargs)`` pair in a :meth:`ShardExecutor.scatter`.
 CallSpec = tuple[tuple[Any, ...], dict[str, Any]]
@@ -47,7 +50,7 @@ __all__ = [
     "SerialExecutor",
     "ShardError",
     "ShardExecutor",
-    "ShardLanes",
+    "SupervisedExecutor",
     "ThreadExecutor",
     "WorkerGone",
     "WorkerProcess",
@@ -67,6 +70,8 @@ class ShardExecutor:
     """Abstract executor: start workers, run commands, shut down."""
 
     num_shards: int = 0
+    #: The supervisor behind a process fleet's workers; ``None`` in process.
+    supervisor: ShardSupervisor | None = None
 
     def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
         raise NotImplementedError
@@ -128,80 +133,50 @@ class SerialExecutor(ShardExecutor):
         return results
 
 
-class ShardLanes:
-    """One single-thread pool per shard: per-shard order, cross-shard overlap.
+class ThreadExecutor(SerialExecutor):
+    """In-process shards, one single-thread pool each.
 
     Each shard applies its commands in submission order, the ordering
     ingest correctness depends on, while different shards run at once.
     """
 
-    def __init__(self, num_shards: int, prefix: str) -> None:
+    def __init__(self) -> None:
+        super().__init__()
+        self._pools: list[ThreadPoolExecutor] = []
+
+    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
+        super().start(num_shards, seed, telemetry)
         self._pools = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"{prefix}-{i}")
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"shard-{i}")
             for i in range(num_shards)
         ]
 
-    def call(self, run: Callable[..., Any], shard: int, *command: Any) -> Any:
-        """``run(shard, *command)`` on the shard's lane, waiting for it."""
-        return self._pools[shard].submit(run, shard, *command).result()
+    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
+        return self._pools[shard].submit(self._run, shard, method, args, kwargs).result()
 
-    def scatter(
-        self, run: Callable[..., Any], method: str, per_shard: Sequence[CallSpec | None]
-    ) -> list[Any]:
-        """``run(shard, method, args, kwargs)`` on every named shard's lane."""
+    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
         futures = {
-            shard: self._pools[shard].submit(run, shard, method, *item)
+            shard: self._pools[shard].submit(self._run, shard, method, *item)
             for shard, item in enumerate(per_shard)
             if item is not None
         }
-        return _gather(len(self._pools), futures, lambda shard: futures[shard].result())
+        # Every shard finishes before the first error in shard order is
+        # raised, so no shard is left mid-command.
+        results: list[Any] = [None] * self.num_shards
+        errors: list[ShardError] = []
+        for shard, future in futures.items():
+            try:
+                results[shard] = future.result()
+            except ShardError as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+        return results
 
     def close(self) -> None:
         for pool in self._pools:
             pool.shutdown(wait=True)
         self._pools = []
-
-
-def _gather(
-    num_shards: int, shards: Iterable[int], fetch: Callable[[int], Any]
-) -> list[Any]:
-    """``fetch(shard)`` for every shard, in shard order, into a result list.
-
-    A :class:`ShardError` does not cut the loop short: every reply is
-    collected first, so no shard is left mid-command, and then the first
-    error in shard order is raised.
-    """
-    results: list[Any] = [None] * num_shards
-    errors: list[ShardError] = []
-    for shard in shards:
-        try:
-            results[shard] = fetch(shard)
-        except ShardError as exc:
-            errors.append(exc)
-    if errors:
-        raise errors[0]
-    return results
-
-
-class ThreadExecutor(SerialExecutor):
-    """In-process shards on :class:`ShardLanes`: per-shard order, cross-shard overlap."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lanes = ShardLanes(0, "shard")
-
-    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
-        super().start(num_shards, seed, telemetry)
-        self._lanes = ShardLanes(num_shards, "shard")
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return self._lanes.call(self._run, shard, method, args, kwargs)
-
-    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
-        return self._lanes.scatter(self._run, method, per_shard)
-
-    def close(self) -> None:
-        self._lanes.close()
         self.workers = []
 
 
@@ -243,12 +218,12 @@ class WorkerProcess:
     """One shard worker process and the socketpair end that speaks to it.
 
     The single place a shard process is started, spoken to and torn
-    down; :class:`ProcessExecutor` and the fleet's supervisor each hold
-    one per shard.  Any transport failure — EOF, ``OSError`` (a
-    ``call_timeout`` expiry included) or a malformed frame — destroys
-    the process and raises :class:`WorkerGone`; the handle then stays
-    lost, so a late reply can never be read as the answer to a later
-    command.  An ``("err", message)`` reply raises :class:`ShardError`.
+    down; the fleet's supervisor holds one per shard.  Any transport
+    failure — EOF, ``OSError`` (a ``call_timeout`` expiry included) or a
+    malformed frame — destroys the process and raises
+    :class:`WorkerGone`; the handle then stays lost, so a late reply can
+    never be read as the answer to a later command.  An
+    ``("err", message)`` reply raises :class:`ShardError`.
     """
 
     def __init__(
@@ -376,15 +351,41 @@ class WorkerProcess:
             proc.join(timeout=1.0)
 
 
-class ProcessExecutor(ShardExecutor):
-    """One worker process per shard, commands as frames over a socketpair.
+class SupervisedExecutor(ShardExecutor):
+    """Worker processes behind one :class:`~repro.fleet.supervisor.ShardSupervisor`.
 
-    ``call_timeout`` bounds how long a command may go unanswered before
-    it fails as :class:`ShardError` (``None`` = wait forever as long as
-    the worker lives).  A worker that dies mid-command closes its end of
-    the socketpair, so the coordinator reads EOF at once.  Either way
-    the shard is lost for good: its later commands raise
-    :class:`ShardError` too.
+    ``call``, ``scatter`` and ``close`` are the supervisor's; a subclass
+    only configures it.  :class:`ProcessExecutor` and
+    :class:`~repro.fleet.executor.SocketExecutor` are siblings, so
+    neither inherits what is set on the other.
+    """
+
+    supervisor: ShardSupervisor
+
+    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
+        self.num_shards = num_shards
+        self.supervisor.start(num_shards, seed, telemetry)
+
+    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
+        return self.supervisor.command(shard, method, args, kwargs)
+
+    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
+        return self.supervisor.scatter(method, per_shard)
+
+    def close(self) -> None:
+        self.supervisor.stop()
+
+
+class ProcessExecutor(SupervisedExecutor):
+    """One worker process per shard; a lost worker stays lost.
+
+    Its supervisor never restarts a worker and runs no heartbeat, so it
+    journals nothing.  ``call_timeout`` bounds how long a command may go
+    unanswered before it fails as :class:`ShardError` (``None`` = wait
+    forever as long as the worker lives).  A worker that dies
+    mid-command closes its end of the socketpair, so the coordinator
+    reads EOF at once.  Either way the shard is down for good: its later
+    commands raise :class:`ShardError` too.
     """
 
     def __init__(
@@ -392,42 +393,11 @@ class ProcessExecutor(ShardExecutor):
     ) -> None:
         if call_timeout is not None and call_timeout <= 0:
             raise ValueError(f"call_timeout must be positive, got {call_timeout}")
-        self._ctx_name = mp_context
-        self._call_timeout = call_timeout
-        self._workers: list[WorkerProcess] = []
+        from ..fleet.supervisor import ShardSupervisor  # the fleet builds on this module
 
-    def start(self, num_shards: int, seed: int, telemetry: bool = True) -> None:
-        self.num_shards = num_shards
-        self._workers = WorkerProcess.start_all(
-            num_shards, seed, telemetry, self._ctx_name, self._call_timeout
+        self.supervisor = ShardSupervisor(
+            restart=False, call_timeout=call_timeout, mp_context=mp_context
         )
-
-    def _send(
-        self, shard: int, method: str, args: tuple[Any, ...], kwargs: dict[str, Any]
-    ) -> None:
-        with suppress(WorkerGone):  # the lost handle's recv reports it
-            self._workers[shard].send((method, args, kwargs))
-
-    def _recv(self, shard: int) -> Any:
-        try:
-            return self._workers[shard].recv()
-        except WorkerGone as exc:
-            raise ShardError(shard, f"worker process lost ({exc.reason})") from exc
-
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        self._send(shard, method, args, kwargs)
-        return self._recv(shard)
-
-    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
-        active = [shard for shard, item in enumerate(per_shard) if item is not None]
-        for shard in active:
-            self._send(shard, method, *cast(CallSpec, per_shard[shard]))
-        return _gather(self.num_shards, active, self._recv)
-
-    def close(self) -> None:
-        for worker in self._workers:
-            worker.stop()
-        self._workers = []
 
 
 _EXECUTORS: dict[str, type[ShardExecutor]] = {

@@ -12,7 +12,7 @@ import pytest
 from repro.fleet import FleetClient, FleetServer
 from repro.sharding import ShardedStreamEngine
 
-from .conftest import build_socket_fleet
+from .conftest import build_fleet, build_socket_fleet
 
 JOIN_SPEC = {
     "kind": "join",
@@ -250,6 +250,23 @@ class TestDegradation:
             assert stats["shards"][1] is None
             assert stats["shards"][0] is not None
             assert stats["health"]["up"] == [True, False, True]
+
+    def test_a_process_fleet_pings_its_lost_shard_down(self):
+        fleet = build_fleet(num_shards=2, executor="process")
+        harness = None
+        try:
+            for relation in ("R1", "R2"):
+                fleet.ingest_batch(relation, [[v % 48] for v in range(60)])
+            os.kill(fleet._executor.supervisor.pid(1), signal.SIGKILL)
+            harness = ServeHarness(fleet)
+            with connect(harness) as client:
+                response = client.request("query", name="q_basic_sketch")
+                assert response["ok"] is False
+                assert client.ping()["up"] == [True, False]
+        finally:
+            if harness is not None:
+                harness.close()
+            fleet.close()
 
 
 class TestBackpressure:

@@ -4,10 +4,15 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.normalization import Domain
 from repro.fleet import ShardSupervisor
+from repro.sharding import ShardedStreamEngine
 from repro.sharding.executor import ShardError
+from repro.sharding.worker import ShardWorker
+from repro.streams import JoinQuery, StreamEngine
 from repro.streams.tuples import OpKind
 
 from .conftest import DOMAIN
@@ -82,6 +87,83 @@ class TestJournal:
             assert journal.pending == 1
         finally:
             supervisor.stop()
+
+
+PAIR = JoinQuery.parse(["R1", "R2"], ["R1.A = R2.A"])
+PAIR_SPEC = {
+    "kind": "join",
+    "relations": ["R1", "R2"],
+    "predicates": ["R1.A = R2.A"],
+    "method": "basic_sketch",
+    "budget": 8,
+    "options": {},
+}
+
+
+def pair_fleet_and_engine():
+    """A two-shard socket fleet and one engine, each fed R1 and R2 alike."""
+    engine = StreamEngine(seed=0)
+    fleet = ShardedStreamEngine(num_shards=2, seed=0, executor="socket")
+    rows = np.arange(64)[:, None]
+    for target in (engine, fleet):
+        for name in ("R1", "R2"):
+            target.create_relation(name, ["A"], [Domain.of_size(64)])
+        for name in ("R1", "R2"):
+            target.ingest_batch(name, rows)
+    return fleet, engine
+
+
+def journal_methods(fleet, shard):
+    return [entry.method for entry in fleet._executor.supervisor.journal(shard).all_entries()]
+
+
+SETUP = ["create_relation", "create_relation", "ingest", "ingest"]
+
+
+class TestRefusedCommands:
+    """A command the worker refuses leaves no journal entry to replay."""
+
+    def test_a_refused_registration_does_not_sink_the_next_revive(self):
+        fleet, engine = pair_fleet_and_engine()
+        try:
+            fleet._executor.call(1, "register_query", "q2", PAIR_SPEC)
+            with pytest.raises(ShardError, match="query 'q2' already registered"):
+                fleet.register_query("q2", PAIR, method="basic_sketch", budget=8)
+            assert journal_methods(fleet, 1) == [*SETUP, "register_query", "unregister_query"]
+
+            supervisor = fleet._executor.supervisor
+            os.kill(supervisor.pid(1), signal.SIGKILL)
+            fleet.register_query("q2", PAIR, method="basic_sketch", budget=8)
+            engine.register_query("q2", PAIR, method="basic_sketch", budget=8)
+            assert fleet.answer("q2") == engine.answer("q2")
+            assert supervisor.restart_count(1) == 1
+            assert supervisor.health()["down"] == {}
+        finally:
+            fleet.close()
+
+    def test_a_refused_registration_and_its_refused_rollback(self, monkeypatch):
+        register = ShardWorker.register_query
+
+        def refuse_on_shard_1(self, name, spec):
+            if self.shard_index == 1:
+                raise ValueError("refused")
+            register(self, name, spec)
+
+        monkeypatch.setattr(ShardWorker, "register_query", refuse_on_shard_1)
+        fleet, _ = pair_fleet_and_engine()
+        try:
+            with pytest.raises(ShardError, match="shard 1: ValueError: refused"):
+                fleet.register_query("q2", PAIR, method="basic_sketch", budget=8)
+            assert journal_methods(fleet, 0) == [*SETUP, "register_query", "unregister_query"]
+            assert journal_methods(fleet, 1) == SETUP
+
+            supervisor = fleet._executor.supervisor
+            os.kill(supervisor.pid(1), signal.SIGKILL)
+            assert fleet.total_count("R1") == 64
+            assert supervisor.restart_count(1) == 1
+            assert supervisor.health()["down"] == {}
+        finally:
+            fleet.close()
 
 
 class TestCrashRecovery:

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.sharding.executor import (
     ShardError,
     ShardExecutor,
     ThreadExecutor,
+    WorkerProcess,
     resolve_executor,
 )
 from repro.sharding.worker import ShardWorker
@@ -92,14 +94,14 @@ class TestLifecycle:
     def test_process_workers_are_real_processes(self):
         ex = ProcessExecutor()
         ex.start(2, seed=0, telemetry=False)
-        procs = [w._proc for w in ex._workers]
+        procs = [w._proc for w in ex.supervisor._workers]
         try:
             pids = set(ex.broadcast("ping"))
             assert pids == {0, 1}
             assert all(p.is_alive() for p in procs)
         finally:
             ex.close()
-        assert not any(p.is_alive() for p in procs) and not ex._workers
+        assert not any(p.is_alive() for p in procs) and not ex.supervisor._workers
 
 
 class TestResolve:
@@ -129,7 +131,7 @@ class TestProcessExecutorRobustness:
         ex = ProcessExecutor()
         ex.start(2, seed=0, telemetry=False)
         try:
-            os.kill(ex._workers[1].pid, signal.SIGKILL)
+            os.kill(ex.supervisor.pid(1), signal.SIGKILL)
             with pytest.raises(ShardError, match="worker process"):
                 ex.call(1, "ping")
             # the surviving shard is unaffected
@@ -146,7 +148,7 @@ class TestProcessExecutorRobustness:
             # wedge the worker: SIGSTOP leaves it alive but unable to reply
             import os
 
-            pid = ex._workers[0].pid
+            pid = ex.supervisor.pid(0)
             os.kill(pid, signal.SIGSTOP)
             try:
                 with pytest.raises(ShardError, match="call_timeout"):
@@ -170,11 +172,11 @@ class TestProcessExecutorRobustness:
 
         ex = ProcessExecutor()
         ex.start(2, seed=0, telemetry=False)
-        os.kill(ex._workers[0].pid, signal.SIGKILL)
+        os.kill(ex.supervisor.pid(0), signal.SIGKILL)
         started = time.monotonic()
         ex.close()
         assert time.monotonic() - started < 10
-        assert ex._workers == []
+        assert ex.supervisor._workers == []
 
 
 def _command_errors(ex):
@@ -189,8 +191,7 @@ def _command_errors(ex):
 
 def _worker_procs(ex):
     """The worker processes behind a process or socket executor."""
-    workers = ex._workers if isinstance(ex, ProcessExecutor) else ex.supervisor._workers
-    return [worker._proc for worker in workers]
+    return [worker._proc for worker in ex.supervisor._workers]
 
 
 class TestOneCommandLoop:
@@ -216,6 +217,39 @@ class TestOneCommandLoop:
         finally:
             ex.close()
         assert [proc.exitcode for proc in procs] == [0, 0]  # not terminated
+
+
+class TestOneScatter:
+    """Both process executors scatter through the supervisor on the calling thread."""
+
+    @pytest.mark.parametrize("name", ["process", "socket"])
+    def test_every_frame_is_sent_before_any_reply_is_read(self, name, monkeypatch):
+        events = []
+        send, recv = WorkerProcess.send, WorkerProcess.recv
+
+        def spy_send(self, message):
+            events.append(("send", self.shard))
+            send(self, message)
+
+        def spy_recv(self):
+            events.append(("recv", self.shard))
+            return recv(self)
+
+        monkeypatch.setattr(WorkerProcess, "send", spy_send)
+        monkeypatch.setattr(WorkerProcess, "recv", spy_recv)
+        with resolve_executor(name) as ex:
+            ex.start(3, seed=0, telemetry=False)
+            assert ex.scatter("ping", [((), {})] * 3) == [0, 1, 2]
+            assert events == [("send", 0), ("send", 1), ("send", 2),
+                              ("recv", 0), ("recv", 1), ("recv", 2)]
+
+    def test_socket_scatter_starts_no_threads(self):
+        before = set(threading.enumerate())
+        with resolve_executor("socket") as ex:
+            ex.start(3, seed=0, telemetry=False)
+            for _ in range(10):
+                assert ex.broadcast("ping") == [0, 1, 2]
+            assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
 def _alive(pid):
