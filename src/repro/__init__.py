@@ -94,7 +94,7 @@ _EXPORTS = {
 }
 __getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 __all__ = [
     "CosineSynopsis",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -88,92 +88,73 @@ class Domain:
         # rebuild it on their first lookup instead of carrying it.
         return {k: v for k, v in self.__dict__.items() if k != "_lookup"}
 
+    def locate(
+        self, values: NDArray[Any] | Sequence[Hashable]
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
+        """Each value's int64 domain index, and a mask of the values in the domain.
+
+        The one membership decision; it never raises on a value, and a
+        non-member's index is meaningless.  An integer range holds its
+        integers, bools and integer-valued floats, never strings, complex
+        numbers or ``None``.  Int64 values over a 0-based domain are their
+        own indices, returned uncopied.
+        """
+        if self._categories is not None:
+            if isinstance(values, np.ndarray):
+                values = values.tolist()  # Python values hash faster than numpy scalars
+            find = self._lookup.get
+            try:
+                found = [find(v, -1) for v in values]
+            except TypeError:  # an unhashable value
+                found = [_find(find, v) for v in values]
+            indices = np.array(found, dtype=np.int64)
+            return indices, indices >= 0
+        arr = np.asarray(values)
+        assert self.low is not None and self.high is not None
+        low, high = self.low, self.high
+        if arr.dtype.kind in "iub":
+            if arr.dtype == np.int64 and low == 0:
+                # Read as uint64, a negative value is above every domain size.
+                return arr, arr.view(np.uint64) < self.size
+            return arr.astype(np.int64, copy=False) - low, (arr >= low) & (arr <= high)
+        if arr.dtype.kind == "f":
+            members = (arr == np.floor(arr)) & (arr >= low) & (arr <= high)
+            return np.where(members, arr, 0).astype(np.int64) - low, members
+        if arr.dtype != object:  # strings, complex numbers, dates
+            return np.zeros(arr.shape, dtype=np.int64), np.zeros(arr.shape, dtype=bool)
+        if all(issubclass(kind, (int, np.integer)) for kind in set(map(type, arr))):
+            try:
+                return self.locate(arr.astype(np.int64))
+            except OverflowError:  # ints beyond int64 are read one by one
+                pass
+        offsets = [_integral(v) for v in arr]
+        indices = np.array(
+            [-1 if v is None or not low <= v <= high else v - low for v in offsets],
+            dtype=np.int64,
+        )
+        return indices, indices >= 0
+
     def indices_of(self, values: NDArray[Any] | Sequence[Hashable]) -> NDArray[Any]:
         """Map raw attribute values to domain indices ``0..size-1``.
 
-        Raises ``ValueError`` on any value outside the domain.
+        Raises ``ValueError`` on any value :meth:`locate` finds outside the
+        domain.  Int64 values over a 0-based domain come back uncopied.
         """
+        indices, members = self.locate(values)
+        if members.all():
+            return indices
+        bad = [v for v, member in zip(values, members.tolist()) if not member]
         if self._categories is not None:
-            lookup = self._lookup
-            try:
-                return np.array([lookup[v] for v in values], dtype=np.int64)
-            except KeyError as exc:
-                raise ValueError(f"value {exc.args[0]!r} not in categorical domain") from exc
-        arr = np.asarray(values)
-        assert self.low is not None
-        if arr.dtype == np.int64 and self.low == 0:
-            # Zero-copy fast path: int64 values over a 0-based domain are
-            # already their own indices — bounds-check and return the
-            # caller's array unchanged (callers treat indices as read-only).
-            # Read as uint64, a negative value is above every domain size.
-            if arr.size and int(arr.view(np.uint64).max()) >= self.size:
-                bad = arr[(arr < 0) | (arr >= self.size)]
-                raise ValueError(
-                    f"values outside integer domain [{self.low}, {self.high}]: {bad[:5]}"
-                )
-            return arr
-        idx = arr.astype(np.int64) - self.low
-        # integer dtypes hold integers; anything else must round-trip
-        if arr.dtype.kind not in "iu" and np.any(arr != idx + self.low):
+            raise ValueError(f"value {bad[0]!r} not in categorical domain")
+        if any(_integral(v) is None for v in bad):
             raise ValueError("non-integer values in an integer-range domain")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
-            bad = arr[(idx < 0) | (idx >= self.size)]
-            raise ValueError(
-                f"values outside integer domain [{self.low}, {self.high}]: {bad[:5]}"
-            )
-        return idx
+        raise ValueError(
+            f"values outside integer domain [{self.low}, {self.high}]: {np.asarray(bad)[:5]}"
+        )
 
     def index_of(self, value: Hashable) -> int:
         """Map a single raw value to its domain index."""
         return int(self.indices_of([value])[0])
-
-    def contains(self, values: NDArray[Any] | Sequence[Hashable]) -> NDArray[Any]:
-        """Boolean membership mask for a batch of raw values.
-
-        The non-raising counterpart of :meth:`indices_of`, used by the
-        dead-letter ingest validation: out-of-range, non-integer,
-        non-finite, and unknown-category values all simply map to
-        ``False``.
-        """
-        if self._categories is not None:
-            known = self._lookup
-
-            def member(v: Any) -> bool:
-                try:
-                    return v in known
-                except TypeError:  # unhashable values are never members
-                    return False
-
-            return np.array([member(v) for v in values], dtype=bool)
-        arr = np.asarray(values)
-        assert self.low is not None
-        if arr.dtype == object and all(
-            issubclass(kind, (int, np.integer)) for kind in set(map(type, arr))
-        ):
-            try:
-                ints = arr.astype(np.int64)
-            except OverflowError:  # ints beyond int64 are checked one by one
-                pass
-            else:
-                return (ints >= self.low) & (ints <= self.high)
-        if arr.dtype == object or not np.issubdtype(arr.dtype, np.number):
-            out = np.zeros(len(arr), dtype=bool)
-            for i, v in enumerate(arr):
-                if isinstance(v, (int, np.integer)) or (
-                    isinstance(v, (float, np.floating)) and float(v).is_integer()
-                ):
-                    out[i] = self.low <= int(v) <= self.high
-            return out
-        if np.issubdtype(arr.dtype, np.complexfloating):
-            return np.zeros(arr.shape[0], dtype=bool)
-        mask = np.ones(arr.shape, dtype=bool)
-        if np.issubdtype(arr.dtype, np.floating):
-            mask &= np.isfinite(arr)
-            safe = np.where(mask, arr, self.low)
-            mask &= safe == np.floor(safe)
-        values_int = np.where(mask, arr, self.low).astype(np.int64)
-        mask &= (values_int >= self.low) & (values_int <= self.high)
-        return mask
 
     def grid(self, kind: GridKind = "midpoint") -> NDArray[Any]:
         """Normalized positions of all domain values on the given grid."""
@@ -189,6 +170,23 @@ class Domain:
         if self.size == 1:
             return np.full(idx.shape, 0.5)
         return idx / (self.size - 1.0)
+
+
+def _integral(value: Any) -> int | None:
+    """``value`` as an int when it is an integer, a bool or an integer-valued float."""
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
+def _find(find: Callable[[Any, int], int], value: Any) -> int:
+    """``find(value, -1)``, or ``-1`` for an unhashable value."""
+    try:
+        return find(value, -1)
+    except TypeError:
+        return -1
 
 
 def as_rows(rows: Any) -> NDArray[Any]:

@@ -11,8 +11,8 @@ bottom-up:
   code that speaks to worker processes (the ``process`` executor's
   too): it launches them, scatters every command's frames before it
   reads a reply, heartbeats them, and on crash restarts a worker from
-  its latest checkpoint then replays the post-checkpoint
-  :class:`~repro.resilience.journal.CommandJournal` suffix.
+  its latest checkpoint then replays the commands its
+  :class:`~repro.resilience.journal.CommandJournal` holds since then.
 * :mod:`repro.fleet.executor` — :class:`SocketExecutor`, the
   :class:`~repro.sharding.executor.ShardExecutor` that runs the
   supervisor with revives on, under the unchanged

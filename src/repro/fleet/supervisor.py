@@ -12,15 +12,16 @@ worker crashes:
 * every state-mutating command is appended to that shard's
   :class:`~repro.resilience.journal.CommandJournal` *before* dispatch,
   and dropped again if the worker refuses it;
-* a successful ``save_checkpoint`` marks the journal (and truncates the
-  replayed prefix), so the journal holds exactly the post-checkpoint
-  suffix, every row ingested since included;
+* a successful ``save_checkpoint`` or checkpoint load records its file
+  in the journal and drops the entries it covers, so the journal holds
+  exactly the commands since that checkpoint, every index slice
+  ingested since included;
 * when a worker is gone — transport error, clean EOF, or a call
   timeout, all treated identically — the supervisor respawns the
-  process, restores the marked checkpoint (if one was ever marked) and
-  replays the journal suffix in order.  Replay is correct because a
-  crash discards *all* partial effects of the in-flight command, and
-  every journaled command is deterministic given the restored state.
+  process, restores the journal's checkpoint (if there ever was one) and
+  replays the journal in order.  Replay is correct because a crash
+  discards *all* partial effects of the in-flight command, and every
+  journaled command is deterministic given the restored state.
 
 With ``restart=False`` (the process executor's) nothing is journaled,
 and a lost worker marks its shard down.
@@ -229,29 +230,15 @@ class ShardSupervisor:
                 except WorkerGone as exc:
                     errors[shard] = ShardError(shard, f"worker process lost ({exc.reason})")
             if method in ("save_checkpoint", "load_checkpoint", "load_latest_checkpoint"):
+                # The worker's state is now the file the command names.
                 for shard in calls.keys() - errors.keys():
-                    self._mark_journal_locked(shard, method, str(results[shard]))
+                    self._journals[shard].checkpointed(str(results[shard]))
         finally:
             for shard in calls:
                 self._locks[shard].release()
         if errors:
             raise errors[min(errors)]
         return results
-
-    def _mark_journal_locked(self, shard: int, method: str, path: str) -> None:
-        """Move the journal mark to the checkpoint a save or load names."""
-        journal = self._journals[shard]
-        if method == "save_checkpoint":
-            # The checkpoint now covers everything journaled so far: mark
-            # it (remembering its file for revives) and drop the prefix
-            # replay no longer needs.
-            journal.mark(path)
-            journal.truncate()
-        else:
-            # The worker's state *is* the checkpoint now; any journal
-            # history predates it and must not be replayed on top.
-            journal.clear()
-            journal.mark(path)
 
     def _give_up_locked(self, shard: int, reason: str) -> NoReturn:
         """Mark the shard down for good and raise its :class:`ShardError`."""
@@ -275,13 +262,11 @@ class ShardSupervisor:
         journal = self._journals[shard]
         try:
             worker.spawn(self._workers)
-            if journal.has_mark:
-                worker.call("load_checkpoint", (journal.mark_ref,), {})
-                entries = journal.since_mark()
-            else:
-                entries = journal.all_entries()
-            for entry in entries:
+            if journal.checkpoint is not None:
+                worker.call("load_checkpoint", (journal.checkpoint,), {})
+            for entry in journal.entries:
                 worker.call(entry.method, entry.args, entry.kwargs)
+                journal.replayed_total += 1
         except (WorkerGone, ShardError) as exc:
             # Recovery itself failed (checkpoint unreadable, replay
             # rejected, or the fresh worker died too): this shard cannot

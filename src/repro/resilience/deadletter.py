@@ -1,14 +1,13 @@
 """Ingest validation and the bounded dead-letter buffer.
 
 The engine's batched ingest applies one vectorized scatter-add per
-batch; a single malformed row (wrong arity, NaN/inf, a value outside
-the declared domain) used to abort the whole batch with the exact
-tensor already partially... no — worse, with *nothing* applied but the
-stream position lost, because the producer has no way to know which row
-was poisoned.  With dead-lettering enabled the engine validates rows
-up front, ingests the clean remainder, and parks every rejected row in
-a bounded ring (:class:`DeadLetterBuffer`) with its rejection reason,
-so poisoned inputs are quarantined and *observable* instead of fatal.
+batch, so a single malformed row (wrong arity, NaN/inf, a value outside
+the declared domain) refuses the whole batch, and the producer cannot
+tell which row was poisoned.  With dead-lettering enabled the engine
+validates rows up front, ingests the clean remainder, and parks every
+rejected row in a bounded ring (:class:`DeadLetterBuffer`) with its
+rejection reason, so poisoned inputs are quarantined and *observable*
+instead of fatal.
 
 The buffer is a fixed-capacity ring: when full, the oldest entry is
 evicted and counted in :attr:`DeadLetterBuffer.dropped` — unbounded
@@ -121,15 +120,15 @@ class DeadLetterBuffer:
         rows: Sequence[Any] | NDArray[Any],
         kind: "OpKind",
         registry: "MetricsRegistry",
-    ) -> NDArray[Any]:
+    ) -> tuple[NDArray[Any], NDArray[Any]]:
         """Validate a batch bound for ``relation``; keep its bad rows here.
 
-        Returns the clean rows in input order (see :func:`validate_rows`).
-        Each rejected row becomes a :class:`DeadLetter` and counts once in
-        ``registry``'s ``repro_ingest_dead_letters_total``, per relation
-        and reason.
+        Returns the clean rows in input order (see :func:`validate_rows`)
+        and their ``(B, ndim)`` domain indices.  Each rejected row becomes
+        a :class:`DeadLetter` and counts once in ``registry``'s
+        ``repro_ingest_dead_letters_total``, per relation and reason.
         """
-        clean, rejects = validate_rows(relation, rows)
+        clean, indices, rejects = _validate(relation, rows)
         if rejects:
             counter = registry.counter(
                 "repro_ingest_dead_letters_total",
@@ -140,7 +139,7 @@ class DeadLetterBuffer:
             for row, reason in rejects:
                 self.add(DeadLetter(relation.name, row, op_kind, reason))
                 counter.labels(relation.name, reason).inc()
-        return clean
+        return clean, indices
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -259,8 +258,8 @@ def _clean_rows(
     relation: "StreamRelation",
     arr: NDArray[Any],
     rejects: list[tuple[tuple[Any, ...], str]],
-) -> NDArray[Any]:
-    """The finite, in-domain rows of a ``(B, ndim)`` array, in input order.
+) -> tuple[NDArray[Any], NDArray[Any]]:
+    """The finite, in-domain rows of a ``(B, ndim)`` array and their indices.
 
     The other rows go to ``rejects``: the non-finite ones first, then the
     out-of-domain ones, each group in input order.
@@ -269,12 +268,49 @@ def _clean_rows(
     for row in arr[~keep]:
         rejects.append((_row_tuple(row), REASON_NON_FINITE))
     candidate = arr[keep]
-    domain_ok = np.ones(candidate.shape[0], dtype=bool)
-    for j, domain in enumerate(relation.domains):
-        domain_ok &= domain.contains(candidate[:, j])
-    for row in candidate[~domain_ok]:
+    located = [domain.locate(candidate[:, j]) for j, domain in enumerate(relation.domains)]
+    members = np.logical_and.reduce([found for _, found in located])
+    for row in candidate[~members]:
         rejects.append((_row_tuple(row), REASON_OUT_OF_DOMAIN))
-    return candidate[domain_ok]
+    indices = np.stack([index for index, _ in located], axis=1)
+    return candidate[members], indices[members]
+
+
+def _validate(
+    relation: "StreamRelation", rows: Sequence[Any] | NDArray[Any]
+) -> tuple[NDArray[Any], NDArray[Any], list[tuple[tuple[Any, ...], str]]]:
+    """:func:`validate_rows`, plus the clean rows' ``(B, ndim)`` domain indices."""
+    ndim = relation.ndim
+    arr: NDArray[Any] | None
+    try:
+        arr = as_rows(rows)
+    except ValueError:  # ragged nested sequences refuse to coerce at all
+        arr = None
+    rejects: list[tuple[tuple[Any, ...], str]] = []
+    if arr is not None and arr.ndim == 1 and ndim == 1 and arr.dtype != object:
+        arr = arr[:, None]
+    if arr is not None and arr.ndim == 2 and arr.shape[1] == ndim:
+        return (*_clean_rows(relation, arr, rejects), rejects)
+
+    # Ragged input (or a 1-d object array, whose items may be rows):
+    # check each row's arity, then the rest on the rows that fit.
+    source = rows if arr is None or arr.ndim == 0 else arr
+    good: list[tuple[Any, ...]] = []
+    for row in map(_row_tuple, source):
+        if len(row) != ndim:
+            rejects.append((row, REASON_ARITY))
+        else:
+            good.append(row)
+    if not good:
+        empty = np.empty((0, ndim), dtype=np.int64)
+        return empty, empty, rejects
+    good_arr = as_rows(good)
+    if good_arr.dtype == object or good_arr.ndim != 2:
+        good_arr = np.empty((len(good), ndim), dtype=object)
+        for i, row in enumerate(good):
+            for j, value in enumerate(row):
+                good_arr[i, j] = value
+    return (*_clean_rows(relation, good_arr, rejects), rejects)
 
 
 def validate_rows(
@@ -291,33 +327,5 @@ def validate_rows(
     ``("austin", 30)`` included, is checked column by column; only a
     ragged batch is normalized row by row.
     """
-    ndim = relation.ndim
-    arr: NDArray[Any] | None
-    try:
-        arr = as_rows(rows)
-    except ValueError:  # ragged nested sequences refuse to coerce at all
-        arr = None
-    rejects: list[tuple[tuple[Any, ...], str]] = []
-    if arr is not None and arr.ndim == 1 and ndim == 1 and arr.dtype != object:
-        arr = arr[:, None]
-    if arr is not None and arr.ndim == 2 and arr.shape[1] == ndim:
-        return _clean_rows(relation, arr, rejects), rejects
-
-    # Ragged input (or a 1-d object array, whose items may be rows):
-    # check each row's arity, then the rest on the rows that fit.
-    source = rows if arr is None or arr.ndim == 0 else arr
-    good: list[tuple[Any, ...]] = []
-    for row in map(_row_tuple, source):
-        if len(row) != ndim:
-            rejects.append((row, REASON_ARITY))
-        else:
-            good.append(row)
-    if not good:
-        return np.empty((0, ndim), dtype=np.int64), rejects
-    good_arr = as_rows(good)
-    if good_arr.dtype == object or good_arr.ndim != 2:
-        good_arr = np.empty((len(good), ndim), dtype=object)
-        for i, row in enumerate(good):
-            for j, value in enumerate(row):
-                good_arr[i, j] = value
-    return _clean_rows(relation, good_arr, rejects), rejects
+    clean, _, rejects = _validate(relation, rows)
+    return clean, rejects

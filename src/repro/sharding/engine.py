@@ -25,6 +25,7 @@ and ingests every batch, in arrival order, before any shard sees it.  So
 one engine maps, checks and counts each batch, and a batch it rejects
 (an out-of-domain row, an over-delete, a delete a ``sample`` query
 cannot take) reaches no shard; a delete batch costs one round trip.
+Shards apply the replica's int64 domain indices, mapping no value again.
 
 Per-shard checkpoints write one rotated
 :class:`~repro.resilience.checkpoint.CheckpointStore` per shard plus a
@@ -257,11 +258,10 @@ class ShardedStreamEngine:
     ) -> None:
         """Partition a same-kind batch by routing hash and fan it out.
 
-        The replica applies the whole batch first, as one engine: a batch
-        one engine rejects raises its error there, before any shard sees
-        it.  Rows then route on the domain index the replica mapped their
-        partition value to, and each shard applies its slice through the
-        normal batched fast path.
+        The replica maps the batch to domain indices and applies it first,
+        as one engine: a batch one engine rejects raises its error there,
+        before any shard sees it.  The indices route on their partition
+        column, and each shard applies its slice of them as they are.
         Per-shard slices preserve the batch's relative order, so shard
         state is independent of batch framing.
 
@@ -272,9 +272,11 @@ class ShardedStreamEngine:
         """
         meta = self._relations[relation_name]
         relation = self._coordinator.relations[relation_name]
-        if self.dead_letters is not None:
-            rows = self.dead_letters.divert(relation, rows, kind, self._local_registry)
-        arr = relation.rows_array(rows)
+        if self.dead_letters is None:
+            arr = relation.rows_array(rows)
+            idx = relation.indices_of_rows(arr)
+        else:
+            arr, idx = self.dead_letters.divert(relation, rows, kind, self._local_registry)
         if arr.shape[0] == 0:
             return
         span = (
@@ -285,8 +287,8 @@ class ShardedStreamEngine:
             else nullcontext(None)
         )
         with span as traceparent:
-            idx = relation.apply_rows(arr, kind)
-            parts = split_rows(arr, idx[:, meta.partition_axis], self.num_shards)
+            relation.apply_located(arr, idx, kind)
+            parts = split_rows(idx, idx[:, meta.partition_axis], self.num_shards)
             self._executor.scatter(
                 "ingest",
                 [

@@ -35,7 +35,7 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import TYPE_CHECKING, Any, NoReturn, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence, cast
 
 from .worker import ProtocolError, ShardWorker, recv_frame, send_frame, serve_commands
 
@@ -122,14 +122,32 @@ class SerialExecutor(ShardExecutor):
         except Exception as exc:
             raise ShardError(shard, f"{type(exc).__name__}: {exc}") from exc
 
+    def _submit(
+        self, shard: int, method: str, args: tuple[Any, ...], kwargs: dict[str, Any]
+    ) -> Callable[[], Any]:
+        """Start one command; calling the result waits for it (here: runs it)."""
+        return partial(self._run, shard, method, args, kwargs)
+
     def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return self._run(shard, method, args, kwargs)
+        return self._submit(shard, method, args, kwargs)()
 
     def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
+        pending = {
+            shard: self._submit(shard, method, *item)
+            for shard, item in enumerate(per_shard)
+            if item is not None
+        }
+        # Every named shard runs before the first error in shard order is
+        # raised, so no shard is skipped or left mid-command.
         results: list[Any] = [None] * self.num_shards
-        for shard, item in enumerate(per_shard):
-            if item is not None:
-                results[shard] = self._run(shard, method, *item)
+        errors: list[ShardError] = []
+        for shard, result in pending.items():
+            try:
+                results[shard] = result()
+            except ShardError as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
         return results
 
 
@@ -151,27 +169,10 @@ class ThreadExecutor(SerialExecutor):
             for i in range(num_shards)
         ]
 
-    def call(self, shard: int, method: str, *args: Any, **kwargs: Any) -> Any:
-        return self._pools[shard].submit(self._run, shard, method, args, kwargs).result()
-
-    def scatter(self, method: str, per_shard: Sequence[CallSpec | None]) -> list[Any]:
-        futures = {
-            shard: self._pools[shard].submit(self._run, shard, method, *item)
-            for shard, item in enumerate(per_shard)
-            if item is not None
-        }
-        # Every shard finishes before the first error in shard order is
-        # raised, so no shard is left mid-command.
-        results: list[Any] = [None] * self.num_shards
-        errors: list[ShardError] = []
-        for shard, future in futures.items():
-            try:
-                results[shard] = future.result()
-            except ShardError as exc:
-                errors.append(exc)
-        if errors:
-            raise errors[0]
-        return results
+    def _submit(
+        self, shard: int, method: str, args: tuple[Any, ...], kwargs: dict[str, Any]
+    ) -> Callable[[], Any]:
+        return self._pools[shard].submit(self._run, shard, method, args, kwargs).result
 
     def close(self) -> None:
         for pool in self._pools:

@@ -40,7 +40,6 @@ import struct
 from pathlib import Path
 from typing import Any, Callable, cast
 
-import numpy as np
 from numpy.typing import NDArray
 
 from ..obs.metrics import MetricsRegistry
@@ -118,11 +117,12 @@ class ShardWorker:
         self.engine.unregister_query(name)
 
     def ingest(
-        self, relation: str, rows: NDArray[Any], kind: OpKind, traceparent: str | None = None
+        self, relation: str, indices: NDArray[Any], kind: OpKind, traceparent: str | None = None
     ) -> int:
+        """Apply a slice of the int64 domain indices the fleet's replica computed."""
         self._adopt(traceparent)
-        self.engine.ingest_batch(relation, rows, kind)
-        return int(np.asarray(rows).shape[0])
+        self.engine.relations[relation].apply_located(indices, indices, kind)
+        return len(indices)
 
     def query_observers(
         self, name: str, traceparent: str | None = None

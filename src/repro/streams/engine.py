@@ -246,7 +246,7 @@ class ContinuousQueryEngine:
         )
         #: Bounded buffer of rejected rows once
         #: :meth:`enable_dead_lettering` has been called; ``None`` means
-        #: malformed batches raise, as before.
+        #: malformed batches raise.
         self.dead_letters: DeadLetterBuffer | None = None
 
     def _share(
@@ -389,27 +389,20 @@ class ContinuousQueryEngine:
     ) -> None:
         """Ingest a same-kind batch of raw tuples through the fast path.
 
-        The relation's exact tensor is updated with one vectorized
-        scatter-add and every attached observer is notified once with the
-        whole batch, hitting the synopses' ``insert_batch`` /
-        ``update_batch`` kernels instead of per-tuple Python round-trips.
-        The final state is identical to ingesting the rows one at a time
-        (bit-identical for the count/sketch/sample state, up to float
-        summation order for transform coefficients).
-
-        An empty batch is an explicit no-op: no tensor touch, no observer
-        notification, no spans or per-batch metrics.  With
+        Each value is mapped to its domain index once; the exact tensor
+        takes one scatter-add and each observer one ``on_ops`` call, so
+        the state is that of ingesting the rows one at a time (float sums
+        up to summation order).  An empty batch is a no-op.  With
         :meth:`enable_dead_lettering` active, malformed rows (wrong arity,
-        NaN/inf, out-of-domain values) are diverted into
-        :attr:`dead_letters` and the clean remainder is ingested, instead
-        of the whole batch raising.
+        NaN/inf, out-of-domain values) go to :attr:`dead_letters` and the
+        rest is applied with the indices validation found.
         """
         relation = self.relations[relation_name]
-        if self.dead_letters is not None:
-            rows = self.dead_letters.divert(relation, rows, kind, self.telemetry.registry)
-        if len(rows) == 0:
-            return
-        relation.apply_rows(rows, kind)
+        if self.dead_letters is None:
+            relation.apply_rows(rows, kind)
+        else:
+            clean, indices = self.dead_letters.divert(relation, rows, kind, self.telemetry.registry)
+            relation.apply_located(clean, indices, kind)
         if self._accuracy is not None:
             self._accuracy.maybe_sample()
 
@@ -1086,13 +1079,13 @@ class ContinuousQueryEngine:
 
         def build() -> _CosineObserver:
             synopsis = CosineSynopsis.from_counts(
-                domains,
+                [Domain.of_size(d.size) for d in domains],  # only the sizes matter
                 _history(relation, axes, domains),
                 budget=budget,
                 truncation=truncation,
                 grid=grid,
             )
-            return _CosineObserver(synopsis, axes)
+            return _CosineObserver(synopsis, relation.index_maps(axes, domains), axes)
 
         key = ("cosine", use, rel_name, tuple(axes), tuple(domains), budget, truncation, grid)
         return self._share(relation, key, build).synopsis
@@ -1347,13 +1340,16 @@ StreamEngine = ContinuousQueryEngine
 
 
 class _CosineObserver(StreamObserver):
-    """Feeds tuples, projected on ``axes``, into a cosine synopsis (Eqs. 3.4 / 3.5)."""
+    """Feeds unified indices on ``axes`` into a cosine synopsis (Eqs. 3.4 / 3.5)."""
 
     # Structural: rebuilt from the query spec, not restored from checkpoints.
-    _checkpoint_exempt = ("axes",)
+    _checkpoint_exempt = ("axes", "maps")
 
-    def __init__(self, synopsis: CosineSynopsis, axes: Sequence[int]) -> None:
+    def __init__(
+        self, synopsis: CosineSynopsis, maps: Sequence[IndexMap], axes: Sequence[int]
+    ) -> None:
         self.synopsis = synopsis
+        self.maps = list(maps)
         self.axes = list(axes)
 
     def state_dict(self) -> dict[str, Any]:
@@ -1364,10 +1360,8 @@ class _CosineObserver(StreamObserver):
 
     def on_ops(self, relation: StreamRelation, rows: NDArray[Any], kind: OpKind) -> None:
         delta = relation.batch_delta(rows, kind).marginal(self.axes)
-        if kind is OpKind.INSERT:
-            self.synopsis.insert_batch(delta.rows, multiplicity=delta.counts)
-        else:
-            self.synopsis.delete_batch(delta.rows, multiplicity=delta.counts)
+        update = self.synopsis.insert_batch if kind is OpKind.INSERT else self.synopsis.delete_batch
+        update(delta.indices(self.maps), multiplicity=delta.counts)
 
 
 class _SketchObserver(StreamObserver):

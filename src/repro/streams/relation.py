@@ -30,6 +30,7 @@ of mapping raw values again.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from time import perf_counter
 from typing import Any, Iterable, Optional, Sequence, TYPE_CHECKING
 
@@ -75,8 +76,9 @@ class StreamObserver:
     def on_ops(self, relation: "StreamRelation", rows: NDArray[Any], kind: OpKind) -> None:
         """Called once per same-kind batch, after exact state is updated.
 
-        ``rows`` is a ``(B, ndim)`` array of raw tuples.  The default
-        falls back to one :meth:`on_op` call per row.
+        ``rows`` is a ``(B, ndim)`` array of raw tuples (on a fleet shard,
+        their int64 domain indices).  The default falls back to one
+        :meth:`on_op` call per row.
         """
         for row in rows:
             self.on_op(relation, StreamOp(tuple(row), kind))
@@ -91,22 +93,18 @@ class BatchDelta:
     """One same-kind batch's change to a frequency tensor of shape ``shape``.
 
     ``cells`` are the batch's distinct cells as sorted flat indices into
-    ``shape``, ``counts`` how many rows hit each, and ``rows`` one raw
-    tuple per cell (its first occurrence in the batch), for synopses that
-    read raw values.  Synopses over other (unified) domains read the cells
-    through :meth:`indices`.  The tensor changes by ``weight * counts`` at
-    ``cells``.
+    ``shape`` and ``counts`` how many rows hit each; the tensor changes by
+    ``weight * counts`` at ``cells``.  Synopses over other (unified)
+    domains read the cells through :meth:`indices`.
     """
 
     def __init__(
         self,
-        rows: NDArray[Any],
         cells: NDArray[Any],
         counts: NDArray[Any],
         shape: tuple[int, ...],
         kind: OpKind,
     ) -> None:
-        self.rows = rows
         self.cells = cells
         self.counts = counts
         self.shape = shape
@@ -115,12 +113,10 @@ class BatchDelta:
         self._axes = tuple(range(len(shape)))
 
     @classmethod
-    def of(
-        cls, rows: NDArray[Any], indices: NDArray[Any], shape: tuple[int, ...], kind: OpKind
-    ) -> "BatchDelta":
-        """The delta of ``rows`` whose per-axis domain indices are ``indices``."""
-        cells, first, counts = distinct_cells(indices, shape)
-        return cls(rows[first], cells, counts, shape, kind)
+    def of(cls, indices: NDArray[Any], shape: tuple[int, ...], kind: OpKind) -> "BatchDelta":
+        """The delta of a batch whose per-axis domain indices are ``indices``."""
+        cells, _, counts = distinct_cells(indices, shape)
+        return cls(cells, counts, shape, kind)
 
     @property
     def weight(self) -> int:
@@ -145,9 +141,8 @@ class BatchDelta:
             full = np.unravel_index(self.cells, self.shape)
             shape = tuple(self.shape[a] for a in key)
             projected = np.stack([full[a] for a in key], axis=1)
-            cells, first, counts = distinct_cells(projected, shape, self.counts)
-            rows = self.rows[first][:, list(key)]
-            cached = self._marginals[key] = BatchDelta(rows, cells, counts, shape, self.kind)
+            cells, _, counts = distinct_cells(projected, shape, self.counts)
+            cached = self._marginals[key] = BatchDelta(cells, counts, shape, self.kind)
         return cached
 
 
@@ -314,15 +309,32 @@ class StreamRelation:
     def apply_rows(
         self, rows: Sequence[Sequence[Any]] | NDArray[Any], kind: OpKind
     ) -> NDArray[Any]:
-        """Process a same-kind batch; return its ``(B, ndim)`` domain indices.
-
-        The indices are the ones the apply mapped the rows to, so a caller
-        that goes on to route the rows by value need not map them again.
-        """
+        """Process a same-kind batch; return its ``(B, ndim)`` domain indices."""
         arr = self.rows_array(rows)
         if not arr.shape[0]:
             return np.empty((0, self.ndim), dtype=np.int64)
         return self._apply_rows(arr, kind)
+
+    def apply_located(
+        self,
+        rows: Sequence[Sequence[Any]] | NDArray[Any],
+        indices: NDArray[Any],
+        kind: OpKind,
+    ) -> None:
+        """Process a same-kind batch of ``rows`` whose int64 domain ``indices`` are known.
+
+        The indices are bounds-checked, never mapped again; a fleet shard
+        passes its coordinator's indices as both.
+        """
+        arr, idx = self.rows_array(rows), self.rows_array(indices)
+        if idx.dtype != np.int64 or idx.shape != arr.shape:
+            raise ValueError(f"expected {arr.shape} int64 indices, got {idx.dtype} {idx.shape}")
+        if not idx.shape[0]:
+            return
+        # Read as uint64, a negative index is above every axis size.
+        if any(int(idx[:, j].view(np.uint64).max()) >= n for j, n in enumerate(self.counts.shape)):
+            raise ValueError(f"domain indices outside {self.name}'s shape {self.counts.shape}")
+        self._apply_indices(arr, idx, kind)
 
     def process_batch(self, ops: Iterable[StreamOp]) -> None:
         """Apply a sequence of operations, batching runs of the same kind.
@@ -348,25 +360,67 @@ class StreamRelation:
             self._apply_rows(self.rows_array(run), run_kind)
 
     def _apply_rows(self, arr: NDArray[Any], kind: OpKind, batched: bool = True) -> NDArray[Any]:
-        """Vectorized core: update exact counts, then notify once.
+        """Map a batch of raw rows to domain indices and apply it; return the indices."""
+        idx = self.indices_of_rows(arr)
+        self._apply_indices(arr, idx, kind, batched)
+        return idx
+
+    def _apply_indices(
+        self, arr: NDArray[Any], idx: NDArray[Any], kind: OpKind, batched: bool = True
+    ) -> None:
+        """Vectorized core: update exact counts at ``idx``, then notify once.
 
         With a :attr:`tracer` attached, the whole apply is wrapped in an
         ``ingest_batch`` span and each observer update is emitted as an
         ``observer_update`` event (reusing the duration the stats layer
         measured, so tracing adds no extra clock reads per observer).  A
         per-tuple apply (``batched=False``) is traced only under 1-in-N
-        sampling.  Returns the batch's domain indices.
+        sampling.
         """
         tracer = self.tracer
-        if tracer is None or not (batched or tracer.sample_every is not None):
-            return self._apply_rows_inner(arr, kind, None, batched)
-        with tracer.span(
-            "ingest_batch",
-            count=arr.shape[0],
-            relation=self.name,
-            kind=kind.name.lower(),
-        ):
-            return self._apply_rows_inner(arr, kind, tracer, batched)
+        if tracer is not None and (batched or tracer.sample_every is not None):
+            span: Any = tracer.span(
+                "ingest_batch", count=arr.shape[0], relation=self.name, kind=kind.name.lower()
+            )
+        else:
+            tracer, span = None, nullcontext()
+        with span:
+            delta: BatchDelta | None = None
+            if kind is OpKind.DELETE:
+                # A sequential replay would raise on the first tuple exceeding
+                # its live multiplicity; check up front so a rejected batch
+                # leaves the exact state untouched, as does one an observer
+                # cannot take.
+                delta = BatchDelta.of(idx, self.counts.shape, kind)
+                flat = self.counts.reshape(-1)
+                short = delta.counts > flat[delta.cells]
+                if short.any():
+                    cell = delta.cells[np.argmax(short)]
+                    first = np.argmax(np.ravel_multi_index(idx.T, self.counts.shape) == cell)
+                    bad = tuple(arr[first].tolist())
+                    raise ValueError(f"deleting tuple {bad} that {self.name} does not hold")
+                self._check_deletes()
+                flat[delta.cells] -= delta.counts
+                self._count -= idx.shape[0]
+            else:
+                # One flat index per row: np.add.at's tuple-index path is
+                # several times slower on multi-attribute tensors.  The counts
+                # tensor is C-contiguous (np.zeros, or load_counts' copy), so
+                # the reshape is a view.
+                flat = (
+                    idx[:, 0]
+                    if idx.shape[1] == 1
+                    else np.ravel_multi_index(idx.T, self.counts.shape)
+                )
+                np.add.at(self.counts.reshape(-1), flat, 1)
+                self._count += idx.shape[0]
+            self._batch = (arr, idx, kind)
+            self._delta = delta
+            try:
+                self._notify(arr, kind, tracer, batched)
+            finally:
+                self._batch = None
+                self._delta = None
 
     def batch_delta(self, rows: NDArray[Any], kind: OpKind) -> BatchDelta:
         """The :class:`BatchDelta` of a same-kind batch of raw ``rows``.
@@ -377,10 +431,9 @@ class StreamRelation:
         """
         batch = self._batch
         if batch is None or rows is not batch[0] or kind is not batch[2]:
-            arr = self.rows_array(rows)
-            return BatchDelta.of(arr, self.indices_of_rows(arr), self.counts.shape, kind)
+            return BatchDelta.of(self.indices_of_rows(rows), self.counts.shape, kind)
         if self._delta is None:
-            self._delta = BatchDelta.of(batch[0], batch[1], self.counts.shape, kind)
+            self._delta = BatchDelta.of(batch[1], self.counts.shape, kind)
         return self._delta
 
     def batch_indices(self, rows: NDArray[Any]) -> NDArray[Any]:
@@ -406,46 +459,6 @@ class StreamRelation:
                 check = getattr(observer, "check_delete", None)
                 if check is not None:
                     check()
-
-    def _apply_rows_inner(
-        self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool
-    ) -> NDArray[Any]:
-        idx = self.indices_of_rows(arr)
-        delta: BatchDelta | None = None
-        if kind is OpKind.DELETE:
-            # A sequential replay would raise on the first tuple exceeding
-            # its live multiplicity; check up front so a rejected batch
-            # leaves the exact state untouched, as does one an observer
-            # cannot take.
-            delta = BatchDelta.of(arr, idx, self.counts.shape, kind)
-            flat = self.counts.reshape(-1)
-            short = delta.counts > flat[delta.cells]
-            if short.any():
-                bad = tuple(delta.rows[np.argmax(short)].tolist())
-                raise ValueError(f"deleting tuple {bad} that {self.name} does not hold")
-            self._check_deletes()
-            flat[delta.cells] -= delta.counts
-            self._count -= idx.shape[0]
-        else:
-            # One flat index per row: np.add.at's tuple-index path is
-            # several times slower on multi-attribute tensors.  The counts
-            # tensor is C-contiguous (np.zeros, or load_counts' copy), so
-            # the reshape is a view.
-            flat = (
-                idx[:, 0]
-                if idx.shape[1] == 1
-                else np.ravel_multi_index(idx.T, self.counts.shape)
-            )
-            np.add.at(self.counts.reshape(-1), flat, 1)
-            self._count += idx.shape[0]
-        self._batch = (arr, idx, kind)
-        self._delta = delta
-        try:
-            self._notify(arr, kind, tracer, batched)
-        finally:
-            self._batch = None
-            self._delta = None
-        return idx
 
     def _notify(
         self, arr: NDArray[Any], kind: OpKind, tracer: "Tracer | None", batched: bool

@@ -90,13 +90,13 @@ class TestIndexing:
         column[:] = values
         loop = [
             (
-                isinstance(v, (int, np.integer))
+                isinstance(v, (int, np.integer, np.bool_))
                 or (isinstance(v, (float, np.floating)) and float(v).is_integer())
             )
             and domain.low <= int(v) <= domain.high
             for v in values
         ]
-        assert domain.contains(column).tolist() == loop
+        assert domain.locate(column)[1].tolist() == loop
 
 
 class TestAsRows:

@@ -67,7 +67,7 @@ class TestJournal:
             prime_shard(supervisor, 0, [[1], [2]])
             supervisor.command(0, "relation_count", ("R",))
             journal = supervisor.journal(0)
-            assert [e.method for e in journal.all_entries()] == [
+            assert [e.method for e in journal.entries] == [
                 "create_relation",
                 "ingest",
             ]
@@ -78,13 +78,31 @@ class TestJournal:
         supervisor = make_supervisor()
         try:
             prime_shard(supervisor, 0, [[1], [2]])
-            supervisor.command(0, "save_checkpoint", (str(tmp_path),))
+            path = supervisor.command(0, "save_checkpoint", (str(tmp_path),))
             journal = supervisor.journal(0)
-            assert journal.has_mark
+            assert journal.checkpoint == path
             assert journal.pending == 0
-            assert len(journal) == 0  # covered prefix dropped
+            assert journal.entries == []  # covered prefix dropped
             supervisor.command(0, "ingest", ("R", [[3]], OpKind.INSERT))
             assert journal.pending == 1
+        finally:
+            supervisor.stop()
+
+    def test_replayed_total_counts_revives_not_reads(self, tmp_path):
+        supervisor = make_supervisor()
+        try:
+            prime_shard(supervisor, 0, [[1], [2]])
+            supervisor.command(0, "save_checkpoint", (str(tmp_path),))
+            supervisor.command(0, "ingest", ("R", [[3]], OpKind.INSERT))
+            supervisor.command(0, "ingest", ("R", [[4], [5]], OpKind.INSERT))
+            assert len(supervisor.journal(0).entries) == 2
+            # reading the journal replays nothing
+            assert supervisor.health()["journals"][0]["replayed_total"] == 0
+            sigkill(supervisor, 0)
+            assert supervisor.command(0, "relation_count", ("R",)) == 5
+            assert supervisor.restart_count(0) == 1
+            # the revive replayed the two ingests since the checkpoint
+            assert supervisor.health()["journals"][0]["replayed_total"] == 2
         finally:
             supervisor.stop()
 
@@ -114,7 +132,7 @@ def pair_fleet_and_engine():
 
 
 def journal_methods(fleet, shard):
-    return [entry.method for entry in fleet._executor.supervisor.journal(shard).all_entries()]
+    return [entry.method for entry in fleet._executor.supervisor.journal(shard).entries]
 
 
 SETUP = ["create_relation", "create_relation", "ingest", "ingest"]

@@ -196,6 +196,59 @@ class TestEngineDeadLettering:
         assert engine.relations["R1"].count == 2
 
 
+class TestOneMembershipVerdict:
+    """A row is clean under dead-lettering exactly when a plain engine ingests it."""
+
+    @staticmethod
+    def make_engines():
+        from repro.sharding import ShardedStreamEngine
+
+        plain, guarded = StreamEngine(seed=0), StreamEngine(seed=0)
+        fleet = ShardedStreamEngine(num_shards=2, seed=0)
+        for target in (plain, guarded, fleet):
+            target.create_relation("R", ["A"], [Domain.of_size(10)])
+        guarded.enable_dead_lettering()
+        fleet.enable_dead_lettering()
+        return plain, guarded, fleet
+
+    def test_bool_rows_land_in_cells_one_and_zero(self):
+        plain, guarded, fleet = self.make_engines()
+        with fleet:
+            for target in (plain, guarded, fleet):
+                target.ingest_batch("R", np.array([[True], [False]]))
+            expected = [1, 1] + [0] * 8
+            assert plain.relations["R"].counts.tolist() == expected
+            assert guarded.relations["R"].counts.tolist() == expected
+            assert fleet.merged_counts("R").tolist() == expected
+            assert guarded.dead_letters.total == fleet.dead_letters.total == 0
+
+    @pytest.mark.parametrize(
+        "value", [None, 2**70, 3 + 0j, np.complex128(3)], ids=["none", "huge", "complex", "np-complex"]
+    )
+    def test_a_refused_value_raises_value_error_or_parks_out_of_domain(self, value):
+        rows = np.empty((2, 1), dtype=object)
+        rows[:, 0] = [value, 4]
+        plain, guarded, fleet = self.make_engines()
+        with fleet:
+            with pytest.raises(ValueError):
+                plain.ingest_batch("R", rows)
+            for target in (guarded, fleet):
+                target.ingest_batch("R", rows)
+                assert [letter.reason for letter in target.dead_letters] == [REASON_OUT_OF_DOMAIN]
+            assert guarded.relations["R"].counts.tolist() == [0] * 4 + [1] + [0] * 5
+            assert fleet.merged_counts("R").tolist() == [0] * 4 + [1] + [0] * 5
+
+    def test_complex_values_are_never_integers(self):
+        rows = np.array([[3 + 0j], [4 + 0j]])
+        plain, guarded, fleet = self.make_engines()
+        with fleet:
+            with pytest.raises(ValueError, match="non-integer"):
+                plain.ingest_batch("R", rows)
+            for target in (guarded, fleet):
+                target.ingest_batch("R", rows)
+                assert [letter.reason for letter in target.dead_letters] == [REASON_OUT_OF_DOMAIN] * 2
+
+
 class TestReplay:
     def make_engine(self, size=10):
         engine = StreamEngine(seed=0)

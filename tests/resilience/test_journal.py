@@ -1,4 +1,4 @@
-"""CommandJournal: append/mark/replay-suffix/truncate bookkeeping."""
+"""CommandJournal: append/retract, the checkpoint step and its accounting."""
 
 from repro.resilience.journal import CommandJournal, JournalEntry
 
@@ -19,76 +19,43 @@ class TestAppendAndReplay:
         assert entry.method == "ingest"
         assert entry.args == ("R", [[1], [2]])
         assert entry.kwargs == {"traceparent": "t"}
-        assert [e.method for e in journal.all_entries()] == [
+        assert [e.method for e in journal.entries] == [
             "create_relation",
             "ingest",
         ]
 
     def test_unmarked_journal_replays_everything(self):
         journal = filled_journal(3)
-        assert not journal.has_mark
+        assert journal.checkpoint is None
         assert journal.pending == 3
-        assert len(journal.since_mark()) == 3
+        assert len(journal.entries) == 3
 
     def test_mark_splits_replay_suffix(self):
+        # A checkpoint forgets what it covers: the entries are the suffix.
         journal = filled_journal(2)
-        journal.mark("ckpt-0001")
+        journal.checkpointed("ckpt-0001")
         journal.append("ingest", ("R", [[9]]), {})
-        assert journal.has_mark
-        assert journal.mark_ref == "ckpt-0001"
+        assert journal.checkpoint == "ckpt-0001"
         assert journal.pending == 1
-        suffix = journal.since_mark()
-        assert [e.args[1] for e in suffix] == [[[9]]]
-
-    def test_mark_without_ref_still_pins_the_position(self):
-        journal = filled_journal(2)
-        journal.mark()
-        assert journal.pending == 0
-        assert not journal.has_mark  # no durable ref recorded
-
-
-class TestTruncateAndClear:
-    def test_truncate_drops_only_the_covered_prefix(self):
-        journal = filled_journal(3)
-        journal.mark("ckpt")
-        journal.append("ingest", ("R", [[7]]), {})
-        assert journal.truncate() == 3
-        assert len(journal) == 1
-        assert journal.pending == 1
-        assert journal.mark_ref == "ckpt"  # the mark ref survives truncation
-
-    def test_truncate_without_mark_is_a_noop(self):
-        journal = filled_journal(3)
-        assert journal.truncate() == 0
-        assert len(journal) == 3
-
-    def test_clear_forgets_entries_and_mark(self):
-        journal = filled_journal(3)
-        journal.mark("ckpt")
-        journal.clear()
-        assert len(journal) == 0
-        assert journal.pending == 0
-        assert not journal.has_mark
-        assert journal.mark_ref is None
+        assert [e.args[1] for e in journal.entries] == [[[9]]]
 
 
 class TestAccounting:
     def test_counters_and_snapshot(self):
         journal = filled_journal(3)
-        journal.mark("ckpt")
+        journal.checkpointed("ckpt")
         journal.append("ingest", ("R", [[5]]), {})
-        journal.since_mark()
         snapshot = journal.as_dict()
         assert snapshot == {
-            "entries": 4,
+            "entries": 1,
             "pending": 1,
             "mark_ref": "ckpt",
             "appended_total": 4,
-            "replayed_total": 1,
+            "replayed_total": 0,
         }
 
     def test_appended_total_survives_truncate(self):
         journal = filled_journal(5)
-        journal.mark("ckpt")
-        journal.truncate()
+        journal.checkpointed("ckpt")
+        assert journal.entries == []
         assert journal.as_dict()["appended_total"] == 5

@@ -77,6 +77,18 @@ class TestScatterWaitsForEveryShard:
                 ex.broadcast("ping")
             assert sorted(finished) == [1, 2]
 
+    @pytest.mark.parametrize("name", ["serial", "thread", "process", "socket"])
+    def test_a_refused_shard_does_not_stop_the_others(self, name):
+        good, bad = [{"low": 0, "size": 8}], [{"low": 0, "size": 0}]
+        with resolve_executor(name) as ex:
+            ex.start(3, seed=0, telemetry=False)
+            per_shard = [(("R", ["A"], specs), {}) for specs in (bad, good, good)]
+            with pytest.raises(ShardError, match="shard 0: ValueError: empty integer range"):
+                ex.scatter("create_relation", per_shard)
+            assert [ex.call(shard, "relation_count", "R") for shard in (1, 2)] == [0, 0]
+            with pytest.raises(ShardError, match="shard 0: KeyError"):
+                ex.call(0, "relation_count", "R")
+
 
 class TestLifecycle:
     def test_close_is_idempotent(self):

@@ -85,8 +85,8 @@ def _per_tuple_twin(observer, unified):
         synopsis = copy.deepcopy(observer.synopsis)
 
         def apply(op):
-            values = [op.values[ax] for ax in observer.axes]
-            (synopsis.insert if op.kind is OpKind.INSERT else synopsis.delete)(values)
+            cell = [unified[ax].index_of(op.values[ax]) for ax in observer.axes]
+            (synopsis.insert if op.kind is OpKind.INSERT else synopsis.delete)(cell)
 
     elif isinstance(observer, engine_module._SketchObserver):
         synopsis = copy.deepcopy(observer.sketch)

@@ -337,12 +337,39 @@ class TestBatchDelta:
         rows = np.array([[1, 2], [3, 2], [1, 2], [1, 5]])
         delta = relation.batch_delta(rows, OpKind.INSERT)
         assert delta.counts.tolist() == [2, 1, 1]
-        assert delta.rows.tolist() == [[1, 2], [1, 5], [3, 2]]
+        assert delta.indices([None, None]).tolist() == [[1, 2], [1, 5], [3, 2]]
         on_b = delta.marginal([1])
-        assert on_b.rows[:, 0].tolist() == [2, 5]
+        assert on_b.indices([None])[:, 0].tolist() == [2, 5]
         assert on_b.counts.tolist() == [3, 1]
         assert delta.marginal([1]) is on_b
         assert delta.marginal([0, 1]) is delta
+
+
+class TestIndexFedCosine:
+    """Cosine observers read the batch's unified indices, never raw values."""
+
+    def test_insert_batch_gets_int64_unified_indices(self, monkeypatch):
+        calls = []
+        real = CosineSynopsis.insert_batch
+
+        def spy(self, rows, multiplicity=None):
+            calls.append((self, rows, multiplicity))
+            return real(self, rows, multiplicity)
+
+        monkeypatch.setattr(CosineSynopsis, "insert_batch", spy)
+        engine = StreamEngine(seed=0)
+        # R.A (3..8) unifies with S.A (2..11) to 2..11: value v has index v - 2.
+        engine.create_relation("R", ["A", "B"], [Domain.integer_range(3, 8), Domain.of_size(4)])
+        engine.create_relation("S", ["A"], [Domain.integer_range(2, 11)])
+        engine.register_query(
+            "q", JoinQuery.parse(["R", "S"], ["R.A = S.A"]), method="cosine", budget=BUDGET
+        )
+        engine.ingest_batch("R", np.array([[3, 0], [8, 3], [3, 0]]))
+        ((synopsis, rows, counts),) = calls
+        assert synopsis.domains == (Domain.of_size(10), Domain.of_size(4))
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[1, 0], [6, 3]]
+        assert counts.tolist() == [2, 1]
 
 
 class TestRegistrationReplay:
